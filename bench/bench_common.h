@@ -12,11 +12,8 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/shard.h"
 #include "harness/stage.h"
 #include "harness/sweep.h"
-#include "support/artifact_store.h"
-#include "support/rng.h"
 #include "support/strings.h"
 #include "workload/suite.h"
 
@@ -96,11 +93,11 @@ struct TopologyChoice {
   }
 };
 
-/// The multi-heuristic back-end sweep perf_micro and sweep_shard share:
+/// The multi-heuristic back-end sweep perf_micro and sweep_scaling share:
 /// every point reuses the unrolled/copy-inserted front end of one machine
 /// (default: the paper's 4-cluster ring) and differs only in (heuristic,
-/// IMS budget), so the points form ascending-budget warm-start ladders
-/// per heuristic.
+/// IMS budget), so the points form ascending-budget ladders per heuristic
+/// that the MII-optimality memo short-circuits.
 inline std::vector<SweepPoint> perf_sweep_points(const TopologyChoice& choice = {}) {
   PipelineOptions base;
   base.unroll = true;
@@ -141,84 +138,12 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
     os << " " << total.stage << " " << fixed(total.seconds, 2) << "s";
   }
   os << "\n";
-  if (sweep.cache.warm_probes > 0) {
-    os << "[sweep] warm-start: " << sweep.cache.warm_hits << "/" << sweep.cache.warm_probes
-       << " seeded points installed their seed (" << percent(sweep.cache.warm_hit_rate())
-       << ")\n";
-  }
 }
 
-/// Sum of the back-end stages' wall time (the part warm starts shrink).
+/// Sum of the back-end stages' wall time.
 inline double backend_seconds(const SweepResult& sweep) {
   return sweep.stage_seconds(kStageSchedule) + sweep.stage_seconds(kStageQueueAlloc) +
          sweep.stage_seconds(kStageSim);
-}
-
-/// One-line artifact-store / warm-start counter summary (shared by the
-/// sharded and dispatched sweep drivers).
-inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
-  os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes << ", mii "
-     << sweep.cache.mii_disk_hits << "/" << sweep.cache.mii_disk_probes << ", schedules "
-     << sweep.cache.sched_disk_hits << "/" << sweep.cache.sched_disk_probes << "; warm "
-     << sweep.cache.warm_hits << "/" << sweep.cache.warm_probes << "\n";
-}
-
-/// Canonical results-only JSON: every semantic LoopResult field, no
-/// timing and no effort provenance, so a merged sharded sweep, a
-/// dispatched sweep and the single-process sweep all produce
-/// byte-identical files (CI diffs them).
-inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& points,
-                               const SweepResult& sweep) {
-  os << "{\n  \"bench\": \"perf_sweep\",\n"
-     << "  \"points\": " << sweep.by_point.size() << ",\n"
-     << "  \"loops\": " << (sweep.by_point.empty() ? 0 : sweep.by_point[0].size()) << ",\n"
-     << "  \"fingerprint\": \"" << std::hex << hash_bytes(sweep_result_fingerprint(sweep))
-     << std::dec << "\",\n  \"results\": [";
-  for (std::size_t p = 0; p < sweep.by_point.size(); ++p) {
-    os << (p == 0 ? "" : ",") << "\n    {\"label\": \""
-       << (p < points.size() ? points[p].label : std::string("?")) << "\", \"loops\": [";
-    for (std::size_t i = 0; i < sweep.by_point[p].size(); ++i) {
-      const LoopResult& r = sweep.by_point[p][i];
-      os << (i == 0 ? "" : ",") << "\n      {\"name\": \"" << r.name << "\", \"ok\": "
-         << (r.ok ? "true" : "false") << ", \"failed_stage\": \"" << r.failed_stage
-         << "\", \"ii\": " << r.ii << ", \"mii\": " << r.mii << ", \"stage_count\": "
-         << r.stage_count << ", \"unroll\": " << r.unroll_factor << ", \"sched_ops\": "
-         << r.sched_ops << ", \"copies\": " << r.copies << ", \"moves\": " << r.moves
-         << ", \"queues\": " << r.total_queues << ", \"registers\": " << r.registers
-         << ", \"ipc_static\": " << fixed(r.ipc_static, 9) << ", \"ipc_dynamic\": "
-         << fixed(r.ipc_dynamic, 9) << ", \"fits\": " << (r.fits_machine_queues ? "true" : "false")
-         << ", \"fit_retries\": " << r.queue_fit_retries
-         << ", \"verify_checked\": " << (r.verify_checked ? "true" : "false")
-         << ", \"verify_violations\": " << r.verify_violations << "}";
-    }
-    os << "\n    ]}";
-  }
-  os << "\n  ]\n}\n";
-}
-
-/// `--store-stats` implementation shared by sweep_shard and
-/// sweep_dispatch: the operator's inventory of a shared store directory.
-inline int print_store_stats(std::ostream& os, const std::string& dir) {
-  if (dir.empty()) {
-    os << "--store-stats requires --store DIR\n";
-    return 2;
-  }
-  const ArtifactStoreStats stats = ArtifactStore(dir).stats();
-  os << "store " << dir << ": " << stats.entries << " entries, " << stats.entry_bytes
-     << " bytes across " << stats.fanout_dirs << " fanout dir(s)\n"
-     << "  leftover temp files: " << stats.temp_files << " (" << stats.temp_bytes
-     << " bytes)" << (stats.temp_files > 0 ? " — killed writers; safe to delete" : "") << "\n"
-     << "  format versions seen:";
-  if (stats.versions.empty()) {
-    os << " none recorded";
-  } else {
-    for (const std::uint64_t v : stats.versions) os << " v" << v;
-    if (stats.versions.size() > 1) {
-      os << "  (mixed: entries keyed under retired versions are never read again)";
-    }
-  }
-  os << "\n";
-  return 0;
 }
 
 }  // namespace qvliw::bench

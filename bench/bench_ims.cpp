@@ -25,6 +25,7 @@
 #include "bench_common.h"
 #include "sched/ims.h"
 #include "sched/ims_reference.h"
+#include "support/blob.h"
 
 namespace qvliw {
 namespace {

@@ -3,29 +3,16 @@
 // Times the multi-heuristic sweep that the prefix-artifact cache was
 // built for — every point shares the unrolled/copy-inserted loop, DDG and
 // MII bounds of the 4-cluster machine and differs only in back-end
-// scheduling options — once with the cache off, once with it on, and once
-// more with back-end warm starting on top: the points form ascending-
-// budget ladders per heuristic, so each larger-budget point is seeded
-// with its predecessor's accepted schedule and the II search collapses
-// into a verification pass.  Results of all three runs are verified
-// identical (the warm run may differ only in scheduling-effort stats).
-// The cached runs also persist their front-end artifacts and per-machine
-// MII maps to the content-addressed on-disk store (QVLIW_STORE_DIR,
-// default .qvliw-store), so a second invocation of this bench warm-starts
-// from disk and reports nonzero disk hit rates.  Emits a machine-readable
-// BENCH_pipeline.json (override the path with QVLIW_BENCH_JSON or
-// argv[1]) with per-stage wall times, cache/disk/warm-start hit rates,
-// per-point backend labels, back-end throughput, and the cache and
-// warm-start speedups, to track the perf trajectory across commits
-// (tools/check_bench_regression.py gates CI on it).
-//
-// A fourth and fifth run exercise the checkpoint ledger: the same cached
-// sweep with SweepOptions::checkpoint_dir set runs once against a fresh
-// journal (every task executed and journaled) and once against the warm
-// journal (every task replayed, nothing executed); both must be
-// result-identical to the cached run, reported as
-// `checkpoint_results_identical` and gated in CI alongside
-// `results_identical`.
+// scheduling options — once with the cache off and once with it on.  The
+// points form ascending-budget ladders per heuristic, so in the cached run
+// each larger-budget point installs the MII-optimal schedule its smaller-
+// budget sibling proved instead of re-searching.  Both runs are verified
+// identical.  Emits a machine-readable BENCH_pipeline.json (override the
+// path with QVLIW_BENCH_JSON or argv[1]) with per-stage wall times, cache
+// and memo hit counts, per-point backend labels, back-end throughput, the
+// cache speedup, and the cached run's outcome `fingerprint`, to track the
+// perf trajectory across commits (tools/check_bench_regression.py gates
+// CI on it).
 //
 // Every sweep runs on SweepOptions::workers threads (--workers N /
 // QVLIW_WORKERS, 0 = one per hardware thread).  When more than one
@@ -37,52 +24,24 @@
 //   QVLIW_LOOPS=200 ./build/bench/perf_micro [out.json] [--workers N]
 //                    [--topology ring|mesh|crossbar] [--clusters N]
 //   ./build/bench/perf_micro --list-backends   # registry contents only
-#include <filesystem>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench_common.h"
+#include "harness/shard.h"
 #include "sched/backend.h"
-#include "support/artifact_store.h"
 #include "support/parallel.h"
+#include "support/rng.h"
 #include "support/strings.h"
 
 namespace qvliw {
 namespace {
 
+/// Equal outcomes in every semantic LoopResult field.
 bool results_identical(const SweepResult& a, const SweepResult& b) {
-  if (a.by_point.size() != b.by_point.size()) return false;
-  for (std::size_t p = 0; p < a.by_point.size(); ++p) {
-    if (a.by_point[p].size() != b.by_point[p].size()) return false;
-    for (std::size_t i = 0; i < a.by_point[p].size(); ++i) {
-      const LoopResult& x = a.by_point[p][i];
-      const LoopResult& y = b.by_point[p][i];
-      if (x.ok != y.ok || x.failure != y.failure || x.failed_stage != y.failed_stage ||
-          x.ii != y.ii || x.mii != y.mii || x.res_mii != y.res_mii || x.rec_mii != y.rec_mii ||
-          x.stage_count != y.stage_count || x.total_queues != y.total_queues ||
-          x.registers != y.registers || x.sched_ops != y.sched_ops ||
-          x.unroll_factor != y.unroll_factor || x.ipc_static != y.ipc_static ||
-          x.ipc_dynamic != y.ipc_dynamic || x.fits_machine_queues != y.fits_machine_queues ||
-          x.queue_fit_retries != y.queue_fit_retries || x.verify_checked != y.verify_checked ||
-          x.verify_violations != y.verify_violations) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// Warm-started final IIs must never exceed the cold run's.
-bool iis_never_worse(const SweepResult& cold, const SweepResult& warm) {
-  for (std::size_t p = 0; p < cold.by_point.size(); ++p) {
-    for (std::size_t i = 0; i < cold.by_point[p].size(); ++i) {
-      const LoopResult& c = cold.by_point[p][i];
-      const LoopResult& w = warm.by_point[p][i];
-      if (c.ok && (!w.ok || w.ii > c.ii)) return false;
-    }
-  }
-  return true;
+  return sweep_result_fingerprint(a) == sweep_result_fingerprint(b);
 }
 
 /// Search-effort telemetry summed over every cell of a run (the new
@@ -115,7 +74,7 @@ SchedTelemetry sched_telemetry(const SweepResult& sweep) {
 
 /// The MII-optimality bit is an outcome property (II == MII), so it must
 /// agree cell-for-cell across runs regardless of how each run obtained
-/// its schedule (search, warm seed, or ladder memo install).
+/// its schedule (search or ladder memo install).
 bool mii_optimal_identical(const SweepResult& a, const SweepResult& b) {
   if (a.by_point.size() != b.by_point.size()) return false;
   for (std::size_t p = 0; p < a.by_point.size(); ++p) {
@@ -160,16 +119,6 @@ void write_run(std::ostream& os, const char* name, const SweepResult& sweep) {
      << "    \"cache_hit_rate\": " << fixed(sweep.cache.hit_rate(), 6) << ",\n"
      << "    \"cache_probes\": " << sweep.cache.probes() << ",\n"
      << "    \"cache_hits\": " << sweep.cache.hits() << ",\n"
-     << "    \"disk_hit_rate\": " << fixed(sweep.cache.disk_hit_rate(), 6) << ",\n"
-     << "    \"disk_probes\": " << sweep.cache.disk_probes << ",\n"
-     << "    \"disk_hits\": " << sweep.cache.disk_hits << ",\n"
-     << "    \"mii_disk_probes\": " << sweep.cache.mii_disk_probes << ",\n"
-     << "    \"mii_disk_hits\": " << sweep.cache.mii_disk_hits << ",\n"
-     << "    \"sched_disk_probes\": " << sweep.cache.sched_disk_probes << ",\n"
-     << "    \"sched_disk_hits\": " << sweep.cache.sched_disk_hits << ",\n"
-     << "    \"warm_start_hit_rate\": " << fixed(sweep.cache.warm_hit_rate(), 6) << ",\n"
-     << "    \"warm_probes\": " << sweep.cache.warm_probes << ",\n"
-     << "    \"warm_hits\": " << sweep.cache.warm_hits << ",\n"
      << "    \"sched_memo_probes\": " << sweep.cache.sched_memo_probes << ",\n"
      << "    \"sched_memo_hits\": " << sweep.cache.sched_memo_hits << ",\n"
      << "    \"unroll_probe_factors\": " << sweep.cache.probe_factors << ",\n"
@@ -187,9 +136,6 @@ void write_run(std::ostream& os, const char* name, const SweepResult& sweep) {
      << "    \"sched_mii_optimal\": " << telemetry.mii_optimal << ",\n"
      << "    \"mii_optimal_ii_consistent\": " << (telemetry.ii_consistent ? "true" : "false")
      << ",\n"
-     << "    \"tasks_replayed\": " << sweep.checkpoint.tasks_replayed << ",\n"
-     << "    \"tasks_executed\": " << sweep.checkpoint.tasks_executed << ",\n"
-     << "    \"journal_bytes\": " << sweep.checkpoint.journal_bytes << ",\n"
      << "    \"stage_seconds\": ";
   write_stage_seconds(os, sweep, "    ");
   os << "\n  }";
@@ -229,8 +175,8 @@ int run(int argc, char** argv) {
     }
   }
 
-  print_banner(std::cout, "perf — sweep throughput, prefix-cache and warm-start speedups",
-               "shared front ends + seeded budget ladders shrink sweeps to their novel work");
+  print_banner(std::cout, "perf — sweep throughput and prefix-cache speedup",
+               "shared front ends + the ladder memo shrink sweeps to their novel work");
   print_backends(std::cout);
   const Suite suite = bench::make_suite();
   bench::print_suite_line(std::cout, suite);
@@ -270,87 +216,40 @@ int run(int argc, char** argv) {
         uncached.wall_seconds > 0.0 ? serial.wall_seconds / uncached.wall_seconds : 0.0;
   }
 
-  SweepOptions cached_options;
-  cached_options.store_dir = ArtifactStore::default_dir();
-  cached_options.workers = workers_request;
-  cached_options.verify_mode = SweepVerifyMode::kStrict;
-  std::cout << "running cached (prefix artifacts shared across points; persisted to "
-            << cached_options.store_dir << ")...\n";
+  SweepOptions cached_options = uncached_options;
+  cached_options.use_cache = true;
+  std::cout << "running cached (prefix artifacts shared across points)...\n";
   const SweepResult cached = SweepRunner(cached_options).run(suite.loops, points);
 
-  SweepOptions warm_options = cached_options;
-  warm_options.warm_start = true;
-  std::cout << "running warm (budget ladders seed the scheduler with the previous "
-            << "point's schedule)...\n";
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-
-  // Checkpoint ledger drill: cold journal (everything executed and
-  // journaled), then warm journal (everything replayed).
-  const char* ckpt_env = std::getenv("QVLIW_CHECKPOINT_DIR");
-  SweepOptions ckpt_options = cached_options;
-  ckpt_options.checkpoint_dir = ckpt_env != nullptr && ckpt_env[0] != '\0'
-                                    ? ckpt_env
-                                    : ".qvliw-checkpoint";
-  std::filesystem::remove_all(ckpt_options.checkpoint_dir);
-  std::cout << "running checkpointed (fresh task journal in " << ckpt_options.checkpoint_dir
-            << ")...\n";
-  const SweepResult checkpointed = SweepRunner(ckpt_options).run(suite.loops, points);
-  std::cout << "running checkpoint replay (every task restored from the journal)...\n";
-  const SweepResult replayed = SweepRunner(ckpt_options).run(suite.loops, points);
-
   const bool identical = results_identical(uncached, cached);
-  const bool warm_identical = results_identical(uncached, warm);
-  const bool never_worse = iis_never_worse(cached, warm);
-  const bool optimality_identical =
-      mii_optimal_identical(uncached, cached) && mii_optimal_identical(uncached, warm);
-  const bool checkpoint_identical =
-      results_identical(cached, checkpointed) && results_identical(cached, replayed) &&
-      replayed.checkpoint.tasks_executed == 0 &&
-      replayed.checkpoint.tasks_replayed == checkpointed.checkpoint.tasks_executed;
+  const bool optimality_identical = mii_optimal_identical(uncached, cached);
   const double speedup =
       cached.wall_seconds > 0.0 ? uncached.wall_seconds / cached.wall_seconds : 0.0;
-  const double warm_backend_speedup = bench::backend_seconds(warm) > 0.0
-                                          ? bench::backend_seconds(cached) /
-                                                bench::backend_seconds(warm)
-                                          : 0.0;
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
+                static_cast<unsigned long long>(hash_bytes(sweep_result_fingerprint(cached))));
 
-  TextTable table({"variant", "wall s", "backend s", "loops/s", "cache hit", "warm hit"});
+  TextTable table({"variant", "wall s", "backend s", "loops/s", "cache hit"});
   table.add_row({std::string("uncached"), uncached.wall_seconds,
                  bench::backend_seconds(uncached), uncached.pipelines_per_second(),
-                 percent(uncached.cache.hit_rate()), percent(uncached.cache.warm_hit_rate())});
+                 percent(uncached.cache.hit_rate())});
   table.add_row({std::string("cached"), cached.wall_seconds, bench::backend_seconds(cached),
-                 cached.pipelines_per_second(), percent(cached.cache.hit_rate()),
-                 percent(cached.cache.warm_hit_rate())});
-  table.add_row({std::string("warm"), warm.wall_seconds, bench::backend_seconds(warm),
-                 warm.pipelines_per_second(), percent(warm.cache.hit_rate()),
-                 percent(warm.cache.warm_hit_rate())});
+                 cached.pipelines_per_second(), percent(cached.cache.hit_rate())});
   table.render(std::cout);
   if (workers > 1) {
     std::cout << "\nparallel: " << workers << " workers, " << fixed(parallel_speedup, 2)
               << "x over serial; threaded results identical: "
               << (parallel_identical ? "yes" : "NO — BUG") << "\n";
   }
-  std::cout << "\ncache speedup: " << fixed(speedup, 2) << "x; warm back-end speedup: "
-            << fixed(warm_backend_speedup, 2) << "x; results identical: "
-            << (identical && warm_identical ? "yes" : "NO — BUG")
-            << "; warm IIs never worse: " << (never_worse ? "yes" : "NO — BUG") << "\n"
-            << "checkpoint: " << checkpointed.checkpoint.tasks_executed
-            << " task(s) journaled cold, " << replayed.checkpoint.tasks_replayed
-            << " replayed warm (" << replayed.checkpoint.journal_bytes
-            << " journal bytes); replay identical: "
-            << (checkpoint_identical ? "yes" : "NO — BUG") << "\n"
-            << "disk store: " << cached.cache.disk_hits << "/" << cached.cache.disk_probes
-            << " front entries + " << cached.cache.mii_disk_hits << "/"
-            << cached.cache.mii_disk_probes << " MII maps + " << warm.cache.sched_disk_hits
-            << "/" << warm.cache.sched_disk_probes
-            << " warm schedules warm (rerun the bench for a fully warm start)\n"
+  std::cout << "\ncache speedup: " << fixed(speedup, 2)
+            << "x; results identical: " << (identical ? "yes" : "NO — BUG") << "\n"
             << "ladder memo: " << cached.cache.sched_memo_hits << "/"
-            << cached.cache.sched_memo_probes << " MII-optimal installs cached, "
-            << warm.cache.sched_memo_hits << "/" << warm.cache.sched_memo_probes << " warm\n"
+            << cached.cache.sched_memo_probes << " MII-optimal installs\n"
             << "verify: strict on every run; " << cached.verify_checked()
-            << " artifact bundles checked cold, " << warm.verify_checked() << " warm, "
-            << cached.verify_violations() + warm.verify_violations() << " violation(s)\n";
-  bench::print_sweep_footer(std::cout, warm);
+            << " artifact bundles checked (cached run), " << cached.verify_violations()
+            << " violation(s)\n"
+            << "fingerprint: " << fingerprint << "\n";
+  bench::print_sweep_footer(std::cout, cached);
 
   const char* env_path = std::getenv("QVLIW_BENCH_JSON");
   const std::string out_path = !out_override.empty() ? out_override
@@ -369,7 +268,7 @@ int run(int argc, char** argv) {
       << "  \"clusters\": " << topology.clusters << ",\n"
       << "  \"workers\": " << workers << ",\n"
       << "  \"hardware_threads\": " << worker_count() << ",\n"
-      << "  \"store_dir\": \"" << cached_options.store_dir << "\",\n"
+      << "  \"fingerprint\": \"" << fingerprint << "\",\n"
       << "  \"backends\": [";
   {
     const std::vector<std::string> names = SchedulerRegistry::instance().names();
@@ -383,28 +282,15 @@ int run(int argc, char** argv) {
   write_run(out, "uncached", uncached);
   out << ",\n";
   write_run(out, "cached", cached);
-  out << ",\n";
-  write_run(out, "warm", warm);
-  out << ",\n";
-  write_run(out, "checkpoint", checkpointed);
-  out << ",\n";
-  write_run(out, "checkpoint_replay", replayed);
   out << ",\n"
       << "  \"cache_speedup\": " << fixed(speedup, 3) << ",\n"
       << "  \"parallel_speedup\": " << fixed(parallel_speedup, 3) << ",\n"
       << "  \"parallel_results_identical\": " << (parallel_identical ? "true" : "false") << ",\n"
-      << "  \"warm_backend_speedup\": " << fixed(warm_backend_speedup, 3) << ",\n"
-      << "  \"warm_iis_never_worse\": " << (never_worse ? "true" : "false") << ",\n"
-      << "  \"checkpoint_results_identical\": " << (checkpoint_identical ? "true" : "false")
-      << ",\n"
       << "  \"mii_optimal_identical\": " << (optimality_identical ? "true" : "false") << ",\n"
-      << "  \"results_identical\": " << (identical && warm_identical ? "true" : "false") << "\n"
+      << "  \"results_identical\": " << (identical ? "true" : "false") << "\n"
       << "}\n";
   std::cout << "\nwrote " << out_path << "\n";
-  return identical && warm_identical && never_worse && checkpoint_identical &&
-                 parallel_identical && optimality_identical
-             ? 0
-             : 1;
+  return identical && parallel_identical && optimality_identical ? 0 : 1;
 }
 
 }  // namespace

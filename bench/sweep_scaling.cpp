@@ -28,6 +28,7 @@
 #include "bench_common.h"
 #include "harness/shard.h"
 #include "support/parallel.h"
+#include "support/rng.h"
 #include "support/strings.h"
 
 namespace qvliw {

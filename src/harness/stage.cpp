@@ -6,7 +6,7 @@
 #include "cluster/route.h"
 #include "qrf/rf_alloc.h"
 #include "sim/vliwsim.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
 #include "support/strings.h"

@@ -32,29 +32,27 @@
 namespace qvliw {
 
 /// Content-hash memo of back-end artifacts, owned by one sweep task (one
-/// loop, all its owned sweep points).  Queue allocation and verification are
-/// pure functions of the artifact bundle, so each unique
+/// loop, all sweep points).  Queue allocation and verification are pure
+/// functions of the artifact bundle, so each unique
 /// (loop, machine, schedule) — plus the verify flags — is computed once per
 /// task; repeats (e.g. budget-ladder points that accept the same schedule)
-/// replay the memoized outcome.  The probe/hit counters fold into
-/// SweepCacheStats before the task commits to the journal, keeping
-/// checkpoint-replay accounting identical to live execution.
+/// replay the memoized outcome.  The probe/hit counters fold into the
+/// task's SweepCacheStats when the task ends.
 struct TaskMemo {
   struct VerifyOutcome {
     int violations = 0;
     std::string summary;  // non-empty only when violations > 0
   };
   /// A schedule a sibling budget-ladder point accepted at II == MII,
-  /// keyed by (loop content hash, front prefix, machine signature,
-  /// backend key *excluding* the budget axis).  An MII schedule cannot be
-  /// beaten, so any same-key point whose budget is at least the
-  /// publisher's installs it outright instead of re-searching — the cold
-  /// attempt at MII is deterministic and completes within the publisher's
-  /// (smaller) budget, so the installed schedule is bit-identical to what
-  /// the skipped search would have produced.
+  /// keyed by (front prefix, machine signature, backend key *excluding*
+  /// the budget axis).  An MII schedule cannot be beaten, so any same-key
+  /// point whose budget is at least the publisher's installs it outright
+  /// instead of re-searching — the cold attempt at MII is deterministic
+  /// and completes within the publisher's (smaller) budget, so the
+  /// installed schedule is bit-identical to what the skipped search would
+  /// have produced.
   struct SchedEntry {
-    Schedule schedule;
-    int ii = 0;
+    WarmStartSeed seed;
     int budget_ratio = 0;  // smallest budget that proved the MII schedule
   };
   std::unordered_map<std::uint64_t, QueueAllocation> alloc;
@@ -84,7 +82,7 @@ struct PipelineContext {
   MiiInfo known_mii;                 // injected by the sweep cache; feasible
                                      // == false means "compute it"
   const WarmStartSeed* seed = nullptr;  // injected by the sweep runner's
-                                        // budget-ladder chaining (may be null)
+                                        // MII-optimality memo (may be null)
   ImsResult sched;
   QueueAllocation allocation;
 

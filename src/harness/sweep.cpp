@@ -1,17 +1,14 @@
 #include "harness/sweep.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
-#include "harness/checkpoint.h"
-#include "harness/shard.h"
 #include "harness/stage.h"
 #include "sched/mii.h"
-#include "support/artifact_store.h"
 #include "support/diagnostics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -25,16 +22,6 @@ double SweepCacheStats::hit_rate() const {
   return p == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(p);
 }
 
-double SweepCacheStats::disk_hit_rate() const {
-  return disk_probes == 0 ? 0.0
-                          : static_cast<double>(disk_hits) / static_cast<double>(disk_probes);
-}
-
-double SweepCacheStats::warm_hit_rate() const {
-  return warm_probes == 0 ? 0.0
-                          : static_cast<double>(warm_hits) / static_cast<double>(warm_probes);
-}
-
 SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   invariant_probes += other.invariant_probes;
   invariant_hits += other.invariant_hits;
@@ -44,14 +31,6 @@ SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   front_hits += other.front_hits;
   mii_probes += other.mii_probes;
   mii_hits += other.mii_hits;
-  disk_probes += other.disk_probes;
-  disk_hits += other.disk_hits;
-  mii_disk_probes += other.mii_disk_probes;
-  mii_disk_hits += other.mii_disk_hits;
-  sched_disk_probes += other.sched_disk_probes;
-  sched_disk_hits += other.sched_disk_hits;
-  warm_probes += other.warm_probes;
-  warm_hits += other.warm_hits;
   probe_factors += other.probe_factors;
   probe_fallbacks += other.probe_fallbacks;
   verify_memo_probes += other.verify_memo_probes;
@@ -61,13 +40,6 @@ SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   sched_memo_probes += other.sched_memo_probes;
   sched_memo_hits += other.sched_memo_hits;
   fallback_runs += other.fallback_runs;
-  return *this;
-}
-
-CheckpointStats& CheckpointStats::operator+=(const CheckpointStats& other) {
-  tasks_replayed += other.tasks_replayed;
-  tasks_executed += other.tasks_executed;
-  journal_bytes += other.journal_bytes;
   return *this;
 }
 
@@ -100,20 +72,6 @@ std::uint64_t SweepResult::verify_violations() const {
     }
   }
   return violations;
-}
-
-std::string_view sweep_verify_mode_name(SweepVerifyMode mode) {
-  switch (mode) {
-    case SweepVerifyMode::kOff:
-      return "off";
-    case SweepVerifyMode::kSample:
-      return "sample";
-    case SweepVerifyMode::kFull:
-      return "full";
-    case SweepVerifyMode::kStrict:
-      return "strict";
-  }
-  return "unknown";
 }
 
 namespace {
@@ -194,182 +152,12 @@ struct LoopCache {
 // Front-end wall time indexed as: invariants, unroll, copy_insert, mii.
 using FrontSeconds = std::array<double, 4>;
 
-// --- on-disk persistence ---------------------------------------------------
-//
-// A FrontEntry is a pure function of (source loop contents, front prefix
-// key); the prefix key already folds in every machine input the front end
-// consults.  Entries are serialised with the portable blob format; the
-// MII map is not persisted (machine-specific and trivially cheap to
-// recompute).
-//
-// Bump the version whenever a warm store could replay entries the current
-// code would not reproduce: blob-layout changes AND any behavioral change
-// to a front-end transform (invariant materialisation, unroll's rewrite
-// or factor policy, copy insertion) or to memory-dependence derivation.
-// The key changes with the version, so stale entries are simply never
-// read again.  (Loop-serialization layout changes are self-invalidating:
-// Loop::content_hash is derived from the serialized bytes.)
-//
-// Since the store now also holds accepted *schedules*, "behavioral
-// change" includes the back end: any change to a scheduler backend's
-// search (IMS placement order, partitioning heuristics, budget
-// semantics) must bump the version too, or a warm store replays the old
-// binary's schedule — still valid, so the seed verifier accepts it, but
-// no longer what the current cold search would find, breaking
-// results_identical against the same invocation's cold run.
-//
-// v2: decoders uniformly reject trailing bytes (require_exhausted at
-// every decode site), and the store gained persisted warm-start schedule
-// entries; entries written by v1 code are retired wholesale rather than
-// trusting v1's laxer acceptance.
-
-constexpr std::uint64_t kStoreFormatVersion = 2;
-
-std::uint64_t store_key(std::uint64_t loop_content_hash, std::uint64_t front_key_value) {
-  return hash_combine(hash_combine(hash64(kStoreFormatVersion), loop_content_hash),
-                      front_key_value);
-}
-
-// MII bounds are a pure function of (front loop, machine); the front loop
-// is (source loop contents, front prefix key), so the key folds the loop
-// content hash, the front key, and the machine signature, under a salt
-// that keeps the MII key domain disjoint from front-entry keys.
-std::uint64_t mii_store_key(std::uint64_t loop_content_hash, std::uint64_t front_key_value,
-                            std::uint64_t machine_signature) {
-  return hash_combine(hash_combine(hash_combine(hash64(kStoreFormatVersion), hash64(0x4d4949u)),
-                                   hash_combine(loop_content_hash, front_key_value)),
-                      machine_signature);
-}
-
-// Accepted warm-start schedules are a pure function of (front loop,
-// machine, backend identity/options, placement budget): IMS is
-// deterministic, so the entry under this key is exactly the schedule the
-// point's own cold search would accept.  Seeding a point with its own
-// prior accepted schedule therefore preserves bit-identical results while
-// collapsing the accepting search into one verification pass — including
-// for the *first* point of a ladder, which in-process chaining can never
-// seed.  budget_ratio is folded explicitly because the backend cache key
-// deliberately excludes the ladder axis; cross_machine_seeds is folded
-// because that mode may accept better-than-cold IIs, and its entries must
-// never leak into bit-identity-preserving stores.
-std::uint64_t sched_store_key(std::uint64_t loop_content_hash, const SweepPrefixKeys& keys,
-                              int budget_ratio, bool cross_machine) {
-  const std::uint64_t identity = hash_combine(hash_combine(loop_content_hash, keys.front),
-                                              hash_combine(keys.machine, keys.backend));
-  return hash_combine(
-      hash_combine(hash_combine(hash64(kStoreFormatVersion), hash64(0x5c4edULL)), identity),
-      hash_combine(hash64(static_cast<std::uint64_t>(budget_ratio)),
-                   hash64(cross_machine ? 1 : 0)));
-}
-
-std::string encode_warm_seed(const WarmStartSeed& seed) {
-  BlobWriter out;
-  serialize_schedule(out, seed.schedule);  // carries the II
-  return out.take();
-}
-
-/// Throws Error on truncation/trailing bytes; the caller treats that as
-/// a store miss.  The decoded schedule is *not* trusted: ims_schedule
-/// re-verifies every seed against the exact (loop, graph, machine)
-/// before installing it.
-WarmStartSeed decode_warm_seed(const std::string& blob) {
-  BlobReader in(blob);
-  WarmStartSeed seed;
-  seed.schedule = deserialize_schedule(in);
-  in.require_exhausted("warm seed blob");
-  seed.ii = seed.schedule.ii();
-  return seed;
-}
-
-std::string encode_mii(const MiiInfo& mii) {
-  BlobWriter out;
-  out.put_bool(mii.feasible);
-  out.put_i32(mii.res_mii);
-  out.put_i32(mii.rec_mii);
-  out.put_i32(mii.mii);
-  return out.take();
-}
-
-/// Throws Error on truncation/trailing bytes; the caller treats that as a
-/// store miss and recomputes.
-MiiInfo decode_mii(const std::string& blob) {
-  BlobReader in(blob);
-  MiiInfo mii;
-  mii.feasible = in.get_bool();
-  mii.res_mii = in.get_i32();
-  mii.rec_mii = in.get_i32();
-  mii.mii = in.get_i32();
-  in.require_exhausted("mii blob");
-  return mii;
-}
-
-std::string encode_front_entry(const FrontEntry& entry) {
-  BlobWriter out;
-  out.put_bool(entry.ok);
-  if (entry.ok) {
-    serialize_loop(out, entry.loop);
-    out.put_i32(entry.copies);
-    out.put_i32(entry.factor);
-  } else {
-    const LoopResult& r = entry.failed_result;
-    out.put_string(r.failure);
-    out.put_string(r.failed_stage);
-    out.put_i32(r.unroll_factor);
-    out.put_i32(r.copies);
-  }
-  return out.take();
-}
-
-/// Reconstructs a FrontEntry from `blob`; throws Error on any truncation
-/// or structural problem (the caller treats that as a store miss).  The
-/// DDG is rebuilt from the decoded loop — Ddg::build is deterministic and
-/// validates the loop, so a corrupt blob cannot smuggle in a bad input.
-FrontEntry decode_front_entry(const std::string& blob, const Loop& source,
-                              const MachineConfig& machine) {
-  BlobReader in(blob);
-  FrontEntry entry;
-  entry.ok = in.get_bool();
-  if (entry.ok) {
-    entry.loop = deserialize_loop(in);
-    entry.copies = in.get_i32();
-    entry.factor = in.get_i32();
-    entry.graph = std::make_shared<const Ddg>(Ddg::build(entry.loop, machine.latency));
-  } else {
-    LoopResult& r = entry.failed_result;
-    r.name = source.name;
-    r.src_ops = source.op_count();
-    r.failure = in.get_string();
-    r.failed_stage = in.get_string();
-    r.unroll_factor = in.get_i32();
-    r.copies = in.get_i32();
-  }
-  in.require_exhausted("front entry blob");
-  return entry;
-}
-
 FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPrefixKeys& keys,
-                      LoopCache& cache, const ArtifactStore* store, std::uint64_t disk_key,
-                      SweepCacheStats& stats, FrontSeconds& seconds) {
+                      LoopCache& cache, SweepCacheStats& stats, FrontSeconds& seconds) {
   ++stats.front_probes;
   if (auto it = cache.front.find(keys.front); it != cache.front.end()) {
     ++stats.front_hits;
     return it->second;
-  }
-
-  // Second-level cache: the persistent store.
-  if (store != nullptr) {
-    ++stats.disk_probes;
-    std::string blob;
-    if (store->load(disk_key, blob)) {
-      try {
-        FrontEntry entry = decode_front_entry(blob, source, point.machine);
-        ++stats.disk_hits;
-        return cache.front.emplace(keys.front, std::move(entry)).first->second;
-      } catch (const Error&) {
-        // Corrupt or stale entry: fall through and recompute (the save
-        // below overwrites it).
-      }
-    }
   }
 
   FrontEntry entry;
@@ -459,43 +247,84 @@ FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPr
     entry = FrontEntry{};
     entry.failed_result = std::move(failed.result);
   }
-  if (store != nullptr) store->save(disk_key, encode_front_entry(entry));
   return cache.front.emplace(keys.front, std::move(entry)).first->second;
 }
 
 MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKeys& keys,
-                const ArtifactStore* store, std::uint64_t loop_hash, SweepCacheStats& stats,
-                FrontSeconds& seconds) {
+                SweepCacheStats& stats, FrontSeconds& seconds) {
   ++stats.mii_probes;
   if (auto it = front.mii.find(keys.machine); it != front.mii.end()) {
     ++stats.mii_hits;
     return it->second;
   }
-
-  // Second-level cache: the persistent per-machine MII map.
-  const std::uint64_t disk_key =
-      store != nullptr ? mii_store_key(loop_hash, keys.front, keys.machine) : 0;
-  if (store != nullptr) {
-    ++stats.mii_disk_probes;
-    std::string blob;
-    if (store->load(disk_key, blob)) {
-      try {
-        const MiiInfo mii = decode_mii(blob);
-        ++stats.mii_disk_hits;
-        front.mii.emplace(keys.machine, mii);
-        return mii;
-      } catch (const Error&) {
-        // Corrupt or stale entry: recompute (the save below overwrites it).
-      }
-    }
-  }
-
   const Clock::time_point start = Clock::now();
   const MiiInfo mii = compute_mii(front.loop, *front.graph, point.machine);
   seconds[3] += seconds_since(start);
-  if (store != nullptr) store->save(disk_key, encode_mii(mii));
   front.mii.emplace(keys.machine, mii);
   return mii;
+}
+
+/// Runs the back end of one (loop, point) cell on a cached front entry.
+/// The task memo supplies queue allocations and verify verdicts already
+/// computed for identical artifact bundles, and the MII-optimality
+/// short-circuit: a sibling budget-ladder point of this task already
+/// proved an II == MII schedule for the same (front prefix, machine,
+/// budget-less backend key).  Any point with at least the publisher's
+/// budget installs it — the cold search at MII is deterministic and
+/// completes within the publisher's budget, so installing is bit-identical
+/// to searching.
+LoopResult run_back_end(const Loop& source, const SweepPoint& point,
+                        const PipelineOptions& options, const SweepPrefixKeys& keys,
+                        FrontEntry& front, TaskMemo& memo, SweepCacheStats& stats,
+                        FrontSeconds& seconds) {
+  PipelineContext ctx(source, point.machine, options);
+  ctx.memo = &memo;
+  ctx.loop = front.loop;
+  ctx.graph = front.graph;
+  ctx.result.unroll_factor = front.factor;
+  ctx.result.copies = front.copies;
+  if (keys.consumes_cached_mii) ctx.known_mii = mii_for(front, point, keys, stats, seconds);
+
+  const int budget = point.options.ims.budget_ratio;
+  const std::uint64_t sched_key = hash_combine(keys.front, hash_combine(keys.machine, keys.backend));
+  if (keys.supports_warm_start) {
+    ++memo.sched_probes;
+    if (auto it = memo.sched.find(sched_key);
+        it != memo.sched.end() && budget >= it->second.budget_ratio) {
+      ctx.seed = &it->second.seed;
+    }
+  }
+  run_stages(ctx, back_stage_plan());
+  if (ctx.result.warm_started) ++memo.sched_hits;
+
+  // Publish a proven-optimal accepted schedule (II == MII, post queue-fit
+  // escalation) for this task's later ladder siblings, keeping the
+  // smallest budget that proved it.
+  if (keys.supports_warm_start && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
+    auto [entry, added] = memo.sched.try_emplace(sched_key);
+    if (added || budget < entry->second.budget_ratio) {
+      entry->second.seed = WarmStartSeed{ctx.sched.schedule, ctx.sched.ii};
+      entry->second.budget_ratio = budget;
+    }
+  }
+  return std::move(ctx.result);
+}
+
+/// Canonical ordering of aggregated per-stage seconds: the pipeline stages
+/// in execution order first, any other stage alphabetically after.
+std::vector<StageTotal> ordered_stage_totals(std::map<std::string, double, std::less<>> totals) {
+  static constexpr std::string_view kOrder[] = {kStageInvariants, kStageUnroll, kStageCopyInsert,
+                                                "mii",            kStageSchedule, kStageQueueAlloc,
+                                                kStageSim,        kStageVerify};
+  std::vector<StageTotal> out;
+  for (std::string_view stage : kOrder) {
+    if (auto it = totals.find(stage); it != totals.end()) {
+      out.push_back({it->first, it->second});
+      totals.erase(it);
+    }
+  }
+  for (const auto& [stage, seconds] : totals) out.push_back({stage, seconds});
+  return out;
 }
 
 }  // namespace
@@ -521,57 +350,8 @@ SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point) {
   return keys;
 }
 
-std::vector<StageTotal> ordered_stage_totals(std::map<std::string, double, std::less<>> totals) {
-  static constexpr std::string_view kOrder[] = {kStageInvariants, kStageUnroll, kStageCopyInsert,
-                                                "mii",            kStageSchedule, kStageQueueAlloc,
-                                                kStageSim,        kStageVerify};
-  std::vector<StageTotal> out;
-  for (std::string_view stage : kOrder) {
-    if (auto it = totals.find(stage); it != totals.end()) {
-      out.push_back({it->first, it->second});
-      totals.erase(it);
-    }
-  }
-  for (const auto& [stage, seconds] : totals) out.push_back({stage, seconds});
-  return out;
-}
-
-bool shard_owns(ShardAxis axis, int shard_count, int shard_index, std::size_t loop_index,
-                std::size_t point_index) {
-  check(shard_count >= 1, "shard_owns: shard_count must be >= 1");
-  check(shard_index >= 0 && shard_index < shard_count, "shard_owns: shard_index out of range");
-  const std::size_t owner = axis == ShardAxis::kLoops
-                                ? loop_index % static_cast<std::size_t>(shard_count)
-                                : point_index % static_cast<std::size_t>(shard_count);
-  return owner == static_cast<std::size_t>(shard_index);
-}
-
-std::string_view shard_axis_name(ShardAxis axis) {
-  return axis == ShardAxis::kLoops ? "loops" : "points";
-}
-
-std::vector<SweepTask> sweep_tasks(const SweepOptions& options, std::size_t loops,
-                                   std::size_t points) {
-  check(options.shard_count >= 1, "sweep_tasks: shard_count must be >= 1");
-  check(options.shard_index >= 0 && options.shard_index < options.shard_count,
-        "sweep_tasks: shard_index out of range");
-  std::vector<SweepTask> tasks;
-  for (std::size_t i = 0; i < loops; ++i) {
-    SweepTask task;
-    task.loop_index = i;
-    for (std::size_t p = 0; p < points; ++p) {
-      if (shard_owns(options.shard_axis, options.shard_count, options.shard_index, i, p)) {
-        task.point_indices.push_back(p);
-      }
-    }
-    if (!task.point_indices.empty()) tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
 int resolved_sweep_workers(const SweepOptions& options) {
   if (!options.parallel) return 1;
-  if (options.pool != nullptr) return static_cast<int>(options.pool->workers());
   if (options.workers > 0) return options.workers;
   return static_cast<int>(worker_count());
 }
@@ -582,422 +362,83 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
                              const std::vector<SweepPoint>& points) const {
   const Clock::time_point sweep_start = Clock::now();
 
-  check(options_.shard_count >= 1, "SweepRunner: shard_count must be >= 1");
-  check(options_.shard_index >= 0 && options_.shard_index < options_.shard_count,
-        "SweepRunner: shard_index out of range");
-
   SweepResult sweep;
   sweep.by_point.assign(points.size(), std::vector<LoopResult>(loops.size()));
-
-  // The explicit work queue: one task per loop with owned cells under the
-  // shard partition (every loop with all points when unsharded).  Cells no
-  // task owns stay default LoopResults for merge_sweep_shards to fill
-  // from their owner.
-  const std::vector<SweepTask> tasks = sweep_tasks(options_, loops.size(), points.size());
-  sweep.pipelines = 0;
-  for (const SweepTask& task : tasks) sweep.pipelines += task.point_indices.size();
+  sweep.pipelines = loops.size() * points.size();
 
   std::vector<SweepPrefixKeys> keys(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) keys[p] = sweep_prefix_keys(points[p]);
 
-  const bool persist = options_.use_cache && !options_.store_dir.empty();
-  const ArtifactStore disk_store(options_.store_dir);
-  const ArtifactStore* store = persist ? &disk_store : nullptr;
-  // Record the key-domain version this writer uses, so store maintenance
-  // (ArtifactStore::stats) can report a shared directory's version mix.
-  if (persist) disk_store.mark_version(kStoreFormatVersion);
-
-  // Warm-start chains: points sharing (front prefix, machine, backend
-  // cache key) form a ladder, executed in ascending budget_ratio order so
-  // each point can seed the next with its accepted schedule.  The
-  // execution order is a permutation only — results still land at their
-  // original point index.  With warm_start off the original order is
-  // kept, so cold sweeps are untouched.
-  const bool warm = options_.use_cache && options_.warm_start;
-  std::vector<std::size_t> exec_order(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) exec_order[p] = p;
-  std::vector<int> chain_of(points.size(), -1);  // chain id; -1 = not chained
-  int chain_count = 0;
-  if (warm) {
-    std::map<std::uint64_t, int> chain_ids;
-    std::vector<std::vector<std::size_t>> members;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const SchedulerBackend* backend =
-          find_scheduler_backend(points[p].options.scheduler, points[p].options.backend);
-      if (backend == nullptr || !backend->supports_warm_start()) continue;
-      const std::uint64_t chain_key =
-          hash_combine(hash_combine(keys[p].front, keys[p].machine), keys[p].backend);
-      const auto [it, added] = chain_ids.emplace(chain_key, chain_count);
-      if (added) {
-        ++chain_count;
-        members.emplace_back();
-      }
-      chain_of[p] = it->second;
-      members[static_cast<std::size_t>(it->second)].push_back(p);
-    }
-    // Permute each chain's members (ascending budget) among the execution
-    // slots they already occupy; everything else stays put.  Equal-budget
-    // points are ordered by original point index — a fully specified key,
-    // so seed provenance (which point warm-starts which) is identical
-    // run-to-run even when a ladder repeats a budget (regression test:
-    // WarmStartDeterministicWithDuplicateBudgets).
-    for (const std::vector<std::size_t>& chain : members) {
-      std::vector<std::size_t> sorted = chain;
-      std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-        const int ba = points[a].options.ims.budget_ratio;
-        const int bb = points[b].options.ims.budget_ratio;
-        return ba != bb ? ba < bb : a < b;
-      });
-      for (std::size_t j = 0; j < chain.size(); ++j) exec_order[chain[j]] = sorted[j];
+  // Effective per-point options: strict sweep verification overrides each
+  // point's own (weaker or equal) verify policy.
+  std::vector<PipelineOptions> cell_options(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    cell_options[p] = points[p].options;
+    if (options_.verify_mode == SweepVerifyMode::kStrict) {
+      cell_options[p].verify = VerifyPolicy::kStrict;
     }
   }
 
-  // Persisted warm-start schedules: each warm-eligible point consults the
-  // store for its own previously accepted schedule before scheduling, and
-  // records its accepted schedule afterwards — the cross-process /
-  // cross-invocation leg of warm starting.
-  const bool persist_sched = warm && persist;
-  const bool cross_machine = warm && options_.cross_machine_seeds;
+  // One accounting slot per task; each task writes only its own slot and
+  // its own by_point cells, so tasks share no mutable state.
+  std::vector<SweepCacheStats> task_stats(loops.size());
+  std::vector<FrontSeconds> task_seconds(loops.size());
 
-  // Merged on the committer thread (workers > 1) or inline (serial) —
-  // never touched by two threads at once.
-  FrontSeconds front_seconds{};
-
-  // Checkpoint ledger: open (or resume) this runner's journal, replay the
-  // tasks it already holds, and queue only the remainder.
-  std::unique_ptr<TaskJournal> journal;
-  std::vector<const SweepTask*> pending;
-  pending.reserve(tasks.size());
-  if (!options_.checkpoint_dir.empty()) {
-    JournalHeader header;
-    header.config_hash = sweep_config_hash(loops, points);
-    // Verification strictness changes what a cell can report (strict
-    // fails loops on violations), so a resumed sweep must verify exactly
-    // as the crashed one did; journals written with verify off keep
-    // their pre-verifier hashes.
-    if (options_.verify_mode != SweepVerifyMode::kOff) {
-      header.config_hash = hash_combine(header.config_hash, hash64(0x7e81f7ULL));
-      header.config_hash = hash_combine(
-          header.config_hash, hash64(static_cast<std::uint64_t>(options_.verify_mode)));
-      if (options_.verify_mode == SweepVerifyMode::kSample) {
-        header.config_hash = hash_combine(
-            header.config_hash, hash64(static_cast<std::uint64_t>(options_.verify_sample_rate)));
-      }
-    }
-    header.shard_count = options_.shard_count;
-    header.shard_index = options_.shard_index;
-    header.axis = options_.shard_axis;
-    header.loops = loops.size();
-    header.points = points.size();
-    journal = std::make_unique<TaskJournal>(
-        checkpoint_journal_path(options_.checkpoint_dir, header), header);
-  }
-  for (const SweepTask& task : tasks) {
-    bool replayed = false;
-    if (journal != nullptr) {
-      if (auto it = journal->completed().find(task.loop_index);
-          it != journal->completed().end()) {
-        try {
-          TaskPayload payload = decode_task_payload(it->second);
-          QVLIW_ASSERT(payload.loop_index == task.loop_index,
-                       "journal payload filed under the wrong task id");
-          for (const auto& [p, result] : payload.cells) {
-            check(p < points.size(), "journal payload: point index out of range");
-          }
-          for (auto& [p, result] : payload.cells) {
-            sweep.by_point[p][task.loop_index] = std::move(result);
-          }
-          sweep.cache += payload.stats;
-          for (std::size_t k = 0; k < front_seconds.size(); ++k) {
-            front_seconds[k] += payload.front_seconds[k];
-          }
-          ++sweep.checkpoint.tasks_replayed;
-          replayed = true;
-        } catch (const Error&) {
-          // The record checksum makes this near-impossible, but a payload
-          // that fails to decode is simply re-executed; the fresh record
-          // appended below supersedes it on the next replay.
-        }
-      }
-    }
-    if (!replayed) pending.push_back(&task);
-  }
-
-  // Effective per-cell verify policy: the sweep mode can only strengthen
-  // what the point itself asked for.  The kSample subset hashes the cell
-  // coordinates, so it is identical at every worker count, shard
-  // partition, and resume.
-  auto verify_policy_for = [&](std::size_t loop_index, std::size_t point_index,
-                               VerifyPolicy base) -> VerifyPolicy {
-    switch (options_.verify_mode) {
-      case SweepVerifyMode::kOff:
-        return base;
-      case SweepVerifyMode::kSample: {
-        const std::uint64_t rate =
-            static_cast<std::uint64_t>(std::max(1, options_.verify_sample_rate));
-        const std::uint64_t cell = hash_combine(hash64(static_cast<std::uint64_t>(loop_index)),
-                                                hash64(static_cast<std::uint64_t>(point_index)));
-        return cell % rate == 0 ? std::max(base, VerifyPolicy::kAudit) : base;
-      }
-      case SweepVerifyMode::kFull:
-        return std::max(base, VerifyPolicy::kAudit);
-      case SweepVerifyMode::kStrict:
-        return VerifyPolicy::kStrict;
-    }
-    return base;
-  };
-
-  // Executes one task and returns its commit record.  Runs on any worker
-  // thread: everything it touches is either task-local (LoopCache,
-  // stats, seconds, warm-start chain seeds), read-only sweep state (keys,
-  // exec_order, the store's striped index), or this task's own by_point
-  // cells — disjoint from every other task's.
-  auto execute_task = [&](const SweepTask& task) -> TaskCommit {
-    const std::size_t i = task.loop_index;
-    std::vector<char> owned(points.size(), 0);
-    for (const std::size_t p : task.point_indices) owned[p] = 1;
+  auto run_task = [&](std::size_t i) {
     LoopCache cache;
     TaskMemo memo;  // back-end artifact memo: one verify/alloc per unique bundle
-    SweepCacheStats local_stats;
-    FrontSeconds local_seconds{};
-    const std::uint64_t loop_hash = loops[i].content_hash();
-    std::vector<std::unique_ptr<WarmStartSeed>> chain_seed(
-        static_cast<std::size_t>(chain_count));
-    // Most recent accepted schedule per (front prefix, backend) across
-    // *all* machines of this loop, offered to seedless ladder starts when
-    // cross_machine_seeds is on.
-    std::map<std::uint64_t, WarmStartSeed> cross_seeds;
-
-    for (std::size_t o = 0; o < exec_order.size(); ++o) {
-      const std::size_t p = exec_order[o];
-      if (owned[p] == 0) continue;
+    SweepCacheStats stats;
+    FrontSeconds seconds{};
+    for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
-      // The override copy must outlive the PipelineContext referencing it.
-      const VerifyPolicy cell_policy = verify_policy_for(i, p, point.options.verify);
-      PipelineOptions verified_options;
-      const PipelineOptions* cell_options = &point.options;
-      if (cell_policy != point.options.verify) {
-        verified_options = point.options;
-        verified_options.verify = cell_policy;
-        cell_options = &verified_options;
-      }
-      LoopResult out;
-      bool produced = false;
+      std::optional<LoopResult> out;
       if (options_.use_cache) {
         try {
-          const std::uint64_t disk_key = persist ? store_key(loop_hash, keys[p].front) : 0;
-          FrontEntry& front = front_for(loops[i], point, keys[p], cache, store, disk_key,
-                                        local_stats, local_seconds);
-          if (front.ok) {
-            PipelineContext ctx(loops[i], point.machine, *cell_options);
-            ctx.memo = &memo;
-            ctx.loop = front.loop;
-            ctx.graph = front.graph;
-            ctx.result.unroll_factor = front.factor;
-            ctx.result.copies = front.copies;
-            if (keys[p].consumes_cached_mii) {
-              ctx.known_mii =
-                  mii_for(front, point, keys[p], store, loop_hash, local_stats, local_seconds);
-            }
-            const int chain = chain_of[p];
-            const std::uint64_t cross_key = hash_combine(keys[p].front, keys[p].backend);
-            // MII-optimality short-circuit: a sibling budget-ladder point
-            // of this task already proved an II == MII schedule for the
-            // same (loop, front prefix, machine, budget-less backend key).
-            // Any point with at least the publisher's budget installs it —
-            // the cold search at MII is deterministic and completes within
-            // the publisher's budget, so installing is bit-identical to
-            // searching.  Probed before the disk tier: a hit saves the
-            // store round trip as well as the search.
-            const std::uint64_t sched_memo_key =
-                hash_combine(hash_combine(hash64(loop_hash), keys[p].front),
-                             hash_combine(keys[p].machine, keys[p].backend));
-            WarmStartSeed memo_seed;
-            bool memo_seeded = false;
-            if (keys[p].supports_warm_start) {
-              ++memo.sched_probes;
-              if (auto it = memo.sched.find(sched_memo_key);
-                  it != memo.sched.end() &&
-                  point.options.ims.budget_ratio >= it->second.budget_ratio) {
-                memo_seed.schedule = it->second.schedule;
-                memo_seed.ii = it->second.ii;
-                ctx.seed = &memo_seed;
-                memo_seeded = true;
-              }
-            }
-            std::unique_ptr<WarmStartSeed> disk_seed;
-            bool disk_seed_installed = false;
-            if (!memo_seeded && chain >= 0) {
-              // Seed preference: the point's own persisted schedule (an
-              // exact answer — installing it is bit-identical to the cold
-              // search), then the in-process ladder predecessor, then —
-              // opt-in — another machine's ladder over the same front.
-              if (persist_sched) {
-                ++local_stats.sched_disk_probes;
-                std::string blob;
-                if (store->load(sched_store_key(loop_hash, keys[p],
-                                                point.options.ims.budget_ratio, cross_machine),
-                                blob)) {
-                  try {
-                    disk_seed = std::make_unique<WarmStartSeed>(decode_warm_seed(blob));
-                    ++local_stats.sched_disk_hits;
-                  } catch (const Error&) {
-                    // Corrupt or stale entry: fall back to in-process
-                    // seeding (the save below overwrites it).
-                  }
-                }
-              }
-              if (disk_seed != nullptr) {
-                ctx.seed = disk_seed.get();
-              } else if (chain_seed[static_cast<std::size_t>(chain)] != nullptr) {
-                ctx.seed = chain_seed[static_cast<std::size_t>(chain)].get();
-              } else if (cross_machine) {
-                if (auto it = cross_seeds.find(cross_key); it != cross_seeds.end()) {
-                  ctx.seed = &it->second;
-                }
-              }
-              if (ctx.seed != nullptr) ++local_stats.warm_probes;
-            }
-            run_stages(ctx, back_stage_plan());
-            if (ctx.result.warm_started) {
-              if (memo_seeded) {
-                ++memo.sched_hits;
-              } else {
-                ++local_stats.warm_hits;
-                if (ctx.seed == disk_seed.get() && disk_seed != nullptr) {
-                  disk_seed_installed = true;
-                }
-              }
-            }
-            // Publish a proven-optimal accepted schedule (II == MII, post
-            // queue-fit escalation) for this task's later ladder siblings,
-            // keeping the smallest budget that proved it.
-            if (keys[p].supports_warm_start && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
-              auto [entry, added] = memo.sched.try_emplace(sched_memo_key);
-              if (added || point.options.ims.budget_ratio < entry->second.budget_ratio) {
-                entry->second.schedule = ctx.sched.schedule;
-                entry->second.ii = ctx.sched.ii;
-                entry->second.budget_ratio = point.options.ims.budget_ratio;
-              }
-            }
-            if (chain >= 0 && ctx.sched.ok) {
-              // The accepted schedule (post queue-fit escalation) seeds
-              // the chain's next, larger-budget point.
-              chain_seed[static_cast<std::size_t>(chain)] = std::make_unique<WarmStartSeed>(
-                  WarmStartSeed{ctx.sched.schedule, ctx.sched.ii});
-              if (cross_machine) {
-                cross_seeds[cross_key] = *chain_seed[static_cast<std::size_t>(chain)];
-              }
-              // Persist the accepted schedule unless the store already
-              // holds exactly it (it was just installed from there).
-              if (persist_sched && !disk_seed_installed) {
-                store->save(sched_store_key(loop_hash, keys[p], point.options.ims.budget_ratio,
-                                            cross_machine),
-                            encode_warm_seed(*chain_seed[static_cast<std::size_t>(chain)]));
-              }
-            }
-            out = std::move(ctx.result);
-          } else {
-            // The canonical failing result, computed once for the prefix.
-            out = front.failed_result;
-          }
-          produced = true;
+          FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
+          // A failed front prefix replays its canonical failing result.
+          out = front.ok ? run_back_end(loops[i], point, cell_options[p], keys[p], front, memo,
+                                        stats, seconds)
+                         : front.failed_result;
         } catch (const Error&) {
           // Fall through to the uncached path for exact failure parity.
+          ++stats.fallback_runs;
         }
-        if (!produced) ++local_stats.fallback_runs;
       }
-      if (!produced) out = run_pipeline(loops[i], point.machine, *cell_options);
-      sweep.by_point[p][i] = std::move(out);
+      if (!out.has_value()) out = run_pipeline(loops[i], point.machine, cell_options[p]);
+      sweep.by_point[p][i] = std::move(*out);
     }
-
-    // Fold the memo counters into the task's stats *before* the journal
-    // payload is built, so checkpoint replay restores identical accounting.
-    local_stats.verify_memo_probes += memo.verify_probes;
-    local_stats.verify_memo_hits += memo.verify_hits;
-    local_stats.alloc_memo_probes += memo.alloc_probes;
-    local_stats.alloc_memo_hits += memo.alloc_hits;
-    local_stats.sched_memo_probes += memo.sched_probes;
-    local_stats.sched_memo_hits += memo.sched_hits;
-
-    TaskCommit commit;
-    commit.task_id = i;
-    commit.stats = local_stats;
-    commit.front_seconds = local_seconds;
-    if (journal != nullptr) {
-      // The journal record: this task's cells plus the accounting deltas,
-      // so a replay restores both exactly.
-      TaskPayload payload;
-      payload.loop_index = i;
-      payload.cells.reserve(task.point_indices.size());
-      for (const std::size_t p : task.point_indices) {
-        payload.cells.emplace_back(p, sweep.by_point[p][i]);
-      }
-      payload.stats = local_stats;
-      payload.front_seconds = local_seconds;
-      commit.payload = encode_task_payload(payload);
-    }
-    return commit;
-  };
-
-  // Merges one commit into the sweep.  Single-threaded by construction:
-  // the committer thread is its only caller in the threaded path, the
-  // executing thread in the serial one.
-  auto apply_commit = [&](const TaskCommit& commit) {
-    sweep.cache += commit.stats;
-    for (std::size_t k = 0; k < front_seconds.size(); ++k) {
-      front_seconds[k] += commit.front_seconds[k];
-    }
-    if (journal != nullptr) {
-      ++sweep.checkpoint.tasks_executed;
-      if (options_.on_task_committed) options_.on_task_committed(sweep.checkpoint.tasks_executed);
-    }
+    stats.verify_memo_probes = memo.verify_probes;
+    stats.verify_memo_hits = memo.verify_hits;
+    stats.alloc_memo_probes = memo.alloc_probes;
+    stats.alloc_memo_hits = memo.alloc_hits;
+    stats.sched_memo_probes = memo.sched_probes;
+    stats.sched_memo_hits = memo.sched_hits;
+    task_stats[i] = stats;
+    task_seconds[i] = seconds;
   };
 
   const int workers = resolved_sweep_workers(options_);
-  if (!pending.empty()) {
-    if (workers <= 1) {
-      // Serial: execute, append, merge inline — a hook exception aborts
-      // between tasks with exactly the committed prefix journaled.
-      for (const SweepTask* task : pending) {
-        TaskCommit commit = execute_task(*task);
-        if (journal != nullptr) {
-          journal->append_task(commit.task_id, commit.payload);
-          journal->append_heartbeat();
-        }
-        apply_commit(commit);
-      }
-    } else {
-      // Threaded: workers execute tasks and submit commits; the committer
-      // thread serialises journal appends + merges.  Channel capacity
-      // 2x workers bounds the completed-but-uncommitted backlog while
-      // keeping the journal fed.
-      TaskCommitter committer(
-          journal.get(), static_cast<std::size_t>(workers) * 2,
-          [&](const TaskCommit& commit, std::uint64_t) { apply_commit(commit); });
-      ThreadPool* pool = options_.pool;
-      std::unique_ptr<ThreadPool> private_pool;
-      if (pool == nullptr) {
-        if (options_.workers > 0) {
-          // An explicit count means exactly that many threads, even
-          // above the core count — determinism tests depend on it.
-          private_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(workers));
-          pool = private_pool.get();
-        } else {
-          pool = &ThreadPool::shared();
-        }
-      }
-      // Grain 1: tasks are whole loops (many pipeline runs each), so
-      // per-claim overhead is noise and load balancing wins.
-      parallel_for_on(*pool, pending.size(), 1,
-                      [&](std::size_t t) { committer.submit(execute_task(*pending[t])); });
-      committer.finish();  // rethrows the first journal/hook error
-    }
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < loops.size(); ++i) run_task(i);
+  } else if (options_.workers > 0) {
+    // An explicit count means exactly that many threads, even above the
+    // core count — determinism tests depend on it.
+    ThreadPool pool(static_cast<std::size_t>(workers));
+    // Grain 1: tasks are whole loops (many pipeline runs each), so
+    // per-claim overhead is noise and load balancing wins.
+    parallel_for_on(pool, loops.size(), 1, run_task);
+  } else {
+    parallel_for_on(ThreadPool::shared(), loops.size(), 1, run_task);
   }
-  if (journal != nullptr) sweep.checkpoint.journal_bytes = journal->bytes();
 
-  // Aggregate per-stage wall time: per-run stage_times plus the front-end
-  // work the cache performed outside any single run.
+  // Sum the task slots in loop order, then aggregate per-stage wall time:
+  // per-run stage_times plus the front-end work the cache performed
+  // outside any single run.
+  FrontSeconds front_seconds{};
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    sweep.cache += task_stats[i];
+    for (std::size_t k = 0; k < front_seconds.size(); ++k) front_seconds[k] += task_seconds[i][k];
+  }
   std::map<std::string, double, std::less<>> totals;
   for (const std::vector<LoopResult>& results : sweep.by_point) {
     for (const LoopResult& result : results) {

@@ -10,25 +10,15 @@
 // them, and only the back end (schedule, queue allocation, simulation)
 // runs per point.
 //
-// Caching is per loop and lives on the worker that owns the loop, so it
-// needs no locks; results are bit-identical with the cache on or off (a
-// golden-equivalence test enforces this).  With SweepOptions::workers
-// tasks run on a thread pool (support/parallel.h) and every completed
-// task is handed to a single committer thread (harness/checkpoint.h
-// TaskCommitter) that owns journal appends, accounting merges, and the
-// on_task_committed hook — results and cache accounting stay
-// sweep_result_fingerprint-identical at every worker count.
-//
-// With SweepOptions::warm_start the back end is cached across *budget
-// ladders* too: points sharing (front prefix, machine, scheduler-backend
-// cache key) run in ascending budget_ratio order, each seeding the next
-// with its accepted schedule; the scheduler verifies the seed and skips
-// the search that would rediscover it (see sched/ims.h WarmStartSeed).
+// One task per loop: a task owns the loop's artifact cache and task memo,
+// writes its own by_point cells and its own accounting slot, and touches
+// nothing another task writes — so it needs no locks, and the runner sums
+// the slots in loop order once every task is done.  Results are
+// bit-identical with the cache on or off and at every worker count (golden
+// tests enforce both).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,8 +26,6 @@
 #include "harness/pipeline.h"
 
 namespace qvliw {
-
-class ThreadPool;  // support/parallel.h
 
 /// One point of a sweep: a machine plus pipeline options, with a label
 /// for reporting.
@@ -55,31 +43,6 @@ struct SweepCacheStats {
   std::uint64_t unroll_probes = 0, unroll_hits = 0;
   std::uint64_t front_probes = 0, front_hits = 0;  // copy-inserted loop + DDG
   std::uint64_t mii_probes = 0, mii_hits = 0;
-
-  /// On-disk artifact store tier (consulted on an in-memory front miss
-  /// when SweepOptions::store_dir is set).  Kept out of probes()/hits():
-  /// the store is a second-level cache, and folding it in would make the
-  /// in-memory hit rate incomparable across runs with and without a store.
-  std::uint64_t disk_probes = 0, disk_hits = 0;
-
-  /// Persistent MII-map tier: per-(loop, front prefix, machine) bounds
-  /// consulted in the store on an in-memory MII miss.  Separate from the
-  /// front-entry disk counters for the same comparability reason.
-  std::uint64_t mii_disk_probes = 0, mii_disk_hits = 0;
-
-  /// Persistent warm-start schedule tier: accepted (schedule, II) entries
-  /// consulted in the store per warm-eligible point (see
-  /// SweepOptions::warm_start + store_dir).  A hit seeds the point with
-  /// its *own* previously accepted schedule, so the II search collapses
-  /// into a verification pass even for the first point of a ladder — the
-  /// cross-process/cross-invocation warm start.
-  std::uint64_t sched_disk_probes = 0, sched_disk_hits = 0;
-
-  /// Warm-start accounting: points offered a neighbouring budget-ladder
-  /// point's accepted schedule as a seed, and points whose final schedule
-  /// was installed from that seed (the skipped search is the back-end
-  /// speedup BENCH_pipeline.json reports).
-  std::uint64_t warm_probes = 0, warm_hits = 0;
 
   /// Unroll-policy prober accounting: candidate factors examined, and how
   /// many probes had to fall back to the naive materialise-and-measure
@@ -99,8 +62,6 @@ struct SweepCacheStats {
   /// point, one probe of the task-local map of schedules a sibling
   /// budget-ladder point already accepted at II == MII; a hit means the
   /// point installed that proven-optimal schedule instead of re-searching.
-  /// Distinct from warm_probes/warm_hits — those count chain/disk/cross
-  /// seeds; a memo-served point contributes here and nowhere else.
   std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
 
   /// Cached runs that abandoned the cached path entirely and re-ran the
@@ -114,24 +75,9 @@ struct SweepCacheStats {
   [[nodiscard]] std::uint64_t hits() const {
     return invariant_hits + unroll_hits + front_hits + mii_hits;
   }
-  [[nodiscard]] double hit_rate() const;       // hits/probes; 0 when no probes
-  [[nodiscard]] double disk_hit_rate() const;  // disk_hits/disk_probes; 0 when no probes
-  [[nodiscard]] double warm_hit_rate() const;  // warm_hits/warm_probes; 0 when no probes
+  [[nodiscard]] double hit_rate() const;  // hits/probes; 0 when no probes
 
   SweepCacheStats& operator+=(const SweepCacheStats& other);
-};
-
-/// Checkpoint-ledger accounting of one run (see
-/// SweepOptions::checkpoint_dir; all zero when checkpointing is off).
-/// Like stage times, this is provenance — how the results were obtained —
-/// and is excluded from sweep_result_fingerprint; merge_sweep_shards sums
-/// it across shards.
-struct CheckpointStats {
-  std::uint64_t tasks_replayed = 0;  // completed tasks restored from the journal
-  std::uint64_t tasks_executed = 0;  // tasks run (and journaled) by this process
-  std::uint64_t journal_bytes = 0;   // journal size after the run; 0 without one
-
-  CheckpointStats& operator+=(const CheckpointStats& other);
 };
 
 /// Wall time summed over every pipeline run of the sweep, per stage.
@@ -143,160 +89,30 @@ struct StageTotal {
   double seconds = 0.0;
 };
 
-/// Canonical ordering of aggregated per-stage seconds: the pipeline
-/// stages in execution order first, any other stage alphabetically
-/// after.  Shared by the sweep runner and the shard merger so merged and
-/// single-process results order stage_totals identically.
-[[nodiscard]] std::vector<StageTotal> ordered_stage_totals(
-    std::map<std::string, double, std::less<>> totals);
-
-/// Which axis of the (loop x point) cross product a sharded sweep
-/// partitions (see SweepOptions::shard_count).
-enum class ShardAxis {
-  /// Round-robin over loops: shard s owns every point of loop i iff
-  /// i % shard_count == s.  The default — per-loop caches and warm-start
-  /// ladders live entirely inside one shard, so a merged sharded sweep is
-  /// bit-identical to the single-process sweep *including* cache and
-  /// warm-start provenance.
-  kLoops,
-  /// Round-robin over points: shard s owns point p of every loop iff
-  /// p % shard_count == s.  Results are still bit-identical (sharding
-  /// never changes outcomes), but points of one budget ladder may land in
-  /// different shards, so warm-start hit counts can be lower than the
-  /// single-process run's.
-  kPoints,
-};
-
 /// Sweep-level translation validation (see PipelineOptions::verify).
-/// Applied on top of each point's own verify policy — a mode can only
-/// ever *strengthen* what the point asked for, never weaken it.
 enum class SweepVerifyMode : std::uint8_t {
   kOff,     // leave every point's own policy untouched
-  kSample,  // audit a deterministic 1-in-verify_sample_rate cell sample
-  kFull,    // audit every cell
   kStrict,  // verify every cell; a violation fails the loop
 };
-
-[[nodiscard]] std::string_view sweep_verify_mode_name(SweepVerifyMode mode);
 
 struct SweepOptions {
   bool use_cache = true;  // prefix-artifact caching across points
   bool parallel = true;   // false forces serial regardless of `workers`
 
-  /// Worker threads executing SweepTasks inside this process.  0 = auto
-  /// (one per hardware thread, on the shared pool); 1 = serial; N > 1 =
-  /// exactly N threads on a private pool, even when the machine has fewer
-  /// cores (how tests exercise real concurrency on small runners).
-  /// Composes with process sharding: a dispatcher running P worker
-  /// processes of W threads each should keep P*W near the core count —
-  /// resolved_worker_threads (harness/dispatch.h) is that guard.
-  ///
-  /// Determinism: a task (one loop, its owned points) is the unit of
-  /// scheduling, and everything order-sensitive — per-loop caches,
-  /// warm-start ladders — lives inside one task, so results are
-  /// sweep_result_fingerprint-identical at every worker count.  The
-  /// worker count is deliberately *not* part of sweep_config_hash: a
-  /// checkpointed sweep may resume under a different count.
+  /// Worker threads executing tasks (one per loop).  0 = auto (one per
+  /// hardware thread, on the shared pool); 1 = serial; N > 1 = exactly N
+  /// threads on a private pool, even when the machine has fewer cores
+  /// (how tests exercise real concurrency on small runners).  Results
+  /// are sweep_result_fingerprint-identical at every worker count.
   int workers = 0;
 
-  /// Optional externally-owned pool to run tasks on (its size then wins
-  /// over `workers`).  Null = pick per `workers` above.  The pool must
-  /// outlive run().
-  ThreadPool* pool = nullptr;
-
-  /// Process-sharded execution: this runner computes only the cells of
-  /// the (loop x point) cross product that `shard_index` owns under the
-  /// deterministic `shard_axis` partition; every other cell of
-  /// SweepResult::by_point is left default-constructed.  All shards of
-  /// one sweep share `store_dir` (the artifact store is the persistence
-  /// seam between processes), and merge_sweep_shards (harness/shard.h)
-  /// stitches the emitted shards back into the single-process result.
-  /// shard_count == 1 is the unsharded sweep, byte-for-byte.
-  int shard_count = 1;
-  int shard_index = 0;
-  ShardAxis shard_axis = ShardAxis::kLoops;
-
-  /// Root directory of the persistent content-addressed artifact store
-  /// (support/artifact_store.h); empty disables persistence.  Keyed by
-  /// Loop::content_hash plus the front prefix key, so repeated invocations
-  /// — including across processes and bench runs — warm-start the front
-  /// end instead of recomputing it.  Also persists per-machine MII maps
-  /// (keyed by Loop::content_hash + front prefix + MachineConfig
-  /// signature).  Requires use_cache.
-  std::string store_dir;
-
-  /// Warm-start the back end across budget ladders: points sharing a
-  /// front prefix, machine, and scheduler-backend cache key are executed
-  /// in ascending budget_ratio order, each receiving the previous point's
-  /// accepted schedule as a WarmStartSeed.  IMS verifies the seed and
-  /// uses it to cap the II ladder, so final IIs are never worse than cold
-  /// scheduling — on such ladders they are identical, with the accepting
-  /// search skipped.  LoopResults differ from a cold sweep only in
-  /// ImsStats/warm_started (provenance, not outcome).  Requires
-  /// use_cache.
-  ///
-  /// With store_dir also set, every warm-eligible point's *accepted*
-  /// schedule is persisted in the artifact store (keyed by loop content
-  /// hash + front prefix + machine signature + backend cache key + budget
-  /// + store format version), and consulted before scheduling: a hit is
-  /// the point's own prior accepted schedule, which IMS verifies and
-  /// installs, so ladders warm across processes and bench invocations
-  /// with bit-identical results.
-  bool warm_start = false;
-
-  /// Directory of the checkpoint ledger (harness/checkpoint.h); empty
-  /// disables checkpointing.  Every completed SweepTask appends its
-  /// LoopResults and accounting deltas to an append-only task journal
-  /// keyed by the sweep's config hash and this runner's shard identity
-  /// (shards sharing one checkpoint_dir never collide).  On a restart,
-  /// completed tasks replay from the journal and only unfinished tasks
-  /// execute — bit-identical to an uninterrupted run per
-  /// sweep_result_fingerprint, with identical cache accounting.
-  std::string checkpoint_dir;
-
-  /// Instrumentation/test hook: invoked right after each executed task
-  /// commits to the journal (never for replays; only fires when
-  /// checkpoint_dir is set), with the number of tasks this run has
-  /// committed so far.  Threading contract: with workers <= 1 it runs
-  /// inline on the executing thread, right after the journal append; with
-  /// workers > 1 it runs on the *committer thread* only (never on a task
-  /// worker, never concurrently with itself), serialised with — and
-  /// ordered identically to — the journal appends.  Keep it cheap: it
-  /// stalls the commit pipeline, not the workers.  An exception aborts
-  /// the sweep (serial: immediately; threaded: no further tasks commit,
-  /// and run() rethrows once in-flight tasks drain).  The SIGKILL-resume
-  /// tests and the dispatcher's straggler injection are the intended
-  /// users.
-  std::function<void(std::uint64_t committed)> on_task_committed;
-
-  /// Additionally seed the *first* point of a warm-start ladder with the
-  /// most recent accepted schedule of another machine's ladder over the
-  /// same (loop, front prefix, backend) — the cross-machine chaining the
-  /// ROADMAP left open.  The seed verifier makes foreign seeds safe: a
-  /// schedule that does not fit the new machine is silently ignored, and
-  /// one that does can only ever *cap* the II ladder, so final IIs are
-  /// never worse than cold — but they can be better (the seed may prove
-  /// an II the point's own budget would have given up on), so results are
-  /// no longer guaranteed bit-identical to a cold sweep.  Off by default
-  /// for exactly that reason.  Requires warm_start.
-  bool cross_machine_seeds = false;
-
-  /// Sweep-level translation validation.  kSample audits a deterministic
-  /// 1-in-verify_sample_rate subset of cells, chosen by hashing (loop
-  /// index, point index) so the sample is identical at every worker
-  /// count, shard partition, and resume — verification never perturbs
-  /// determinism contracts.  kFull/kStrict cover every cell.  The mode is
-  /// folded into the checkpoint journal's config hash: a resumed sweep
-  /// must re-verify (or not) exactly as the crashed one did.
   SweepVerifyMode verify_mode = SweepVerifyMode::kOff;
-  int verify_sample_rate = 16;  // kSample: 1 cell in N is audited
 };
 
 /// The worker-thread count SweepRunner::run will actually use under
-/// `options`: 1 when parallel is false, the pool's size when one is
-/// supplied, `workers` when explicit, hardware concurrency otherwise.
-/// This (not SweepOptions::workers) is what benches report as their
-/// `workers` field.
+/// `options`: 1 when parallel is false, `workers` when explicit, hardware
+/// concurrency otherwise.  This (not SweepOptions::workers) is what
+/// benches report as their `workers` field.
 [[nodiscard]] int resolved_sweep_workers(const SweepOptions& options);
 
 /// Level-by-level option-prefix hashes of one sweep point.  Derived once
@@ -309,58 +125,28 @@ struct SweepPrefixKeys {
   std::uint64_t machine = 0;  // machine signature (MII cache key)
 
   /// The resolved scheduler backend's cache-key contribution
-  /// (SchedulerBackend::cache_key): folded into every slot holding one of
-  /// its schedules — the warm-start chain key today — so backends with
-  /// different contributions never alias.  For an unknown backend name
-  /// the contribution hashes the name itself (the point fails in the
-  /// schedule stage either way).
+  /// (SchedulerBackend::cache_key): folded into the MII-optimality memo
+  /// key so backends with different contributions never alias.  For an
+  /// unknown backend name the contribution hashes the name itself (the
+  /// point fails in the schedule stage either way).
   std::uint64_t backend = 0;
 
   /// Whether precomputed MII bounds may be injected into the point's
-  /// scheduler (SchedulerBackend::consumes_cached_mii; replaces the old
-  /// hard-coded wants_mii special case).
+  /// scheduler (SchedulerBackend::consumes_cached_mii).
   bool consumes_cached_mii = false;
 
   /// Whether the backend accepts WarmStartSeed injection
-  /// (SchedulerBackend::supports_warm_start).  Gates both the warm-start
-  /// seeding tiers and the task-local MII-optimality short-circuit.
+  /// (SchedulerBackend::supports_warm_start).  Gates the task-local
+  /// MII-optimality short-circuit.
   bool supports_warm_start = false;
 };
 
 [[nodiscard]] SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point);
 
-/// The deterministic shard partition: whether shard `shard_index` of
-/// `shard_count` owns cell (loop_index, point_index) under `axis`.  Every
-/// cell is owned by exactly one shard (a test enforces this); the sweep
-/// runner and the shard merger share this one definition.
-[[nodiscard]] bool shard_owns(ShardAxis axis, int shard_count, int shard_index,
-                              std::size_t loop_index, std::size_t point_index);
-
-/// "loops" / "points" (used by shard files and CLI flags).
-[[nodiscard]] std::string_view shard_axis_name(ShardAxis axis);
-
-/// One unit of the sweep's work queue: a loop plus the point indices this
-/// runner owns for it under the shard partition.  The loop index is the
-/// task id — stable across restarts because the checkpoint journal's
-/// config hash pins the exact (loops, points) inputs.  A task matches the
-/// runner's per-loop execution granularity: the per-loop artifact cache
-/// and every warm-start ladder live entirely inside one task, so a task
-/// is also the natural unit of checkpoint replay.
-struct SweepTask {
-  std::size_t loop_index = 0;
-  std::vector<std::size_t> point_indices;  // owned, ascending point order
-};
-
-/// The work queue of one runner: a task per loop with at least one owned
-/// cell, in ascending loop order.  Shared by SweepRunner::run and tests.
-[[nodiscard]] std::vector<SweepTask> sweep_tasks(const SweepOptions& options, std::size_t loops,
-                                                 std::size_t points);
-
 struct SweepResult {
   /// results[point][loop], index-aligned with the inputs.
   std::vector<std::vector<LoopResult>> by_point;
   SweepCacheStats cache;
-  CheckpointStats checkpoint;
   std::vector<StageTotal> stage_totals;
   double wall_seconds = 0.0;
   std::uint64_t pipelines = 0;  // loops x points executed

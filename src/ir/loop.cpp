@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -176,6 +176,11 @@ void Loop::validate() const {
   names.reserve(ops.size());
   for (int i = 0; i < op_count(); ++i) {
     const Op& op = ops[static_cast<std::size_t>(i)];
+    // Checked first: every other diagnostic names the opcode.
+    if (static_cast<int>(op.opcode) >= kNumOpcodes) {
+      fail(cat("loop '", name, "', op #", i, ": opcode ", static_cast<int>(op.opcode),
+               " out of range"));
+    }
     const auto where = [&] {
       return cat("loop '", name, "', op #", i, " (", opcode_name(op.opcode), ")");
     };
@@ -198,6 +203,9 @@ void Loop::validate() const {
       if (op.array < 0 || op.array >= static_cast<int>(arrays.size())) {
         fail(cat(where(), ": memory op with invalid array index"));
       }
+      if (op.mem_offset < -kMaxMemOffset || op.mem_offset > kMaxMemOffset) {
+        fail(cat(where(), ": memory offset ", op.mem_offset, " beyond +-", kMaxMemOffset));
+      }
     } else {
       if (op.array != -1) fail(cat(where(), ": non-memory op must not reference an array"));
     }
@@ -216,6 +224,10 @@ void Loop::validate() const {
           const Op& def = ops[static_cast<std::size_t>(arg.value_op)];
           if (!def.defines_value()) fail(cat(where(), ": operand ", a, " references a store"));
           if (arg.distance < 0) fail(cat(where(), ": operand ", a, " has negative distance"));
+          if (arg.distance > kMaxOperandDistance) {
+            fail(cat(where(), ": operand ", a, " distance ", arg.distance, " beyond ",
+                     kMaxOperandDistance));
+          }
           if (arg.distance == 0 && arg.value_op >= i) {
             fail(cat(where(), ": operand ", a, " uses '", def.name,
                      "' at distance 0 before it is defined"));
@@ -230,6 +242,8 @@ void Loop::validate() const {
         case Operand::Kind::kImmediate:
         case Operand::Kind::kIndex:
           break;
+        default:
+          fail(cat(where(), ": operand ", a, " has unknown kind ", static_cast<int>(arg.kind)));
       }
     }
   }

@@ -100,27 +100,32 @@ class Loop {
   /// Deterministic structural hash of the whole loop: hash_bytes over
   /// serialize_loop's blob, so the hash and the serialization share one
   /// schema walker (a field added to Op/Operand is either in both or in
-  /// neither).  Stable across processes and platforms, so it can key
-  /// persistent content-addressed artifact stores; equal hashes mean the
-  /// loops are interchangeable inputs for the compilation pipeline.
+  /// neither).  Stable across processes and platforms; equal hashes mean
+  /// the loops are interchangeable inputs for the compilation pipeline.
   [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Structural validation; throws Error with a description on violation.
   ///
-  /// Rules: unique non-empty names for value-defining ops; stores unnamed;
-  /// operand arity matches opcode; value operands reference value-defining
-  /// ops with distance >= 0, and distance-0 references respect program
-  /// order; memory ops carry a valid array, non-memory ops none;
-  /// stride >= 1.
+  /// Rules: opcodes and operand kinds in range; unique non-empty names for
+  /// value-defining ops; stores unnamed; operand arity matches opcode;
+  /// value operands reference value-defining ops with distance in
+  /// [0, kMaxOperandDistance], and distance-0 references respect program
+  /// order; memory ops carry a valid array and an offset within
+  /// +-kMaxMemOffset, non-memory ops none; stride >= 1.
   void validate() const;
 };
+
+/// Bounds Loop::validate enforces, far above anything the suite produces
+/// (distance 7, offset 11), so that distance * II and offset differences
+/// stay inside int arithmetic for every loop that validates.
+inline constexpr int kMaxOperandDistance = 1 << 10;
+inline constexpr int kMaxMemOffset = 1 << 20;
 
 class BlobReader;
 class BlobWriter;
 
-/// Serialises `loop` into the portable blob format
-/// (support/artifact_store.h) — the single schema walker shared by
-/// content_hash and the persistent artifact store.
+/// Serialises `loop` into the portable blob format (support/blob.h) — the
+/// single schema walker shared by content_hash and the verify bundle.
 void serialize_loop(BlobWriter& out, const Loop& loop);
 
 /// Inverse of serialize_loop; throws Error on truncation.  The result is

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -55,6 +55,12 @@ void MachineConfig::validate() const {
     check(cc.fus(FuKind::kLS) >= 1 && cc.fus(FuKind::kAdd) >= 1 && cc.fus(FuKind::kMul) >= 1,
           cat("machine '", name, "', cluster ", c, ": every compute FU kind needs >= 1 instance"));
     check(cc.fus(FuKind::kCopy) >= 0, "negative copy FU count");
+    for (const int n : cc.fu_count) {
+      if (n > kMaxFusPerKind) {
+        fail(cat("machine '", name, "', cluster ", c, ": ", n, " FUs of one kind, beyond ",
+                 kMaxFusPerKind));
+      }
+    }
     check(cc.private_queues >= 1, cat("machine '", name, "', cluster ", c, ": needs private queues"));
     check(cc.queue_depth >= 1, cat("machine '", name, "', cluster ", c, ": needs queue depth"));
   }
@@ -67,6 +73,11 @@ void MachineConfig::validate() const {
     const std::string_view kind = topology_kind_name(topology_kind);
     check(segment.queues_per_segment >= 1, cat("machine '", name, "': ", kind, " needs queues"));
     check(segment.queue_depth >= 1, cat("machine '", name, "': ", kind, " needs queue depth"));
+  }
+  for (const int l : latency.latency) {
+    if (l < 0 || l > kMaxLatency) {
+      fail(cat("machine '", name, "': latency ", l, " outside [0, ", kMaxLatency, "]"));
+    }
   }
 }
 

@@ -50,6 +50,13 @@ struct SegmentConfig {
   int queue_depth = 16;
 };
 
+/// Bounds MachineConfig::validate enforces, far above the paper's
+/// machines (at most 6 FUs of a kind, latency 8), so that reservation
+/// tables and summed latencies stay small for every machine that
+/// validates.
+inline constexpr int kMaxFusPerKind = 1 << 8;
+inline constexpr int kMaxLatency = 1 << 10;
+
 class MachineConfig {
  public:
   std::string name = "machine";
@@ -94,7 +101,8 @@ class MachineConfig {
   [[nodiscard]] int next_hop(int a, int b) const { return topology().next_hop(a, b); }
 
   /// Structural checks: >= 1 cluster, every cluster has >= 1 of each
-  /// compute FU kind, positive queue counts/depths, and topology
+  /// compute FU kind and at most kMaxFusPerKind of any kind, positive
+  /// queue counts/depths, latencies in [0, kMaxLatency], and topology
   /// parameters consistent with the cluster count.
   void validate() const;
 
@@ -147,7 +155,7 @@ class BlobWriter;
 inline constexpr int kMachineCodecVersion = 2;
 
 /// Serialises `machine` into the portable blob format
-/// (support/artifact_store.h) at kMachineCodecVersion: name, per-cluster
+/// (support/blob.h) at kMachineCodecVersion: name, per-cluster
 /// FU mix and queue configuration, segment config, latency model, and the
 /// topology kind + mesh dimensions.  Used by the qvliw_verify bundle so a
 /// dumped artifact names the exact machine it claims legality against.

@@ -25,13 +25,13 @@
 //    ladder deliberately spans.  Slots derived from different
 //    contributions never alias (a regression test enforces this).
 //
-// Warm starts: a request may carry the accepted schedule of a
-// neighbouring sweep point (same loop/DDG/machine, smaller budget) as a
-// `WarmStartSeed`.  Backends that return true from
+// Warm starts: a request may carry the MII-optimal schedule a
+// neighbouring sweep point (same loop/DDG/machine, smaller budget)
+// accepted, as a `WarmStartSeed`.  Backends that return true from
 // `supports_warm_start()` forward it to IMS, which verifies the seed and
-// uses it to cap the II ladder — never changing the final II relative to
-// a cold run on an ascending-budget ladder, only skipping the search
-// that would rediscover it.
+// installs it — never changing the final II relative to a cold run on an
+// ascending-budget ladder, only skipping the search that would
+// rediscover it.
 #pragma once
 
 #include <cstdint>
@@ -97,11 +97,11 @@ class SchedulerBackend {
   /// Unique registry name (also the per-point label in bench reports).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Contribution to cache slots holding this backend's schedules (warm
-  /// start chains today; persisted schedules tomorrow).  The base
-  /// implementation hashes the name; backends fold in every option that
-  /// changes their output schedule, EXCEPT the placement budget — that is
-  /// the ladder axis warm starts traverse.
+  /// Contribution to cache slots holding this backend's schedules (the
+  /// sweep runner's MII-optimality memo).  The base implementation hashes
+  /// the name; backends fold in every option that changes their output
+  /// schedule, EXCEPT the placement budget — that is the ladder axis the
+  /// memo spans.
   [[nodiscard]] virtual std::uint64_t cache_key(ClusterHeuristic heuristic,
                                                 const ImsOptions& ims) const;
 

@@ -102,13 +102,12 @@ struct ImsStats {
 };
 
 /// A previously accepted schedule offered as a warm start for a new run
-/// over the *same* loop/DDG: the neighbouring point of a budget ladder,
-/// the point's own accepted schedule replayed from the persistent
-/// artifact store by a later process, or — opt-in — a sibling machine's
-/// ladder over the same front end.  The scheduler vets the seed with
-/// verify_schedule against the exact (loop, graph, machine) before
-/// trusting it; an invalid, stale, or foreign seed is silently ignored,
-/// so offering one is always safe regardless of where it came from.
+/// over the *same* loop/DDG — the sweep runner offers the MII-optimal
+/// schedule a smaller-budget sibling of a budget ladder already accepted.
+/// The scheduler vets the seed with verify_schedule against the exact
+/// (loop, graph, machine) before trusting it; an invalid, stale, or
+/// foreign seed is silently ignored, so offering one is always safe
+/// regardless of where it came from.
 struct WarmStartSeed {
   Schedule schedule;
   int ii = 0;  // the II the seed schedule was accepted at

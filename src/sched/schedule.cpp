@@ -5,7 +5,7 @@
 
 #include "ir/printer.h"
 #include "machine/fu.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
 #include "verify/verify.h"
@@ -163,7 +163,9 @@ void serialize_schedule(BlobWriter& out, const Schedule& schedule) {
 Schedule deserialize_schedule(BlobReader& in) {
   const std::int32_t ii = in.get_i32();
   const std::int32_t ops = in.get_i32();
-  check(ii >= 1, "deserialize_schedule: II < 1");
+  if (ii < 1 || ii > kMaxScheduleIi) {
+    fail(cat("deserialize_schedule: II ", ii, " outside [1, ", kMaxScheduleIi, "]"));
+  }
   check(ops >= 0 && ops <= 1 << 24, "deserialize_schedule: implausible op count");
   Schedule schedule(ops, ii);
   for (int op = 0; op < ops; ++op) {
@@ -174,6 +176,9 @@ Schedule deserialize_schedule(BlobReader& in) {
     p.fu = in.get_i32();
     check(p.cycle >= 0 && p.cluster >= 0 && p.fu >= 0,
           "deserialize_schedule: negative placement field");
+    if (p.cycle > kMaxScheduleCycle) {
+      fail(cat("deserialize_schedule: cycle ", p.cycle, " beyond ", kMaxScheduleCycle));
+    }
     schedule.set(op, p);
   }
   return schedule;

@@ -93,16 +93,21 @@ class BlobReader;
 class BlobWriter;
 
 /// Serialises `schedule` into the portable blob format
-/// (support/artifact_store.h): II, op count, and per-op placements.  Used
-/// by the sweep runner to persist accepted warm-start schedules in the
-/// artifact store so budget ladders warm across processes.
+/// (support/blob.h): II, op count, and per-op placements.  Used by the
+/// verify bundle and by the task memo's artifact hash.
 void serialize_schedule(BlobWriter& out, const Schedule& schedule);
 
+/// Bounds deserialize_schedule enforces, far above any schedule the
+/// experiments produce, so that II * distance and cycle arithmetic over a
+/// decoded schedule stays inside int (see kMaxOperandDistance).
+inline constexpr int kMaxScheduleIi = 1 << 16;
+inline constexpr int kMaxScheduleCycle = 1 << 24;
+
 /// Inverse of serialize_schedule; throws Error on truncation or a
-/// structurally invalid placement (negative cycle, II < 1).  The result is
+/// structurally invalid placement (negative field, cycle beyond
+/// kMaxScheduleCycle, II outside [1, kMaxScheduleIi]).  The result is
 /// *not* verified against any loop/machine — run verify_schedule before
-/// trusting a deserialised schedule (warm-start seeding does exactly
-/// that, so a stale or foreign store entry can only ever be ignored).
+/// trusting a deserialised schedule.
 [[nodiscard]] Schedule deserialize_schedule(BlobReader& in);
 
 }  // namespace qvliw

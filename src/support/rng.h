@@ -25,7 +25,7 @@ namespace qvliw {
 
 /// Deterministic 64-bit hash of a byte string (FNV-1a folded through
 /// hash64).  Platform- and process-independent, unlike std::hash — safe to
-/// use in persistent content-addressed keys.
+/// pin in golden tests.
 [[nodiscard]] std::uint64_t hash_bytes(std::string_view bytes);
 
 /// xoshiro256** PRNG. Not a std-style engine on purpose: the interface is

@@ -9,7 +9,7 @@
 
 #include "ir/memdep.h"  // kMemDepMaxDistance only; the derivation is redone here
 #include "machine/fu.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "cluster/partition.h"
@@ -17,7 +16,7 @@
 #include "harness/sweep.h"
 #include "sched/ims.h"
 #include "sched/ims_reference.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "workload/kernels.h"
@@ -150,7 +149,7 @@ std::string fingerprint_hex(const SweepResult& sweep) {
 TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
   // The pinned fingerprint of the full ring-4 perf sweep.  Any change to
   // scheduling outcomes — including one smuggled in by the ladder memo —
-  // moves this value; workers and warm starts must not.
+  // moves this value; the worker count must not.
   constexpr const char* kPinned = "acac708db670f08d";
 
   const Suite suite = full_suite();
@@ -158,25 +157,11 @@ TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
 
   SweepOptions w1;
   w1.workers = 1;
-  const SweepResult cold_w1 = SweepRunner(w1).run(suite.loops, points);
-  EXPECT_EQ(fingerprint_hex(cold_w1), kPinned);
+  EXPECT_EQ(fingerprint_hex(SweepRunner(w1).run(suite.loops, points)), kPinned);
 
   SweepOptions w4 = w1;
   w4.workers = 4;
   EXPECT_EQ(fingerprint_hex(SweepRunner(w4).run(suite.loops, points)), kPinned);
-
-  const std::string store =
-      (std::filesystem::temp_directory_path() / "qvliw-golden-store").string();
-  std::filesystem::remove_all(store);
-  SweepOptions warm1 = w1;
-  warm1.warm_start = true;
-  warm1.store_dir = store;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm1).run(suite.loops, points)), kPinned) << "populate";
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm1).run(suite.loops, points)), kPinned) << "warm w1";
-  SweepOptions warm4 = warm1;
-  warm4.workers = 4;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm4).run(suite.loops, points)), kPinned) << "warm w4";
-  std::filesystem::remove_all(store);
 }
 
 TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {

@@ -3,7 +3,7 @@
 #include "ir/parser.h"
 #include "sched/reservation.h"
 #include "sched/schedule.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "verify/verify.h"
 

@@ -3,14 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -415,50 +413,6 @@ TEST(ThreadPool, ForkedChildDegradesToCallerDraining) {
       << "child exited " << status;
 }
 
-// --- bounded channel --------------------------------------------------------
-
-TEST(BoundedChannel, FifoWithinCapacity) {
-  BoundedChannel<int> channel(4);
-  EXPECT_TRUE(channel.push(1));
-  EXPECT_TRUE(channel.push(2));
-  EXPECT_TRUE(channel.push(3));
-  int v = 0;
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedChannel, CloseDrainsThenReportsEmpty) {
-  BoundedChannel<int> channel(4);
-  EXPECT_TRUE(channel.push(7));
-  channel.close();
-  EXPECT_FALSE(channel.push(8));  // rejected after close
-  int v = 0;
-  EXPECT_TRUE(channel.pop(v));  // buffered value still drains
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(channel.pop(v));  // closed and empty
-}
-
-TEST(BoundedChannel, BackPressuredProducerPreservesOrder) {
-  // Capacity 2 forces the producer to block on a slow consumer; every
-  // value must still arrive exactly once, in order.
-  BoundedChannel<int> channel(2);
-  constexpr int kValues = 500;
-  std::thread producer([&] {
-    for (int i = 0; i < kValues; ++i) ASSERT_TRUE(channel.push(int{i}));
-    channel.close();
-  });
-  std::vector<int> received;
-  int v = 0;
-  while (channel.pop(v)) received.push_back(v);
-  producer.join();
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kValues));
-  for (int i = 0; i < kValues; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i) << i;
-}
-
 TEST(Rng, HashBytesStableAndSensitive) {
   const std::uint64_t empty = hash_bytes("");
   EXPECT_EQ(empty, hash_bytes(""));  // deterministic
@@ -468,98 +422,27 @@ TEST(Rng, HashBytesStableAndSensitive) {
   EXPECT_NE(hash_bytes(""), hash_bytes(std::string_view("\0", 1)));
 }
 
-TEST(ArtifactStore, RoundTripAndMiss) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  std::string blob;
-  EXPECT_FALSE(store.load(42, blob));
-
-  store.save(42, "hello artifacts");
-  ASSERT_TRUE(store.load(42, blob));
-  EXPECT_EQ(blob, "hello artifacts");
-
-  // Overwrite is atomic-rename install of the new bytes.
-  store.save(42, "v2");
-  ASSERT_TRUE(store.load(42, blob));
-  EXPECT_EQ(blob, "v2");
-
-  // Distinct keys land in distinct files, including across the top-byte
-  // fan-out directories.
-  store.save(0xaa00000000000001ULL, "high");
-  ASSERT_TRUE(store.load(0xaa00000000000001ULL, blob));
-  EXPECT_EQ(blob, "high");
-  ASSERT_TRUE(store.load(42, blob));
-  EXPECT_EQ(blob, "v2");
-  std::filesystem::remove_all(root);
-}
-
-TEST(ArtifactStore, BinaryBlobSurvives) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_bin";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
+TEST(Blob, BinaryFieldsRoundTrip) {
   BlobWriter writer;
   writer.put_u64(0x0123456789abcdefULL);
   writer.put_i64(-7);
   writer.put_i32(-123456);
   writer.put_bool(true);
+  writer.put_f64(-0.375);
   writer.put_string(std::string("nul\0inside", 10));
-  store.save(7, writer.take());
+  const std::string blob = writer.take();
 
-  std::string blob;
-  ASSERT_TRUE(store.load(7, blob));
   BlobReader reader(blob);
   EXPECT_EQ(reader.get_u64(), 0x0123456789abcdefULL);
   EXPECT_EQ(reader.get_i64(), -7);
   EXPECT_EQ(reader.get_i32(), -123456);
   EXPECT_TRUE(reader.get_bool());
+  EXPECT_EQ(reader.get_f64(), -0.375);
   EXPECT_EQ(reader.get_string(), std::string("nul\0inside", 10));
   EXPECT_TRUE(reader.exhausted());
-  std::filesystem::remove_all(root);
 }
 
-TEST(ArtifactStore, StatsInventoriesEntriesTempFilesAndVersions) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_stats";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  // Empty (even missing) store: all-zero stats.
-  const ArtifactStoreStats empty = store.stats();
-  EXPECT_EQ(empty.entries, 0u);
-  EXPECT_EQ(empty.entry_bytes, 0u);
-  EXPECT_TRUE(empty.versions.empty());
-
-  store.save(42, "hello");                       // 5 bytes
-  store.save(0xaa00000000000001ULL, "world!!");  // 7 bytes, another fan-out dir
-  store.save(0xaa00000000000002ULL, "x");        // 1 byte, same fan-out dir
-  store.mark_version(2);
-  store.mark_version(2);  // idempotent
-  store.mark_version(1);
-
-  // A temp file a killed writer left behind.
-  {
-    std::ofstream stray(root / "aa" / "deadbeef.qart.tmp.1234.5");
-    stray << "partial";
-  }
-
-  const ArtifactStoreStats stats = store.stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.entry_bytes, 13u);
-  EXPECT_EQ(stats.fanout_dirs, 2u);
-  EXPECT_EQ(stats.temp_files, 1u);
-  EXPECT_EQ(stats.temp_bytes, 7u);
-  ASSERT_EQ(stats.versions.size(), 2u);
-  EXPECT_EQ(stats.versions[0], 1u);
-  EXPECT_EQ(stats.versions[1], 2u);
-  std::filesystem::remove_all(root);
-}
-
-TEST(ArtifactStore, TruncatedBlobThrows) {
+TEST(Blob, TruncatedBlobThrows) {
   BlobWriter writer;
   writer.put_u64(99);
   const std::string bytes = writer.take();
@@ -575,8 +458,8 @@ TEST(ArtifactStore, TruncatedBlobThrows) {
   EXPECT_THROW((void)reader.get_string(), Error);
 }
 
-TEST(ArtifactStore, RequireExhaustedRejectsTrailingBytes) {
-  // A longer (future-format) entry must not silently decode as a valid
+TEST(Blob, RequireExhaustedRejectsTrailingBytes) {
+  // A longer (future-format) blob must not silently decode as a valid
   // shorter one: every decode site ends with require_exhausted, which
   // only accepts a fully consumed blob.
   BlobWriter writer;
@@ -589,155 +472,6 @@ TEST(ArtifactStore, RequireExhaustedRejectsTrailingBytes) {
   EXPECT_THROW(reader.require_exhausted("entry"), Error);
   EXPECT_TRUE(reader.get_bool());
   reader.require_exhausted("entry");  // all consumed: no throw
-}
-
-TEST(ArtifactStore, MemoisedLoadSurvivesDiskEviction) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_memo";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  store.save(99, "memoised bytes");
-  std::filesystem::remove_all(root);  // disk copy gone; the index serves it
-  std::string blob;
-  ASSERT_TRUE(store.load(99, blob));
-  EXPECT_EQ(blob, "memoised bytes");
-
-  // A fresh store object has no index: the miss goes to (absent) disk.
-  const ArtifactStore cold(root.string());
-  EXPECT_FALSE(cold.load(99, blob));
-}
-
-TEST(ArtifactStore, MissesAreReprobedSoCrossProcessFillsAppear) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_reprobe";
-  std::filesystem::remove_all(root);
-  const ArtifactStore reader(root.string());
-
-  std::string blob;
-  EXPECT_FALSE(reader.load(5, blob));  // a miss must not be memoised
-
-  // Another process (simulated by a second store object) installs the
-  // entry; the same reader's next probe finds it on disk.
-  const ArtifactStore writer(root.string());
-  writer.save(5, "filled elsewhere");
-  ASSERT_TRUE(reader.load(5, blob));
-  EXPECT_EQ(blob, "filled elsewhere");
-  std::filesystem::remove_all(root);
-}
-
-// One ArtifactStore shared by every worker thread of a sweep: hammer
-// load/save on overlapping keys from many threads.  All writers write
-// the same payload per key, so any successful load must return exactly
-// that payload — a torn read, stale index entry, or data race under TSan
-// fails the test.
-TEST(ArtifactStore, ConcurrentThreadedLoadsAndSavesAreCoherent) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_threads";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 32;
-  constexpr int kRounds = 40;
-  const auto payload = [](int key) {
-    std::string bytes(256 + static_cast<std::size_t>(key), static_cast<char>('a' + key % 26));
-    bytes += "|k" + std::to_string(key);
-    return bytes;
-  };
-
-  std::atomic<int> bad_loads{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (int key = 0; key < kKeys; ++key) {
-          if ((t + round + key) % 3 == 0) {
-            store.save(static_cast<std::uint64_t>(key), payload(key));
-          } else {
-            std::string blob;
-            if (store.load(static_cast<std::uint64_t>(key), blob) && blob != payload(key)) {
-              bad_loads.fetch_add(1);
-            }
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(bad_loads.load(), 0);
-
-  for (int key = 0; key < kKeys; ++key) {
-    std::string blob;
-    ASSERT_TRUE(store.load(static_cast<std::uint64_t>(key), blob)) << key;
-    EXPECT_EQ(blob, payload(key)) << key;
-  }
-  std::filesystem::remove_all(root);
-}
-
-// Sharded sweeps point several *processes* at one store directory, so
-// temp-file names must be unique across processes, not just threads —
-// a collision would interleave two writers' bytes before the atomic
-// rename.  Fork real concurrent writer processes hammering the same
-// keys and require every surviving value to be exactly one writer's
-// complete payload.
-TEST(ArtifactStore, MultiProcessWritersNeverInterleave) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_multiproc";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  constexpr int kWriters = 4;
-  constexpr int kKeys = 16;
-  constexpr int kRounds = 25;
-  // Payload per (writer, key): long enough that a torn write would be
-  // visible, fully reconstructible by the parent for validation.
-  const auto payload = [](int writer, int key) {
-    std::string bytes;
-    bytes.reserve(2048 + static_cast<std::size_t>(key));
-    for (int b = 0; b < 2048 + key; ++b) {
-      bytes.push_back(static_cast<char>('A' + writer));
-    }
-    bytes += "|w" + std::to_string(writer) + "|k" + std::to_string(key);
-    return bytes;
-  };
-
-  std::vector<pid_t> children;
-  for (int w = 0; w < kWriters; ++w) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0) << "fork failed";
-    if (pid == 0) {
-      // Child: rewrite every key repeatedly, racing its siblings.
-      for (int round = 0; round < kRounds; ++round) {
-        for (int key = 0; key < kKeys; ++key) {
-          store.save(static_cast<std::uint64_t>(key), payload(w, key));
-        }
-      }
-      _exit(0);
-    }
-    children.push_back(pid);
-  }
-  for (const pid_t pid : children) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  }
-
-  for (int key = 0; key < kKeys; ++key) {
-    std::string blob;
-    ASSERT_TRUE(store.load(static_cast<std::uint64_t>(key), blob)) << key;
-    bool matches_one_writer = false;
-    for (int w = 0; w < kWriters; ++w) {
-      if (blob == payload(w, key)) {
-        matches_one_writer = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(matches_one_writer)
-        << "key " << key << " holds interleaved bytes (size " << blob.size() << ")";
-  }
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -1,14 +1,8 @@
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
 
 #include "harness/experiment.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
-#include "support/parallel.h"
 #include "support/strings.h"
 #include "workload/kernels.h"
 #include "workload/suite.h"
@@ -58,13 +52,11 @@ std::vector<SweepPoint> demo_points() {
 }
 
 // Every semantic field of LoopResult.  stage_times is deliberately
-// excluded: wall time is measurement, not outcome.  `compare_effort`
-// additionally covers ImsStats — installed schedules (warm-start seeds,
-// the MII-optimality ladder memo) are bit-identical with less search, so
-// effort is compared only when both sides actually searched
-// (warm_started false on both).
-void expect_identical(const LoopResult& a, const LoopResult& b, const std::string& where,
-                      bool compare_effort = true) {
+// excluded: wall time is measurement, not outcome.  ImsStats are compared
+// too — but only when both sides actually searched (warm_started false on
+// both): a schedule the MII-optimality ladder memo installed is
+// bit-identical with less search.
+void expect_identical(const LoopResult& a, const LoopResult& b, const std::string& where) {
   EXPECT_EQ(a.name, b.name) << where;
   EXPECT_EQ(a.ok, b.ok) << where;
   EXPECT_EQ(a.failure, b.failure) << where;
@@ -92,7 +84,7 @@ void expect_identical(const LoopResult& a, const LoopResult& b, const std::strin
   EXPECT_EQ(a.sim_ok, b.sim_ok) << where;
   EXPECT_EQ(a.sim_cycles, b.sim_cycles) << where;
   EXPECT_EQ(a.backend, b.backend) << where;
-  if (compare_effort && !a.warm_started && !b.warm_started) {
+  if (!a.warm_started && !b.warm_started) {
     EXPECT_EQ(a.sched_stats.placements, b.sched_stats.placements) << where;
     EXPECT_EQ(a.sched_stats.evictions, b.sched_stats.evictions) << where;
     EXPECT_EQ(a.sched_stats.ii_attempts, b.sched_stats.ii_attempts) << where;
@@ -184,12 +176,20 @@ TEST(Sweep, SerialMatchesParallel) {
 // core count, so this exercises true concurrency on any machine.
 TEST(Sweep, FingerprintIdenticalAcrossWorkerCounts) {
   const Suite suite = small_suite(8, 41);
-  const std::vector<SweepPoint> points = demo_points();
+  std::vector<SweepPoint> points = demo_points();
+  // A larger-budget sibling of ring4-affinity makes a budget ladder, so the
+  // task-local MII-optimality memo installs schedules at every count too.
+  SweepPoint ladder{"ring4-affinity-b12", MachineConfig::clustered_machine(4), {}};
+  ladder.options.unroll = true;
+  ladder.options.scheduler = SchedulerKind::kClustered;
+  ladder.options.ims.budget_ratio = 12;
+  points.push_back(ladder);
 
   SweepOptions serial_options;
   serial_options.parallel = false;
   const SweepResult serial = SweepRunner(serial_options).run(suite.loops, points);
   const std::string oracle = sweep_result_fingerprint(serial);
+  EXPECT_GT(serial.cache.sched_memo_hits, 0u);
 
   for (const int workers : {1, 2, 4, 8}) {
     SweepOptions options;
@@ -201,70 +201,10 @@ TEST(Sweep, FingerprintIdenticalAcrossWorkerCounts) {
     // are task-local, so the merge order cannot change them.
     EXPECT_EQ(threaded.cache.probes(), serial.cache.probes()) << workers << " workers";
     EXPECT_EQ(threaded.cache.hits(), serial.cache.hits()) << workers << " workers";
+    EXPECT_EQ(threaded.cache.sched_memo_hits, serial.cache.sched_memo_hits)
+        << workers << " workers";
     EXPECT_EQ(threaded.pipelines, serial.pipelines) << workers << " workers";
   }
-}
-
-// The same contract through the disk store and warm-start ladders: each
-// worker count gets its own scratch store (a shared one would let an
-// earlier count warm a later one), runs cold then warm, and both
-// fingerprints must match the serial oracle's.
-TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
-  const Suite suite = small_suite(6, 43);
-  std::vector<SweepPoint> points;
-  for (const int budget : {6, 12}) {
-    SweepPoint ring{cat("ring4-aff-", budget), MachineConfig::clustered_machine(4), {}};
-    ring.options.unroll = true;
-    ring.options.scheduler = SchedulerKind::kClustered;
-    ring.options.ims.budget_ratio = budget;
-    points.push_back(ring);
-  }
-
-  const std::filesystem::path scratch =
-      std::filesystem::temp_directory_path() / "qvliw_test_workers_store";
-  std::filesystem::remove_all(scratch);
-
-  std::string cold_oracle;
-  std::string warm_oracle;
-  for (const int workers : {1, 2, 4, 8}) {
-    SweepOptions options;
-    options.workers = workers;
-    options.parallel = workers > 1;
-    options.store_dir = (scratch / cat("w", workers)).string();
-    options.warm_start = true;
-    const SweepResult cold = SweepRunner(options).run(suite.loops, points);
-    const SweepResult warm = SweepRunner(options).run(suite.loops, points);
-    EXPECT_EQ(cold.cache.disk_hits, 0u) << workers << " workers";
-    EXPECT_GT(warm.cache.disk_hits, 0u) << workers << " workers";
-    if (workers == 1) {
-      cold_oracle = sweep_result_fingerprint(cold);
-      warm_oracle = sweep_result_fingerprint(warm);
-    } else {
-      EXPECT_EQ(sweep_result_fingerprint(cold), cold_oracle) << workers << " workers cold";
-      EXPECT_EQ(sweep_result_fingerprint(warm), warm_oracle) << workers << " workers warm";
-    }
-  }
-  std::filesystem::remove_all(scratch);
-}
-
-// An explicit pool composes with the workers knob: a caller-owned pool
-// wins over both the workers count and the shared pool, and the results
-// still match serial.
-TEST(Sweep, CallerOwnedPoolMatchesSerial) {
-  const Suite suite = small_suite(6, 47);
-  SweepPoint point{"single-6fu", MachineConfig::single_cluster_machine(6), {}};
-
-  ThreadPool pool(3);
-  SweepOptions pool_options;
-  pool_options.pool = &pool;
-  pool_options.workers = 8;  // ignored: the pool's own width wins
-  EXPECT_EQ(resolved_sweep_workers(pool_options), 3);
-
-  SweepOptions serial_options;
-  serial_options.parallel = false;
-  const SweepResult pooled = SweepRunner(pool_options).run(suite.loops, {point});
-  const SweepResult serial = SweepRunner(serial_options).run(suite.loops, {point});
-  EXPECT_EQ(sweep_result_fingerprint(pooled), sweep_result_fingerprint(serial));
 }
 
 TEST(Sweep, StageTotalsCoverBackEnd) {
@@ -359,178 +299,8 @@ TEST(Sweep, FailingPrefixComputedOnceWithExactParity) {
   EXPECT_EQ(cached.cache.front_hits, (points.size() - 1) * loops.size());
 }
 
-TEST(Sweep, DiskStoreWarmStartIsBitIdentical) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(6, 19);
-  const std::vector<SweepPoint> points = demo_points();
-
-  SweepOptions disk_options;
-  disk_options.store_dir = store_dir.string();
-  const SweepResult cold = SweepRunner(disk_options).run(suite.loops, points);
-  const SweepResult warm = SweepRunner(disk_options).run(suite.loops, points);
-  const SweepResult oracle = SweepRunner().run(suite.loops, points);
-
-  EXPECT_EQ(cold.cache.disk_hits, 0u);
-  EXPECT_GT(cold.cache.disk_probes, 0u);
-  EXPECT_GT(warm.cache.disk_hits, 0u);
-  EXPECT_EQ(warm.cache.disk_hits, warm.cache.disk_probes);  // fully warm
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const std::string where = points[p].label + " / " + suite.loops[i].name;
-      expect_identical(warm.by_point[p][i], oracle.by_point[p][i], "warm: " + where);
-      expect_identical(cold.by_point[p][i], oracle.by_point[p][i], "cold: " + where);
-    }
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-TEST(Sweep, DiskStorePersistsFailingPrefixes) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_fail";
-  std::filesystem::remove_all(store_dir);
-
-  MachineConfig machine = MachineConfig::single_cluster_machine(6);
-  for (ClusterConfig& cluster : machine.clusters) cluster.fus(FuKind::kMul) = 0;
-
-  std::vector<Loop> loops = {kernel_by_name("dot"), kernel_by_name("daxpy")};
-  SweepPoint point{"nm", machine, {}};
-  point.options.unroll = true;
-
-  SweepOptions disk_options;
-  disk_options.store_dir = store_dir.string();
-  const SweepResult cold = SweepRunner(disk_options).run(loops, {point});
-  const SweepResult warm = SweepRunner(disk_options).run(loops, {point});
-
-  EXPECT_GT(warm.cache.disk_hits, 0u);
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    const LoopResult direct = run_pipeline(loops[i], machine, point.options);
-    EXPECT_FALSE(direct.ok) << loops[i].name;
-    expect_identical(warm.by_point[0][i], direct, "warm: " + loops[i].name);
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-TEST(Sweep, DiskStoreToleratesCorruptEntries) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_corrupt";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(4, 23);
-  SweepPoint point{"single-6fu", MachineConfig::single_cluster_machine(6), {}};
-  point.options.unroll = true;
-
-  SweepOptions disk_options;
-  disk_options.store_dir = store_dir.string();
-  const SweepResult cold = SweepRunner(disk_options).run(suite.loops, {point});
-  ASSERT_GT(cold.cache.disk_probes, 0u);
-
-  // Truncate every stored blob; the warm run must fall back to computing.
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(store_dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << "xx";
-  }
-  const SweepResult warm = SweepRunner(disk_options).run(suite.loops, {point});
-  EXPECT_EQ(warm.cache.disk_hits, 0u);
-  const SweepResult oracle = SweepRunner().run(suite.loops, {point});
-  for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-    expect_identical(warm.by_point[0][i], oracle.by_point[0][i], suite.loops[i].name);
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-// Warm-started budget ladders: same machine and backend options with
-// ascending budget_ratio.  Outcomes must be bit-identical to the cold
-// sweep (the seed only skips the search that would rediscover the same
-// schedule), with the warm-start counters showing the skips happened.
-TEST(Sweep, WarmStartLadderMatchesColdSweep) {
-  const Suite suite = small_suite(8, 31);
-
-  std::vector<SweepPoint> points;
-  for (const int budget : {3, 6, 12}) {
-    SweepPoint ring{cat("ring4-aff-", budget), MachineConfig::clustered_machine(4), {}};
-    ring.options.unroll = true;
-    ring.options.scheduler = SchedulerKind::kClustered;
-    ring.options.ims.budget_ratio = budget;
-    points.push_back(ring);
-  }
-  for (const int budget : {6, 12}) {
-    SweepPoint single{cat("single6-", budget), MachineConfig::single_cluster_machine(6), {}};
-    single.options.ims.budget_ratio = budget;
-    points.push_back(single);
-  }
-  // A moves point rides along: its backend declines warm starts, so it
-  // must be untouched by the ladder machinery.
-  SweepPoint moves{"ring4-moves", MachineConfig::clustered_machine(4), {}};
-  moves.options.unroll = true;
-  moves.options.scheduler = SchedulerKind::kClusteredMoves;
-  points.push_back(moves);
-
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const LoopResult& w = warm.by_point[p][i];
-      const LoopResult& c = cold.by_point[p][i];
-      const std::string where = points[p].label + " / " + suite.loops[i].name;
-      expect_identical(w, c, where, /*compare_effort=*/false);
-      if (c.ok) EXPECT_LE(w.ii, c.ii) << where;  // the headline warm-start property
-    }
-  }
-  EXPECT_GT(warm.cache.warm_probes, 0u);
-  EXPECT_GT(warm.cache.warm_hits, 0u);
-  EXPECT_EQ(cold.cache.warm_probes, 0u);
-
-  // The skipped searches are visible as scheduling effort saved.
-  long long warm_placements = 0, cold_placements = 0;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      warm_placements += warm.by_point[p][i].sched_stats.placements;
-      cold_placements += cold.by_point[p][i].sched_stats.placements;
-    }
-  }
-  EXPECT_LT(warm_placements, cold_placements);
-}
-
-TEST(Sweep, MiiMapsPersistAcrossRuns) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_mii";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(6, 37);
-  SweepPoint point{"ring4", MachineConfig::clustered_machine(4), {}};
-  point.options.unroll = true;
-  point.options.scheduler = SchedulerKind::kClustered;
-
-  SweepOptions disk_options;
-  disk_options.store_dir = store_dir.string();
-  const SweepResult cold = SweepRunner(disk_options).run(suite.loops, {point});
-  EXPECT_GT(cold.cache.mii_disk_probes, 0u);
-  EXPECT_EQ(cold.cache.mii_disk_hits, 0u);
-
-  // A fresh process-equivalent run restores the MII maps from disk
-  // instead of recomputing them, with bit-identical results.
-  const SweepResult warm = SweepRunner(disk_options).run(suite.loops, {point});
-  EXPECT_GT(warm.cache.mii_disk_hits, 0u);
-  EXPECT_EQ(warm.cache.mii_disk_hits, warm.cache.mii_disk_probes);
-
-  const SweepResult oracle = SweepRunner().run(suite.loops, {point});
-  for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-    expect_identical(warm.by_point[0][i], oracle.by_point[0][i], suite.loops[i].name);
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
 // Regression: backends with different cache-key contributions must never
-// share a warm-start (or any schedule) cache slot, even when every other
-// key component agrees.
+// share a schedule memo slot, even when every other key component agrees.
 TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   const MachineConfig machine = MachineConfig::clustered_machine(4);
 
@@ -566,157 +336,10 @@ TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   EXPECT_TRUE(sk.consumes_cached_mii);
   EXPECT_FALSE(mk.consumes_cached_mii);
 
-  // Budget is the ladder axis: same chain slot by design.
+  // Budget is the ladder axis: same memo slot by design.
   SweepPoint bigger = clustered;
   bigger.options.ims.budget_ratio = 12;
   EXPECT_EQ(sweep_prefix_keys(bigger).backend, ck.backend);
-}
-
-// Regression: a ladder containing *duplicate* budgets used to rely on
-// the sort's unspecified equal-key order for seed provenance; the
-// execution order is now fully specified (budget, then original point
-// index), so which point warm-starts which is identical run-to-run.
-TEST(Sweep, WarmStartDeterministicWithDuplicateBudgets) {
-  const Suite suite = small_suite(6, 71);
-
-  std::vector<SweepPoint> points;
-  for (const int budget : {6, 6, 12, 12, 6}) {  // duplicates, unsorted
-    SweepPoint ring{cat("dup-", points.size()), MachineConfig::clustered_machine(4), {}};
-    ring.options.unroll = true;
-    ring.options.scheduler = SchedulerKind::kClustered;
-    ring.options.ims.budget_ratio = budget;
-    points.push_back(ring);
-  }
-
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  warm_options.parallel = false;  // provenance must not need thread luck either
-  const SweepResult first = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult second = SweepRunner(warm_options).run(suite.loops, points);
-
-  EXPECT_GT(first.cache.warm_probes, 0u);
-  EXPECT_GT(first.cache.warm_hits, 0u);
-  EXPECT_EQ(first.cache.warm_probes, second.cache.warm_probes);
-  EXPECT_EQ(first.cache.warm_hits, second.cache.warm_hits);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const std::string where = points[p].label + " / " + suite.loops[i].name;
-      // Provenance (who got seeded and whether the seed installed) is
-      // part of the determinism contract now, not just the outcomes.
-      EXPECT_EQ(first.by_point[p][i].warm_started, second.by_point[p][i].warm_started) << where;
-      expect_identical(first.by_point[p][i], second.by_point[p][i], where);
-    }
-  }
-
-  // Equal-budget neighbours are bit-identical cold, so the duplicate's
-  // seed installs: outcomes match the cold sweep exactly.
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      expect_identical(first.by_point[p][i], cold.by_point[p][i],
-                       points[p].label + " / " + suite.loops[i].name,
-                       /*compare_effort=*/false);
-    }
-  }
-}
-
-// Cross-process warm start: a first process persists every accepted
-// schedule in the store; a second process (a real fork, sharing only the
-// store directory) seeds each point with its own prior schedule, reports
-// schedule-store and warm hits, and produces bit-identical results.
-TEST(Sweep, WarmSchedulesPersistAcrossProcesses) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_sched";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(6, 73);
-  std::vector<SweepPoint> points;
-  for (const int budget : {6, 12}) {
-    SweepPoint ring{cat("ring4-", budget), MachineConfig::clustered_machine(4), {}};
-    ring.options.unroll = true;
-    ring.options.scheduler = SchedulerKind::kClustered;
-    ring.options.ims.budget_ratio = budget;
-    points.push_back(ring);
-  }
-
-  SweepOptions warm_options;
-  warm_options.store_dir = store_dir.string();
-  warm_options.warm_start = true;
-  warm_options.parallel = false;  // the forked child must not touch the pool
-
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0) << "fork failed";
-  if (pid == 0) {
-    // Child process: the cold store population run.
-    const SweepResult seeded = SweepRunner(warm_options).run(suite.loops, points);
-    _exit(seeded.cache.sched_disk_hits == 0 ? 0 : 3);  // cold store: no hits yet
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "population process failed";
-
-  // Second process (this one): every warm-eligible point hits its own
-  // persisted schedule, including the first point of each ladder.
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  EXPECT_GT(warm.cache.sched_disk_probes, 0u);
-  EXPECT_EQ(warm.cache.sched_disk_hits, warm.cache.sched_disk_probes);
-  EXPECT_GT(warm.cache.warm_hits, 0u);
-  EXPECT_EQ(warm.cache.warm_probes, warm.cache.sched_disk_hits);
-
-  const SweepResult oracle = SweepRunner().run(suite.loops, points);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      expect_identical(warm.by_point[p][i], oracle.by_point[p][i],
-                       points[p].label + " / " + suite.loops[i].name,
-                       /*compare_effort=*/false);
-    }
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-// Cross-machine ladder seeds (opt-in): the first point of a machine's
-// ladder may be offered another machine's accepted schedule over the
-// same (loop, front prefix, backend).  The seed verifier makes this
-// safe — final IIs are never worse than cold — and the 8-FU machine can
-// genuinely verify 6-FU schedules, so seeds are offered and sometimes
-// installed.
-TEST(Sweep, CrossMachineSeedsNeverWorseThanCold) {
-  const Suite suite = small_suite(8, 79);
-
-  std::vector<SweepPoint> points;
-  for (const int fus : {6, 8}) {  // same latency model -> same front prefix
-    for (const int budget : {6, 12}) {
-      SweepPoint point{cat("single", fus, "-", budget),
-                       MachineConfig::single_cluster_machine(fus), {}};
-      point.options.ims.budget_ratio = budget;
-      points.push_back(point);
-    }
-  }
-
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  SweepOptions cross_options = warm_options;
-  cross_options.cross_machine_seeds = true;
-
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult cross = SweepRunner(cross_options).run(suite.loops, points);
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
-
-  // The second machine's ladder start is seedless without cross-machine
-  // chaining; with it, those points are offered a foreign seed too.
-  EXPECT_GT(cross.cache.warm_probes, warm.cache.warm_probes);
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const LoopResult& x = cross.by_point[p][i];
-      const LoopResult& c = cold.by_point[p][i];
-      const std::string where = points[p].label + " / " + suite.loops[i].name;
-      EXPECT_EQ(x.ok, c.ok) << where;
-      if (c.ok) {
-        EXPECT_LE(x.ii, c.ii) << where;  // never worse, possibly better
-      }
-    }
-  }
 }
 
 // Regression: a point that requests strict verification itself, run under

@@ -5,7 +5,7 @@
 
 #include "machine/machine.h"
 #include "machine/topology.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
 
 namespace qvliw {

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "harness/stage.h"
-#include "harness/sweep.h"
 #include "ir/parser.h"
 #include "machine/fu.h"
-#include "support/artifact_store.h"
+#include "support/blob.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 #include "verify/verify.h"
 #include "workload/kernels.h"
 
@@ -316,19 +316,53 @@ TEST(VerifyCodec, BundleRoundTripsAndVerifies) {
   EXPECT_EQ(encode_verify_bundle(copy), blob);
 }
 
+// Deterministic mutation sweep over the decoder of outside input
+// (`qvliw_verify check <file>`): every single-byte XOR with 0x01, 0x7f,
+// 0x80 and 0xff, and every truncation, of ring-4 bundles of kernels with
+// recurrences and memory-carried dependences.  Each mutant must either be
+// rejected by decode_verify_bundle with Error or decode into a bundle
+// verify_bundle judges — any other exception fails here, and undefined
+// behaviour fails the sanitizer CI job that runs this test.
 TEST(VerifyCodec, BundleRejectsCorruption) {
-  const Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
-  VerifyBundle bundle;
-  bundle.loop = a.loop;
-  bundle.machine = a.machine;
-  bundle.schedule = a.schedule;
-  const std::string blob = encode_verify_bundle(bundle);
+  for (const char* name : {"daxpy", "rec2", "lk5_tridiag"}) {
+    const Artifacts a = prepare_clustered(kernel_by_name(name), 4);
+    VerifyBundle bundle;
+    bundle.loop = a.loop;
+    bundle.machine = a.machine;
+    bundle.schedule = a.schedule;
+    bundle.has_allocation = true;
+    bundle.allocation = a.allocation;
+    bundle.must_fit = a.fits;
+    const std::string blob = encode_verify_bundle(bundle);
 
-  EXPECT_THROW((void)decode_verify_bundle(std::string()), Error);
-  EXPECT_THROW((void)decode_verify_bundle(blob.substr(0, blob.size() / 2)), Error);
-  std::string flipped = blob;
-  flipped[0] ^= 0x5a;  // magic
-  EXPECT_THROW((void)decode_verify_bundle(flipped), Error);
+    for (std::size_t size = 0; size < blob.size(); ++size) {
+      EXPECT_THROW((void)decode_verify_bundle(blob.substr(0, size)), Error) << name << " " << size;
+    }
+    int judged = 0;
+    for (std::size_t at = 0; at < blob.size(); ++at) {
+      for (const unsigned char mask : {0x01, 0x7f, 0x80, 0xff}) {
+        std::string mutant = blob;
+        mutant[at] = static_cast<char>(static_cast<unsigned char>(mutant[at]) ^ mask);
+        const std::string where = cat(name, ": byte ", at, " ^ ", static_cast<int>(mask));
+        VerifyBundle decoded;
+        try {
+          decoded = decode_verify_bundle(mutant);
+        } catch (const Error&) {
+          continue;  // rejected
+        } catch (const std::exception& error) {
+          ADD_FAILURE() << where << ": decoder threw " << error.what();
+          continue;
+        }
+        try {
+          (void)verify_bundle(decoded);
+          ++judged;
+        } catch (const std::exception& error) {
+          ADD_FAILURE() << where << ": verify_bundle threw " << error.what();
+        }
+      }
+    }
+    EXPECT_GT(judged, 0) << name;  // some mutants must reach the verifier
+  }
 }
 
 TEST(VerifyCodec, V1BundleDecodesAsRingAndVerifies) {
@@ -423,7 +457,7 @@ TEST(VerifyCodec, TamperedBundleFailsVerification) {
   EXPECT_TRUE(report.has_rule(VerifyRule::kQueueLifetime)) << report.summary(0);
 }
 
-// --- pipeline + sweep wiring ----------------------------------------------
+// --- pipeline wiring -------------------------------------------------------
 
 TEST(VerifyStage, PolicyControlsChecking) {
   const Loop loop = kernel_by_name("daxpy");
@@ -447,48 +481,6 @@ TEST(VerifyStage, PolicyControlsChecking) {
   const LoopResult strict_result = run_pipeline(loop, machine, strict);
   EXPECT_TRUE(strict_result.ok) << strict_result.failure;
   EXPECT_TRUE(strict_result.verify_checked);
-}
-
-TEST(SweepVerify, FullModeChecksEveryCell) {
-  const std::vector<Loop> corpus = kernel_corpus();
-  const std::vector<Loop> loops(corpus.begin(), corpus.begin() + 6);
-  std::vector<SweepPoint> points;
-  points.push_back({"single-6", MachineConfig::single_cluster_machine(6), PipelineOptions{}});
-
-  SweepOptions options;
-  options.verify_mode = SweepVerifyMode::kFull;
-  const SweepResult sweep = SweepRunner(options).run(loops, points);
-  ASSERT_EQ(sweep.by_point.size(), 1u);
-  for (const LoopResult& r : sweep.by_point[0]) {
-    if (r.ok) EXPECT_TRUE(r.verify_checked) << r.name;
-    EXPECT_EQ(r.verify_violations, 0) << r.name;
-  }
-  EXPECT_EQ(sweep.verify_violations(), 0u);
-  EXPECT_GT(sweep.verify_checked(), 0u);
-
-  SweepOptions off;
-  const SweepResult unchecked = SweepRunner(off).run(loops, points);
-  EXPECT_EQ(unchecked.verify_checked(), 0u);
-}
-
-TEST(SweepVerify, SamplingIsDeterministic) {
-  const std::vector<Loop> corpus = kernel_corpus();
-  const std::vector<Loop> loops(corpus.begin(), corpus.begin() + 8);
-  std::vector<SweepPoint> points;
-  points.push_back({"single-6", MachineConfig::single_cluster_machine(6), PipelineOptions{}});
-
-  SweepOptions options;
-  options.verify_mode = SweepVerifyMode::kSample;
-  options.verify_sample_rate = 2;
-  const SweepResult first = SweepRunner(options).run(loops, points);
-  const SweepResult second = SweepRunner(options).run(loops, points);
-  ASSERT_EQ(first.by_point[0].size(), second.by_point[0].size());
-  for (std::size_t i = 0; i < first.by_point[0].size(); ++i) {
-    EXPECT_EQ(first.by_point[0][i].verify_checked, second.by_point[0][i].verify_checked)
-        << loops[i].name;
-  }
-  EXPECT_LE(first.verify_checked(), loops.size());
-  EXPECT_EQ(first.verify_violations(), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@ Compares a fresh perf_micro run against the committed baseline and fails
 (exit 1) when:
 
   - the fresh run reports results_identical: false,
-    warm_iis_never_worse: false, checkpoint_results_identical: false,
     parallel_results_identical: false, or mii_optimal_identical: false —
     correctness signals, never tolerable;
   - the fresh run's scheduling-search telemetry is malformed: the
@@ -17,21 +16,19 @@ Compares a fresh perf_micro run against the committed baseline and fails
     run proves fewer MII-optimal schedules than the baseline did
     (sched_mii_optimal must never regress — optimality is an outcome,
     not a measurement);
+  - a run verified no artifacts or reports legality violations;
   - the cached sweep's loops_per_second is more than `tolerance` slower;
-  - the warm sweep's backend_loops_per_second (back-end-only throughput,
-    the figure warm starting improves) is more than `tolerance` slower;
-  - the warm sweep's warm_start_hit_rate dropped by more than 0.10
-    absolute vs the baseline (the budget-ladder seeding stopped landing);
   - the fresh run used 2+ workers on a machine with 2+ hardware threads
     but parallel_speedup fell below the --speedup-floor (default 1.5):
     the thread pool stopped paying for itself.  Single-threaded runs and
     single-core machines skip this floor — there is no parallelism to
     measure — but never the identity checks;
   - a gated pipeline stage (uncached copy_insert / schedule / queue_alloc,
-    warm verify) ran slower than the baseline's stage_seconds by more
-    than --stage-tolerance (default 0.50) plus a small absolute slack
-    that absorbs jitter on sub-50ms stages.  Baselines predating the
-    stage_seconds schema skip these gates with an info line.
+    cached schedule / verify) ran slower than the baseline's
+    stage_seconds by more than --stage-tolerance (default 0.50) plus a
+    small absolute slack that absorbs jitter on sub-50ms stages.
+    Baselines predating the stage_seconds schema skip these gates with
+    an info line.
 
 With --scaling, a fresh sweep_scaling run is additionally gated: every
 worker count must be fingerprint-identical to the serial run
@@ -71,7 +68,7 @@ def require(obj, source, *path):
             raise SchemaError(
                 f"{source} missing field {'.'.join(walked)} — regenerate it "
                 "with the current perf_micro (for the committed baseline: "
-                "delete .qvliw-store, run perf_micro, commit the fresh "
+                "run perf_micro on the release preset and commit the fresh "
                 "BENCH_pipeline.json)"
             )
         obj = obj[key]
@@ -80,14 +77,14 @@ def require(obj, source, *path):
 
 # The per-stage wall-time gates: (run, stage) pairs whose stage_seconds
 # must not regress past the stage tolerance.  The uncached run exposes the
-# cold front end (copy insertion dominates it); the warm run exposes the
+# cold front end (copy insertion dominates it); the cached run exposes the
 # memoized verifier.
 STAGE_GATES = (
     ("uncached", "copy_insert"),
     ("uncached", "schedule"),
     ("uncached", "queue_alloc"),
     ("cached", "schedule"),
-    ("warm", "verify"),
+    ("cached", "verify"),
 )
 
 # Absolute slack added to every stage ceiling: sub-50ms stages are all
@@ -148,19 +145,9 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
         print("FAIL: fresh run reports results_identical: false (cache correctness bug)")
         return 1
 
-    if not fresh.get("warm_iis_never_worse", True):
-        print("FAIL: fresh run reports warm_iis_never_worse: false "
-              "(warm-started scheduling degraded an II)")
-        return 1
-
     # Required in the fresh file (the current perf_micro always emits it);
     # a missing field means the fresh artifact was not produced by the
     # current binary.
-    if not require(fresh, "fresh", "checkpoint_results_identical"):
-        print("FAIL: fresh run reports checkpoint_results_identical: false "
-              "(checkpoint replay diverged from the uninterrupted sweep)")
-        return 1
-
     if not require(fresh, "fresh", "parallel_results_identical"):
         print("FAIL: fresh run reports parallel_results_identical: false "
               "(multi-threaded sweep diverged from the serial sweep)")
@@ -175,7 +162,7 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
     # Scheduling-search telemetry: the memo counters must exist in every
     # fresh run (absent means the artifact predates the ladder memo), and
     # the MII-optimality bit must be internally consistent.
-    for run_name in ("uncached", "cached", "warm"):
+    for run_name in ("uncached", "cached"):
         require(fresh, "fresh", run_name, "sched_memo_probes")
         require(fresh, "fresh", run_name, "sched_memo_hits")
         if not require(fresh, "fresh", run_name, "mii_optimal_ii_consistent"):
@@ -201,8 +188,8 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
 
     # Translation validation: perf_micro runs every sweep under the strict
     # independent verifier, so a fresh artifact must show work checked and
-    # zero violations on both the cold (cached) and warm runs.
-    for run_name in ("cached", "warm"):
+    # zero violations on both the uncached and cached runs.
+    for run_name in ("uncached", "cached"):
         checked = require(fresh, "fresh", run_name, "verify_checked")
         violations = require(fresh, "fresh", run_name, "verify_violations")
         if checked <= 0:
@@ -213,8 +200,8 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
             print(f"FAIL: fresh {run_name} run reports {violations} legality "
                   "violation(s) (the back end emitted an illegal artifact)")
             return 1
-    print(f"OK: legality verifier checked {fresh['cached']['verify_checked']} cold / "
-          f"{fresh['warm']['verify_checked']} warm artifact bundles, 0 violations")
+    print(f"OK: legality verifier checked {fresh['uncached']['verify_checked']} uncached / "
+          f"{fresh['cached']['verify_checked']} cached artifact bundles, 0 violations")
 
     # The speedup floor only means something when the run was actually
     # parallel on actual parallel hardware; the identity checks above
@@ -237,14 +224,6 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
             f"{hardware} hardware thread(s))"
         )
 
-    if require(baseline, "baseline", "cached").get("disk_hits", 0) > 0:
-        print(
-            "FAIL: committed baseline was generated with a warm artifact store "
-            f"(disk_hits {baseline['cached']['disk_hits']}); its throughput is inflated. "
-            "Regenerate it from a cold store (delete .qvliw-store first)."
-        )
-        return 1
-
     base_lps = require(baseline, "baseline", "cached", "loops_per_second")
     fresh_lps = require(fresh, "fresh", "cached", "loops_per_second")
     floor = base_lps * (1.0 - tolerance)
@@ -257,45 +236,12 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
         print("throughput regressed beyond tolerance; investigate or regenerate the baseline")
         return 1
 
-    base_warm = baseline.get("warm", {})
-    fresh_warm = fresh.get("warm", {})
-    if base_warm and fresh_warm:
-        base_blps = base_warm.get("backend_loops_per_second", 0.0)
-        fresh_blps = fresh_warm.get("backend_loops_per_second", 0.0)
-        bfloor = base_blps * (1.0 - tolerance)
-        verdict = "OK" if fresh_blps >= bfloor else "FAIL"
-        print(
-            f"{verdict}: warm backend loops/sec {fresh_blps:.1f} vs baseline {base_blps:.1f} "
-            f"(floor {bfloor:.1f} at tolerance {tolerance:.0%})"
-        )
-        if fresh_blps < bfloor:
-            print("warm back-end throughput regressed beyond tolerance")
-            return 1
-
-        base_rate = base_warm.get("warm_start_hit_rate", 0.0)
-        fresh_rate = fresh_warm.get("warm_start_hit_rate", 0.0)
-        if fresh_rate < base_rate - 0.10:
-            print(
-                f"FAIL: warm_start_hit_rate {fresh_rate:.1%} dropped more than 10 points "
-                f"below baseline {base_rate:.1%} (ladder seeding stopped landing)"
-            )
-            return 1
-        print(f"OK: warm_start_hit_rate {fresh_rate:.1%} (baseline {base_rate:.1%})")
-
     if check_stages(baseline, fresh, stage_tolerance) != 0:
         return 1
 
-    speedup = fresh.get("cache_speedup", 0.0)
-    replay = fresh.get("checkpoint_replay", {})
-    if not isinstance(replay, dict):
-        replay = {}
-    print(f"info: cache speedup {speedup:.2f}x, "
-          f"warm backend speedup {fresh.get('warm_backend_speedup', 0.0):.2f}x, "
-          f"disk hit rate {fresh['cached'].get('disk_hit_rate', 0.0):.1%}, "
-          f"schedule-store hits {fresh['warm'].get('sched_disk_hits', 0) if isinstance(fresh.get('warm'), dict) else 0}, "
+    print(f"info: cache speedup {fresh.get('cache_speedup', 0.0):.2f}x, "
           f"naive probe fallbacks {fresh['cached'].get('unroll_probe_naive_fallbacks', 0)}, "
-          f"checkpoint replay {replay.get('tasks_replayed', 0)} task(s) / "
-          f"{replay.get('journal_bytes', 0)} journal bytes")
+          f"fingerprint {fresh.get('fingerprint', '?')}")
     return 0
 
 

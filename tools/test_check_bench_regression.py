@@ -18,54 +18,35 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_bench_regression as gate  # noqa: E402
 
 
-def bench_json(cached_lps=100.0, warm_blps=500.0, warm_rate=0.9, disk_hits=0,
-               identical=True, never_worse=True, checkpoint_identical=True,
-               workers=1, hardware=1, parallel_speedup=1.0,
-               parallel_identical=True, verify_checked=48, verify_violations=0,
-               mii_identical=True, mii_consistent=True, mii_optimal=40):
-    sched_memo = {
-        "sched_memo_probes": 24,
-        "sched_memo_hits": 8,
-        "mii_optimal_ii_consistent": mii_consistent,
-    }
+def bench_json(cached_lps=100.0, identical=True, workers=1, hardware=1,
+               parallel_speedup=1.0, parallel_identical=True, verify_checked=48,
+               verify_violations=0, mii_identical=True, mii_consistent=True,
+               mii_optimal=40):
     return {
         "results_identical": identical,
-        "warm_iis_never_worse": never_worse,
-        "checkpoint_results_identical": checkpoint_identical,
         "parallel_results_identical": parallel_identical,
         "mii_optimal_identical": mii_identical,
         "workers": workers,
         "hardware_threads": hardware,
+        "fingerprint": "acac708db670f08d",
         "cache_speedup": 5.0,
         "parallel_speedup": parallel_speedup,
-        "warm_backend_speedup": 1.2,
         "uncached": {
             "sched_memo_probes": 0,
             "sched_memo_hits": 0,
             "mii_optimal_ii_consistent": mii_consistent,
+            "verify_checked": verify_checked,
+            "verify_violations": verify_violations,
         },
         "cached": {
             "loops_per_second": cached_lps,
-            "disk_hits": disk_hits,
-            "disk_hit_rate": 0.0,
             "unroll_probe_naive_fallbacks": 0,
             "verify_checked": verify_checked,
             "verify_violations": verify_violations,
             "sched_mii_optimal": mii_optimal,
-            **sched_memo,
-        },
-        "warm": {
-            "backend_loops_per_second": warm_blps,
-            "warm_start_hit_rate": warm_rate,
-            "sched_disk_hits": 0,
-            "verify_checked": verify_checked,
-            "verify_violations": verify_violations,
-            **sched_memo,
-        },
-        "checkpoint_replay": {
-            "tasks_replayed": 48,
-            "tasks_executed": 0,
-            "journal_bytes": 12345,
+            "sched_memo_probes": 24,
+            "sched_memo_hits": 8,
+            "mii_optimal_ii_consistent": mii_consistent,
         },
     }
 
@@ -113,23 +94,6 @@ class GateVerdicts(unittest.TestCase):
         code, out = run_gate(bench_json(), fresh)
         self.assertEqual(code, 0, out)
 
-    def test_degraded_warm_ii_fails(self):
-        code, out = run_gate(bench_json(), bench_json(never_worse=False))
-        self.assertEqual(code, 1)
-        self.assertIn("warm_iis_never_worse", out)
-
-    def test_checkpoint_divergence_fails(self):
-        code, out = run_gate(bench_json(), bench_json(checkpoint_identical=False))
-        self.assertEqual(code, 1)
-        self.assertIn("checkpoint_results_identical", out)
-
-    def test_fresh_missing_checkpoint_field_fails(self):
-        fresh = bench_json()
-        del fresh["checkpoint_results_identical"]
-        code, out = run_gate(bench_json(), fresh)
-        self.assertEqual(code, 1)
-        self.assertIn("fresh missing field checkpoint_results_identical", out)
-
     def test_verify_violations_fail(self):
         code, out = run_gate(bench_json(), bench_json(verify_violations=2))
         self.assertEqual(code, 1)
@@ -143,37 +107,22 @@ class GateVerdicts(unittest.TestCase):
 
     def test_fresh_missing_verify_counters_fails(self):
         fresh = bench_json()
-        del fresh["warm"]["verify_checked"]
+        del fresh["cached"]["verify_checked"]
         code, out = run_gate(bench_json(), fresh)
         self.assertEqual(code, 1)
-        self.assertIn("fresh missing field warm.verify_checked", out)
+        self.assertIn("fresh missing field cached.verify_checked", out)
 
-    def test_warm_only_violations_fail(self):
+    def test_cached_only_violations_fail(self):
         fresh = bench_json()
-        fresh["warm"]["verify_violations"] = 1
+        fresh["cached"]["verify_violations"] = 1
         code, out = run_gate(bench_json(), fresh)
         self.assertEqual(code, 1)
-        self.assertIn("warm run reports 1 legality", out)
-
-    def test_warm_baseline_rejected(self):
-        code, out = run_gate(bench_json(disk_hits=3), bench_json())
-        self.assertEqual(code, 1)
-        self.assertIn("warm artifact store", out)
+        self.assertIn("cached run reports 1 legality", out)
 
     def test_throughput_regression_fails(self):
         code, out = run_gate(bench_json(cached_lps=100.0), bench_json(cached_lps=60.0))
         self.assertEqual(code, 1)
         self.assertIn("FAIL: cached loops/sec", out)
-
-    def test_warm_backend_regression_fails(self):
-        code, out = run_gate(bench_json(warm_blps=500.0), bench_json(warm_blps=300.0))
-        self.assertEqual(code, 1)
-        self.assertIn("warm backend loops/sec", out)
-
-    def test_warm_hit_rate_drop_fails(self):
-        code, out = run_gate(bench_json(warm_rate=0.95), bench_json(warm_rate=0.5))
-        self.assertEqual(code, 1)
-        self.assertIn("warm_start_hit_rate", out)
 
     def test_jitter_within_tolerance_passes(self):
         code, out = run_gate(bench_json(cached_lps=100.0), bench_json(cached_lps=80.0))
@@ -225,16 +174,16 @@ class SchedTelemetryVerdicts(unittest.TestCase):
         self.assertIn("sched_mii_optimal gate skipped", out)
 
 
-def with_stages(bench, uncached_stages=None, warm_stages=None):
+def with_stages(bench, uncached_stages=None, cached_stages=None):
     """Returns `bench` with stage_seconds sections attached."""
-    bench.setdefault("uncached", {})["stage_seconds"] = dict(
+    bench["uncached"]["stage_seconds"] = dict(
         uncached_stages
         if uncached_stages is not None
         else {"invariants": 0.1, "unroll": 0.3, "copy_insert": 1.0,
               "schedule": 0.8, "queue_alloc": 0.4, "sim": 0.2, "verify": 0.9}
     )
-    bench["warm"]["stage_seconds"] = dict(
-        warm_stages if warm_stages is not None else {"schedule": 0.5, "verify": 0.3}
+    bench["cached"]["stage_seconds"] = dict(
+        cached_stages if cached_stages is not None else {"schedule": 0.5, "verify": 0.3}
     )
     return bench
 
@@ -246,7 +195,7 @@ class StageGates(unittest.TestCase):
         code, out = run_gate(with_stages(bench_json()), with_stages(bench_json()))
         self.assertEqual(code, 0, out)
         self.assertIn("OK: uncached copy_insert stage", out)
-        self.assertIn("OK: warm verify stage", out)
+        self.assertIn("OK: cached verify stage", out)
 
     def test_cold_copy_insert_regression_fails(self):
         fresh = with_stages(bench_json())
@@ -255,12 +204,12 @@ class StageGates(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("FAIL: uncached copy_insert stage", out)
 
-    def test_warm_verify_regression_fails(self):
+    def test_cached_verify_regression_fails(self):
         fresh = with_stages(bench_json())
-        fresh["warm"]["stage_seconds"]["verify"] = 0.9
+        fresh["cached"]["stage_seconds"]["verify"] = 0.9
         code, out = run_gate(with_stages(bench_json()), fresh)
         self.assertEqual(code, 1)
-        self.assertIn("FAIL: warm verify stage", out)
+        self.assertIn("FAIL: cached verify stage", out)
 
     def test_stage_jitter_within_tolerance_passes(self):
         fresh = with_stages(bench_json())
@@ -270,8 +219,8 @@ class StageGates(unittest.TestCase):
 
     def test_tiny_stage_absorbed_by_absolute_slack(self):
         # 3x relative growth on a 10ms stage stays under the absolute slack.
-        base = with_stages(bench_json(), warm_stages={"verify": 0.01})
-        fresh = with_stages(bench_json(), warm_stages={"verify": 0.03})
+        base = with_stages(bench_json(), cached_stages={"verify": 0.01})
+        fresh = with_stages(bench_json(), cached_stages={"verify": 0.03})
         code, out = run_gate(base, fresh)
         self.assertEqual(code, 0, out)
 
@@ -287,21 +236,19 @@ class StageGates(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("fresh missing field uncached.stage_seconds", out)
 
-    def test_cached_schedule_stage_gate_armed_by_baseline(self):
-        base = with_stages(bench_json())
-        base["cached"]["stage_seconds"] = {"schedule": 0.2}
-        fresh = with_stages(bench_json())
-        fresh["cached"]["stage_seconds"] = {"schedule": 0.9}
+    def test_cached_schedule_stage_regression_fails(self):
+        base = with_stages(bench_json(), cached_stages={"schedule": 0.2})
+        fresh = with_stages(bench_json(), cached_stages={"schedule": 0.9})
         code, out = run_gate(base, fresh)
         self.assertEqual(code, 1)
         self.assertIn("FAIL: cached schedule stage", out)
 
     def test_stage_absent_from_fresh_counts_as_zero(self):
-        # The warm run legitimately skips stages the memo elided entirely.
-        fresh = with_stages(bench_json(), warm_stages={"schedule": 0.5})
+        # A stage that never ran took no time.
+        fresh = with_stages(bench_json(), cached_stages={"schedule": 0.5})
         code, out = run_gate(with_stages(bench_json()), fresh)
         self.assertEqual(code, 0, out)
-        self.assertIn("OK: warm verify stage 0.000s", out)
+        self.assertIn("OK: cached verify stage 0.000s", out)
 
     def test_custom_stage_tolerance_applies(self):
         base = with_stages(bench_json())
@@ -442,15 +389,6 @@ class StaleSchemas(unittest.TestCase):
         code, out = run_gate(bench_json(), fresh)
         self.assertEqual(code, 1)
         self.assertIn("fresh missing field cached", out)
-
-    def test_pre_warm_schema_baseline_still_gates_cached(self):
-        # A baseline without the "warm" section (pre-PR-3 schema) skips the
-        # warm comparisons but still gates cached throughput.
-        baseline = bench_json()
-        del baseline["warm"]
-        code, out = run_gate(baseline, bench_json())
-        self.assertEqual(code, 0, out)
-        self.assertNotIn("warm backend loops/sec", out)
 
 
 class MainEntry(unittest.TestCase):
