@@ -121,14 +121,8 @@ void write_run(std::ostream& os, const char* name, const SweepResult& sweep) {
      << "    \"cache_hits\": " << sweep.cache.hits() << ",\n"
      << "    \"sched_memo_probes\": " << sweep.cache.sched_memo_probes << ",\n"
      << "    \"sched_memo_hits\": " << sweep.cache.sched_memo_hits << ",\n"
-     << "    \"unroll_probe_factors\": " << sweep.cache.probe_factors << ",\n"
-     << "    \"unroll_probe_naive_fallbacks\": " << sweep.cache.probe_fallbacks << ",\n"
      << "    \"verify_checked\": " << sweep.verify_checked() << ",\n"
      << "    \"verify_violations\": " << sweep.verify_violations() << ",\n"
-     << "    \"verify_memo_probes\": " << sweep.cache.verify_memo_probes << ",\n"
-     << "    \"verify_memo_hits\": " << sweep.cache.verify_memo_hits << ",\n"
-     << "    \"alloc_memo_probes\": " << sweep.cache.alloc_memo_probes << ",\n"
-     << "    \"alloc_memo_hits\": " << sweep.cache.alloc_memo_hits << ",\n"
      << "    \"sched_placements\": " << telemetry.placements << ",\n"
      << "    \"sched_evictions\": " << telemetry.evictions << ",\n"
      << "    \"sched_forced\": " << telemetry.forced << ",\n"

@@ -6,9 +6,7 @@
 #include "cluster/route.h"
 #include "qrf/rf_alloc.h"
 #include "sim/vliwsim.h"
-#include "support/blob.h"
 #include "support/diagnostics.h"
-#include "support/rng.h"
 #include "support/strings.h"
 #include "verify/verify.h"
 #include "xform/copy_insert.h"
@@ -106,44 +104,9 @@ bool ScheduleStage::run(PipelineContext& ctx) {
   return true;
 }
 
-namespace {
-
-/// Content hash of the artifact bundle the back end is about to commit to:
-/// the working loop, the machine (its signature already folds the latency
-/// model), and the schedule bytes.  Queue allocation and verification are
-/// pure functions of this bundle, so it is the memo key for both.
-std::uint64_t artifact_hash(const PipelineContext& ctx) {
-  BlobWriter out;
-  serialize_schedule(out, ctx.sched.schedule);
-  std::uint64_t key = hash_combine(hash64(0xa27fULL), ctx.loop.content_hash());
-  key = hash_combine(key, ctx.machine->signature());
-  return hash_combine(key, hash_bytes(out.take()));
-}
-
-/// allocate_queues through the task memo (when one is attached); records
-/// the bundle's content hash in ctx.artifact_key as a side effect, so the
-/// last call — the accepted schedule — leaves the key VerifyStage needs.
-QueueAllocation memoized_allocate(PipelineContext& ctx) {
-  if (ctx.memo == nullptr) {
-    return allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-  }
-  ctx.artifact_key = artifact_hash(ctx);
-  ++ctx.memo->alloc_probes;
-  if (auto it = ctx.memo->alloc.find(ctx.artifact_key); it != ctx.memo->alloc.end()) {
-    ++ctx.memo->alloc_hits;
-    return it->second;
-  }
-  QueueAllocation allocation =
-      allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-  ctx.memo->alloc.emplace(ctx.artifact_key, allocation);
-  return allocation;
-}
-
-}  // namespace
-
 bool QueueAllocStage::run(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
-  ctx.allocation = memoized_allocate(ctx);
+  ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
   result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
   if (ctx.options->enforce_queue_limits) {
     // Escalate the II until the allocation fits the machine's queues.
@@ -159,7 +122,7 @@ bool QueueAllocStage::run(PipelineContext& ctx) {
       // Provenance tracks the accepted schedule: a retry that searched
       // replaces a warm install (and vice versa).
       ctx.result.warm_started = ctx.sched.warm_started;
-      ctx.allocation = memoized_allocate(ctx);
+      ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
       result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
     }
     if (!result.fits_machine_queues) {
@@ -212,37 +175,14 @@ bool VerifyStage::run(PipelineContext& ctx) {
   // pipeline reported a fitting allocation must queues/depths check out.
   const bool check_fanout = ctx.options->insert_copies;
   const bool must_fit = ctx.result.fits_machine_queues;
-  int violations = 0;
-  std::string summary;
-  const auto run_verifier = [&] {
-    const VerifyReport report = verify_artifacts(ctx.loop, *ctx.graph, *ctx.machine,
-                                                 ctx.sched.schedule, &ctx.allocation, check_fanout,
-                                                 must_fit);
-    violations = report.violations();
-    if (violations > 0) summary = report.summary();
-  };
-  if (ctx.memo != nullptr) {
-    // The allocation is a pure function of the bundle QueueAllocStage
-    // hashed into artifact_key, so (key, flags) fully determines the
-    // verdict — replay it instead of re-simulating the FIFOs.
-    const std::uint64_t key = hash_combine(
-        ctx.artifact_key, hash64((check_fanout ? 0x2ULL : 0x0ULL) | (must_fit ? 0x1ULL : 0x0ULL)));
-    ++ctx.memo->verify_probes;
-    if (auto it = ctx.memo->verify.find(key); it != ctx.memo->verify.end()) {
-      ++ctx.memo->verify_hits;
-      violations = it->second.violations;
-      summary = it->second.summary;
-    } else {
-      run_verifier();
-      ctx.memo->verify.emplace(key, TaskMemo::VerifyOutcome{violations, summary});
-    }
-  } else {
-    run_verifier();
-  }
+  const VerifyReport report = verify_artifacts(ctx.loop, *ctx.graph, *ctx.machine,
+                                               ctx.sched.schedule, &ctx.allocation, check_fanout,
+                                               must_fit);
+  const int violations = report.violations();
   ctx.result.verify_checked = true;
   ctx.result.verify_violations = violations;
   if (violations > 0 && ctx.options->verify == VerifyPolicy::kStrict) {
-    ctx.result.failure = cat("legality verification failed: ", summary);
+    ctx.result.failure = cat("legality verification failed: ", report.summary());
     return false;
   }
   return true;

@@ -17,11 +17,8 @@
 // `run_pipeline` is the degenerate case: full plan, no injected artifacts.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/pipeline.h"
@@ -30,41 +27,6 @@
 #include "sched/mii.h"
 
 namespace qvliw {
-
-/// Content-hash memo of back-end artifacts, owned by one sweep task (one
-/// loop, all sweep points).  Queue allocation and verification are pure
-/// functions of the artifact bundle, so each unique
-/// (loop, machine, schedule) — plus the verify flags — is computed once per
-/// task; repeats (e.g. budget-ladder points that accept the same schedule)
-/// replay the memoized outcome.  The probe/hit counters fold into the
-/// task's SweepCacheStats when the task ends.
-struct TaskMemo {
-  struct VerifyOutcome {
-    int violations = 0;
-    std::string summary;  // non-empty only when violations > 0
-  };
-  /// A schedule a sibling budget-ladder point accepted at II == MII,
-  /// keyed by (front prefix, machine signature, backend key *excluding*
-  /// the budget axis).  An MII schedule cannot be beaten, so any same-key
-  /// point whose budget is at least the publisher's installs it outright
-  /// instead of re-searching — the cold attempt at MII is deterministic
-  /// and completes within the publisher's (smaller) budget, so the
-  /// installed schedule is bit-identical to what the skipped search would
-  /// have produced.
-  struct SchedEntry {
-    WarmStartSeed seed;
-    int budget_ratio = 0;  // smallest budget that proved the MII schedule
-  };
-  std::unordered_map<std::uint64_t, QueueAllocation> alloc;
-  std::unordered_map<std::uint64_t, VerifyOutcome> verify;
-  std::unordered_map<std::uint64_t, SchedEntry> sched;
-  std::uint64_t alloc_probes = 0;
-  std::uint64_t alloc_hits = 0;
-  std::uint64_t verify_probes = 0;
-  std::uint64_t verify_hits = 0;
-  std::uint64_t sched_probes = 0;
-  std::uint64_t sched_hits = 0;
-};
 
 /// Artifact bundle flowing through the stage graph for one loop + one
 /// sweep point.
@@ -85,14 +47,6 @@ struct PipelineContext {
                                         // MII-optimality memo (may be null)
   ImsResult sched;
   QueueAllocation allocation;
-
-  /// Optional per-task artifact memo (set by the sweep runner's cached
-  /// path).  When present, QueueAllocStage computes `artifact_key` — the
-  /// content hash of (loop, machine, schedule) for the accepted schedule —
-  /// and both allocation and verification consult the memo before
-  /// recomputing.
-  TaskMemo* memo = nullptr;
-  std::uint64_t artifact_key = 0;
 
   LoopResult result;
 };

@@ -4,16 +4,14 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/stage.h"
 #include "sched/mii.h"
-#include "support/diagnostics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
-#include "xform/unroll.h"
 
 namespace qvliw {
 
@@ -23,23 +21,16 @@ double SweepCacheStats::hit_rate() const {
 }
 
 SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
-  invariant_probes += other.invariant_probes;
-  invariant_hits += other.invariant_hits;
-  unroll_probes += other.unroll_probes;
-  unroll_hits += other.unroll_hits;
   front_probes += other.front_probes;
   front_hits += other.front_hits;
   mii_probes += other.mii_probes;
   mii_hits += other.mii_hits;
-  probe_factors += other.probe_factors;
-  probe_fallbacks += other.probe_fallbacks;
+  sched_memo_probes += other.sched_memo_probes;
+  sched_memo_hits += other.sched_memo_hits;
   verify_memo_probes += other.verify_memo_probes;
   verify_memo_hits += other.verify_memo_hits;
   alloc_memo_probes += other.alloc_memo_probes;
   alloc_memo_hits += other.alloc_memo_hits;
-  sched_memo_probes += other.sched_memo_probes;
-  sched_memo_hits += other.sched_memo_hits;
-  fallback_runs += other.fallback_runs;
   return *this;
 }
 
@@ -86,8 +77,7 @@ double seconds_since(Clock::time_point start) {
 //
 // A sweep point's front-end artifacts are a pure function of the options
 // *prefix* (plus the machine where the prefix consults it), hashed level
-// by level so points sharing a shorter prefix still share the shallower
-// artifacts.
+// by level (invariants, unroll, copies) into one front key.
 //
 // Every branch hashes its tag and its parameters as *separate* combine
 // steps.  Additive salts (e.g. 0x3300 + factor vs 0x4400 + max_unroll)
@@ -121,132 +111,58 @@ std::uint64_t front_key(std::uint64_t k2, const PipelineOptions& options,
                       latency_signature(machine.latency));
 }
 
-// --- per-loop artifact cache ----------------------------------------------
-
-struct UnrollEntry {
-  std::shared_ptr<const Loop> loop;
-  int factor = 1;
-  std::shared_ptr<const Ddg> graph;  // the unrolled loop's DDG, when the
-                                     // factor probe already built it
-};
+// --- per-task caches ------------------------------------------------------
 
 struct FrontEntry {
-  bool ok = false;   // false: a transform failed; `failed_result` replays
-                     // the canonical failing LoopResult for every point
-  Loop loop;         // copy-inserted scheduler input
-  int copies = 0;
-  int factor = 1;
+  Loop loop;  // copy-inserted scheduler input
   std::shared_ptr<const Ddg> graph;
+  LoopResult result;  // the front plan's result; when !result.ok, the
+                      // canonical failing LoopResult replayed for every
+                      // point (stage_times cleared; its cost is charged once)
   std::map<std::uint64_t, MiiInfo> mii;  // machine signature -> bounds
-  LoopResult failed_result;  // when !ok: bit-identical to what the
-                             // monolithic pipeline reports (stage_times
-                             // cleared; its cost is charged once)
 };
 
-struct LoopCache {
-  std::map<std::uint64_t, std::shared_ptr<const Loop>> invariant;
-  std::map<std::uint64_t, UnrollEntry> unrolled;
+/// A schedule a sibling budget-ladder point accepted at II == MII, keyed
+/// by (front prefix, machine signature, backend key *excluding* the budget
+/// axis).  An MII schedule cannot be beaten, so any same-key point whose
+/// budget is at least the publisher's installs it outright instead of
+/// re-searching — the cold attempt at MII is deterministic and completes
+/// within the publisher's (smaller) budget, so the installed schedule is
+/// bit-identical to what the skipped search would have produced.
+struct SchedEntry {
+  WarmStartSeed seed;
+  int budget_ratio = 0;  // smallest budget that proved the MII schedule
+};
+
+/// The two caches one sweep task (one loop, every point) keeps.
+struct TaskCache {
   std::map<std::uint64_t, FrontEntry> front;
+  std::unordered_map<std::uint64_t, SchedEntry> sched;  // MII-optimality memo
 };
 
 // Front-end wall time indexed as: invariants, unroll, copy_insert, mii.
 using FrontSeconds = std::array<double, 4>;
 
+/// The front end of one (loop, prefix): run through the front stage plan
+/// once, then replayed — artifacts or canonical failure — for every point
+/// sharing the prefix.
 FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPrefixKeys& keys,
-                      LoopCache& cache, SweepCacheStats& stats, FrontSeconds& seconds) {
+                      TaskCache& cache, SweepCacheStats& stats, FrontSeconds& seconds) {
   ++stats.front_probes;
   if (auto it = cache.front.find(keys.front); it != cache.front.end()) {
     ++stats.front_hits;
     return it->second;
   }
 
-  FrontEntry entry;
-  try {
-    // Invariants.
-    std::shared_ptr<const Loop> after_invariants;
-    ++stats.invariant_probes;
-    if (auto it = cache.invariant.find(keys.invariant); it != cache.invariant.end()) {
-      ++stats.invariant_hits;
-      after_invariants = it->second;
-    } else {
-      const Clock::time_point start = Clock::now();
-      after_invariants = std::make_shared<const Loop>(
-          materialize_invariants(source, point.options.invariants));
-      seconds[0] += seconds_since(start);
-      cache.invariant.emplace(keys.invariant, after_invariants);
-    }
-
-    // Unroll.
-    UnrollEntry unrolled;
-    ++stats.unroll_probes;
-    if (auto it = cache.unrolled.find(keys.unroll); it != cache.unrolled.end()) {
-      ++stats.unroll_hits;
-      unrolled = it->second;
-    } else {
-      const Clock::time_point start = Clock::now();
-      unrolled.loop = after_invariants;
-      if (point.options.unroll) {
-        if (point.options.forced_unroll >= 1) {
-          unrolled.factor = point.options.forced_unroll;
-          unrolled.loop = std::make_shared<const Loop>(unroll(*after_invariants, unrolled.factor));
-        } else {
-          // The probe hands back the winner it already materialised (and
-          // its DDG on the naive path) — nothing is unrolled twice.
-          UnrollProbe probe =
-              probe_unroll_factor(*after_invariants, point.machine, point.options.max_unroll);
-          stats.probe_factors += static_cast<std::uint64_t>(probe.factors_probed);
-          if (!probe.incremental) ++stats.probe_fallbacks;
-          unrolled.factor = probe.choice.factor;
-          if (probe.loop != nullptr) unrolled.loop = std::move(probe.loop);
-          unrolled.graph = std::move(probe.graph);
-        }
-      }
-      seconds[1] += seconds_since(start);
-      cache.unrolled.emplace(keys.unroll, unrolled);
-    }
-
-    // Copy insertion + the DDG.
-    const Clock::time_point start = Clock::now();
-    entry.factor = unrolled.factor;
-    if (point.options.insert_copies) {
-      // Fused rewrite + incremental DDG derivation (see
-      // insert_copies_with_graph): same loop and graph as the two-step
-      // path, without recomputing memory dependences on the bigger loop.
-      CopyInsertWithGraph fused =
-          insert_copies_with_graph(*unrolled.loop, point.machine.latency, point.options.copy_shape);
-      entry.copies = fused.rewrite.copies_added;
-      entry.loop = std::move(fused.rewrite.loop);
-      entry.graph = std::make_shared<const Ddg>(std::move(fused.graph));
-    } else {
-      entry.loop = *unrolled.loop;
-      // No copies inserted: the probe's DDG (same loop, same latencies) is
-      // the scheduler's graph already.
-      entry.graph = unrolled.graph != nullptr
-                        ? unrolled.graph
-                        : std::make_shared<const Ddg>(Ddg::build(entry.loop, point.machine.latency));
-    }
-    entry.ok = true;
-    seconds[2] += seconds_since(start);
-  } catch (const Error&) {
-    // Canonicalise the failure once by replaying the front stage plan —
-    // the exact code path the monolithic pipeline takes — so every point
-    // sharing this prefix replays a bit-identical LoopResult instead of
-    // re-running the whole uncached pipeline.  The replay genuinely
-    // re-executes the front stages (including ones the try block above
-    // already ran and charged), so folding its stage times below reports
-    // real CPU spent, paid once per failing prefix.
-    PipelineContext failed(source, point.machine, point.options);
-    run_stages(failed, front_stage_plan());
-    QVLIW_ASSERT(!failed.result.ok, "front prefix failed outside the stage plan");
-    for (const StageTiming& timing : failed.result.stage_times) {
-      if (timing.stage == kStageInvariants) seconds[0] += timing.seconds;
-      if (timing.stage == kStageUnroll) seconds[1] += timing.seconds;
-      if (timing.stage == kStageCopyInsert) seconds[2] += timing.seconds;
-    }
-    failed.result.stage_times.clear();  // charged once via FrontSeconds
-    entry = FrontEntry{};
-    entry.failed_result = std::move(failed.result);
+  PipelineContext ctx(source, point.machine, point.options);
+  run_stages(ctx, front_stage_plan());
+  for (const StageTiming& timing : ctx.result.stage_times) {
+    if (timing.stage == kStageInvariants) seconds[0] += timing.seconds;
+    if (timing.stage == kStageUnroll) seconds[1] += timing.seconds;
+    if (timing.stage == kStageCopyInsert) seconds[2] += timing.seconds;
   }
+  ctx.result.stage_times.clear();  // charged once via FrontSeconds
+  FrontEntry entry{std::move(ctx.loop), std::move(ctx.graph), std::move(ctx.result), {}};
   return cache.front.emplace(keys.front, std::move(entry)).first->second;
 }
 
@@ -264,44 +180,37 @@ MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKey
   return mii;
 }
 
-/// Runs the back end of one (loop, point) cell on a cached front entry.
-/// The task memo supplies queue allocations and verify verdicts already
-/// computed for identical artifact bundles, and the MII-optimality
-/// short-circuit: a sibling budget-ladder point of this task already
-/// proved an II == MII schedule for the same (front prefix, machine,
-/// budget-less backend key).  Any point with at least the publisher's
-/// budget installs it — the cold search at MII is deterministic and
-/// completes within the publisher's budget, so installing is bit-identical
-/// to searching.
+/// Runs the back end of one (loop, point) cell on a cached front entry,
+/// installing a sibling ladder point's MII-optimal schedule when the
+/// task's MII-optimality memo holds one this point's budget may use.
 LoopResult run_back_end(const Loop& source, const SweepPoint& point,
                         const PipelineOptions& options, const SweepPrefixKeys& keys,
-                        FrontEntry& front, TaskMemo& memo, SweepCacheStats& stats,
+                        FrontEntry& front, TaskCache& cache, SweepCacheStats& stats,
                         FrontSeconds& seconds) {
   PipelineContext ctx(source, point.machine, options);
-  ctx.memo = &memo;
   ctx.loop = front.loop;
   ctx.graph = front.graph;
-  ctx.result.unroll_factor = front.factor;
-  ctx.result.copies = front.copies;
+  ctx.result.unroll_factor = front.result.unroll_factor;
+  ctx.result.copies = front.result.copies;
   if (keys.consumes_cached_mii) ctx.known_mii = mii_for(front, point, keys, stats, seconds);
 
   const int budget = point.options.ims.budget_ratio;
   const std::uint64_t sched_key = hash_combine(keys.front, hash_combine(keys.machine, keys.backend));
   if (keys.supports_warm_start) {
-    ++memo.sched_probes;
-    if (auto it = memo.sched.find(sched_key);
-        it != memo.sched.end() && budget >= it->second.budget_ratio) {
+    ++stats.sched_memo_probes;
+    if (auto it = cache.sched.find(sched_key);
+        it != cache.sched.end() && budget >= it->second.budget_ratio) {
       ctx.seed = &it->second.seed;
     }
   }
   run_stages(ctx, back_stage_plan());
-  if (ctx.result.warm_started) ++memo.sched_hits;
+  if (ctx.result.warm_started) ++stats.sched_memo_hits;
 
   // Publish a proven-optimal accepted schedule (II == MII, post queue-fit
   // escalation) for this task's later ladder siblings, keeping the
   // smallest budget that proved it.
   if (keys.supports_warm_start && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
-    auto [entry, added] = memo.sched.try_emplace(sched_key);
+    auto [entry, added] = cache.sched.try_emplace(sched_key);
     if (added || budget < entry->second.budget_ratio) {
       entry->second.seed = WarmStartSeed{ctx.sched.schedule, ctx.sched.ii};
       entry->second.budget_ratio = budget;
@@ -331,9 +240,8 @@ std::vector<StageTotal> ordered_stage_totals(std::map<std::string, double, std::
 
 SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point) {
   SweepPrefixKeys keys;
-  keys.invariant = invariant_key(point.options);
-  keys.unroll = unroll_key(keys.invariant, point.options, point.machine);
-  keys.front = front_key(keys.unroll, point.options, point.machine);
+  keys.front = front_key(unroll_key(invariant_key(point.options), point.options, point.machine),
+                         point.options, point.machine);
   keys.machine = point.machine.signature();
   const SchedulerBackend* backend =
       find_scheduler_backend(point.options.scheduler, point.options.backend);
@@ -385,34 +293,21 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   std::vector<FrontSeconds> task_seconds(loops.size());
 
   auto run_task = [&](std::size_t i) {
-    LoopCache cache;
-    TaskMemo memo;  // back-end artifact memo: one verify/alloc per unique bundle
+    TaskCache cache;
     SweepCacheStats stats;
     FrontSeconds seconds{};
     for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
-      std::optional<LoopResult> out;
-      if (options_.use_cache) {
-        try {
-          FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
-          // A failed front prefix replays its canonical failing result.
-          out = front.ok ? run_back_end(loops[i], point, cell_options[p], keys[p], front, memo,
-                                        stats, seconds)
-                         : front.failed_result;
-        } catch (const Error&) {
-          // Fall through to the uncached path for exact failure parity.
-          ++stats.fallback_runs;
-        }
+      LoopResult& out = sweep.by_point[p][i];
+      if (!options_.use_cache) {
+        out = run_pipeline(loops[i], point.machine, cell_options[p]);
+        continue;
       }
-      if (!out.has_value()) out = run_pipeline(loops[i], point.machine, cell_options[p]);
-      sweep.by_point[p][i] = std::move(*out);
+      FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
+      out = front.result.ok ? run_back_end(loops[i], point, cell_options[p], keys[p], front,
+                                           cache, stats, seconds)
+                            : front.result;
     }
-    stats.verify_memo_probes = memo.verify_probes;
-    stats.verify_memo_hits = memo.verify_hits;
-    stats.alloc_memo_probes = memo.alloc_probes;
-    stats.alloc_memo_hits = memo.alloc_hits;
-    stats.sched_memo_probes = memo.sched_probes;
-    stats.sched_memo_hits = memo.sched_hits;
     task_stats[i] = stats;
     task_seconds[i] = seconds;
   };

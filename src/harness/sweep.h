@@ -10,7 +10,8 @@
 // them, and only the back end (schedule, queue allocation, simulation)
 // runs per point.
 //
-// One task per loop: a task owns the loop's artifact cache and task memo,
+// One task per loop: a task owns the loop's two caches (the front-prefix
+// cache with its MII bounds, and the MII-optimality schedule memo),
 // writes its own by_point cells and its own accounting slot, and touches
 // nothing another task writes — so it needs no locks, and the runner sums
 // the slots in loop order once every task is done.  Results are
@@ -35,46 +36,27 @@ struct SweepPoint {
   PipelineOptions options;
 };
 
-/// Hit accounting per cached prefix level.  A "probe" is one lookup by
-/// one (loop, point) pair; misses (probes - hits) are the computations
+/// Hit accounting of a sweep task's two caches.  A "probe" is one lookup
+/// by one (loop, point) pair; misses (probes - hits) are the computations
 /// actually performed.
 struct SweepCacheStats {
-  std::uint64_t invariant_probes = 0, invariant_hits = 0;
-  std::uint64_t unroll_probes = 0, unroll_hits = 0;
-  std::uint64_t front_probes = 0, front_hits = 0;  // copy-inserted loop + DDG
-  std::uint64_t mii_probes = 0, mii_hits = 0;
+  std::uint64_t front_probes = 0, front_hits = 0;  // front-end artifacts (loop + DDG)
+  std::uint64_t mii_probes = 0, mii_hits = 0;      // MII bounds per front entry and machine
 
-  /// Unroll-policy prober accounting: candidate factors examined, and how
-  /// many probes had to fall back to the naive materialise-and-measure
-  /// path because the incremental fast path could not be exact.
-  std::uint64_t probe_factors = 0, probe_fallbacks = 0;
+  /// MII-optimality short-circuit: per warm-capable point, one probe of
+  /// the task-local map of schedules a sibling budget-ladder point already
+  /// accepted at II == MII; a hit means the point installed that
+  /// proven-optimal schedule instead of re-searching.
+  std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
 
-  /// Back-end artifact memo (harness/stage.h TaskMemo): queue allocation
-  /// and verification keyed by the content hash of the accepted
-  /// (loop, machine, schedule) bundle, scoped to one task.  A verify hit
-  /// means an identical artifact bundle was verified earlier in the same
-  /// task (typically budget-ladder points accepting the same schedule) and
-  /// the verdict was replayed instead of re-simulating the FIFOs.
+  /// Counters of the retired queue-allocation and verification memos.
+  /// Nothing writes them any more (they stay 0); they remain only because
+  /// perfbench still reports them, and go with its next metric change.
   std::uint64_t verify_memo_probes = 0, verify_memo_hits = 0;
   std::uint64_t alloc_memo_probes = 0, alloc_memo_hits = 0;
 
-  /// MII-optimality short-circuit (TaskMemo::sched): per warm-capable
-  /// point, one probe of the task-local map of schedules a sibling
-  /// budget-ladder point already accepted at II == MII; a hit means the
-  /// point installed that proven-optimal schedule instead of re-searching.
-  std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
-
-  /// Cached runs that abandoned the cached path entirely and re-ran the
-  /// monolithic pipeline (exception escape hatch; 0 in normal operation —
-  /// cached front-end *failures* are replayed from the cache, not re-run).
-  std::uint64_t fallback_runs = 0;
-
-  [[nodiscard]] std::uint64_t probes() const {
-    return invariant_probes + unroll_probes + front_probes + mii_probes;
-  }
-  [[nodiscard]] std::uint64_t hits() const {
-    return invariant_hits + unroll_hits + front_hits + mii_hits;
-  }
+  [[nodiscard]] std::uint64_t probes() const { return front_probes + mii_probes; }
+  [[nodiscard]] std::uint64_t hits() const { return front_hits + mii_hits; }
   [[nodiscard]] double hit_rate() const;  // hits/probes; 0 when no probes
 
   SweepCacheStats& operator+=(const SweepCacheStats& other);
@@ -115,13 +97,11 @@ struct SweepOptions {
 /// benches report as their `workers` field.
 [[nodiscard]] int resolved_sweep_workers(const SweepOptions& options);
 
-/// Level-by-level option-prefix hashes of one sweep point.  Derived once
-/// per point by the runner; exposed so tests can assert key-domain
-/// separation (distinct option prefixes must never share a key).
+/// Option-prefix hashes of one sweep point.  Derived once per point by
+/// the runner; exposed so tests can assert key-domain separation
+/// (distinct option prefixes must never share a key).
 struct SweepPrefixKeys {
-  std::uint64_t invariant = 0;
-  std::uint64_t unroll = 0;
-  std::uint64_t front = 0;
+  std::uint64_t front = 0;    // invariants, unroll and copy options (front-cache key)
   std::uint64_t machine = 0;  // machine signature (MII cache key)
 
   /// The resolved scheduler backend's cache-key contribution

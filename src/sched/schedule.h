@@ -94,7 +94,7 @@ class BlobWriter;
 
 /// Serialises `schedule` into the portable blob format
 /// (support/blob.h): II, op count, and per-op placements.  Used by the
-/// verify bundle and by the task memo's artifact hash.
+/// verify bundle.
 void serialize_schedule(BlobWriter& out, const Schedule& schedule);
 
 /// Bounds deserialize_schedule enforces, far above any schedule the

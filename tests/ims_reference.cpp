@@ -1,4 +1,4 @@
-#include "sched/ims_reference.h"
+#include "ims_reference.h"
 
 #include <algorithm>
 #include <limits>

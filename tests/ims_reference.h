@@ -4,11 +4,11 @@
 // ims.cpp: same algorithm, same (-height, op) pop order, same forced
 // placement and eviction rules, written the straightforward way (a
 // red-black-tree ready queue, per-attempt allocation, linear FU probes).
-// The golden-equivalence suite (tests/test_ims_golden.cpp) and the
-// bench_ims gate require ims_schedule to produce bit-identical schedules
-// and identical search statistics to this function over the whole
-// workload suite.  Do not "optimise" this file; its slowness is the
-// point of comparison.
+// The golden-equivalence suite (tests/test_ims_golden.cpp, the only
+// target this file is linked into) requires ims_schedule to produce
+// bit-identical schedules and identical search statistics to this
+// function over the whole workload suite.  Do not "optimise" this file;
+// its slowness is the point of comparison.
 #pragma once
 
 #include "sched/ims.h"

@@ -34,7 +34,9 @@ void expect_same_schedule(const Schedule& a, const Schedule& b, const std::strin
   ASSERT_EQ(a.ii(), b.ii()) << where;
   for (int op = 0; op < a.op_count(); ++op) {
     ASSERT_EQ(a.scheduled(op), b.scheduled(op)) << where << " op " << op;
-    if (a.scheduled(op)) EXPECT_TRUE(a.place(op) == b.place(op)) << where << " op " << op;
+    if (a.scheduled(op)) {
+      EXPECT_TRUE(a.place(op) == b.place(op)) << where << " op " << op;
+    }
   }
 }
 

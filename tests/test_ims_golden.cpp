@@ -1,5 +1,5 @@
 // Golden equivalence of the allocation-free ImsSearcher (sched/ims.cpp)
-// against the frozen set-based reference (sched/ims_reference.cpp), plus
+// against the frozen set-based reference (tests/ims_reference.cpp), plus
 // the sweep-level properties of the MII-optimality ladder short-circuit.
 //
 // The arena searcher must be a pure perf transform: bit-identical
@@ -10,12 +10,13 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cluster/partition.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
+#include "ims_reference.h"
 #include "sched/ims.h"
-#include "sched/ims_reference.h"
 #include "support/blob.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -139,6 +140,27 @@ std::vector<SweepPoint> ring4_ladder_points() {
   return points;
 }
 
+/// The Fig. 3 sweep (fig3_queue_requirements): single-cluster 4/6/12 FUs,
+/// 12 FUs without copies, and 6 FUs under 4/8/16/32-queue limits, where
+/// the queue-fit loop escalates the II until the allocation fits.  No
+/// point unrolls.
+std::vector<SweepPoint> fig3_queue_fit_points() {
+  std::vector<SweepPoint> points;
+  for (const int fus : {4, 6, 12}) {
+    points.push_back({cat(fus, "-fus"), MachineConfig::single_cluster_machine(fus), {}});
+  }
+  PipelineOptions without;
+  without.insert_copies = false;
+  points.push_back({"12-fus-no-copies", MachineConfig::single_cluster_machine(12), without});
+  for (const int queues : {4, 8, 16, 32}) {
+    PipelineOptions options;
+    options.enforce_queue_limits = true;
+    points.push_back(
+        {cat("6-fus-", queues, "q"), MachineConfig::single_cluster_machine(6, queues), options});
+  }
+  return points;
+}
+
 std::string fingerprint_hex(const SweepResult& sweep) {
   char out[17];
   std::snprintf(out, sizeof out, "%016llx",
@@ -147,21 +169,29 @@ std::string fingerprint_hex(const SweepResult& sweep) {
 }
 
 TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
-  // The pinned fingerprint of the full ring-4 perf sweep.  Any change to
-  // scheduling outcomes — including one smuggled in by the ladder memo —
-  // moves this value; the worker count must not.
-  constexpr const char* kPinned = "acac708db670f08d";
+  // Pinned fingerprints of two full-suite sweeps: the ring-4 perf sweep
+  // (budget ladders, so the MII-optimality memo installs schedules) and
+  // the Fig. 3 queue-fit sweep (II escalation until the queues fit).  Any
+  // change to scheduling outcomes — including one smuggled in by a sweep
+  // cache — moves these values; the worker count must not.
+  const struct {
+    const char* name;
+    std::vector<SweepPoint> points;
+    const char* pinned;
+  } sweeps[] = {
+      {"ring4 ladder", ring4_ladder_points(), "acac708db670f08d"},
+      {"fig3 queue fit", fig3_queue_fit_points(), "c73b72a7550dcb2a"},
+  };
 
   const Suite suite = full_suite();
-  const std::vector<SweepPoint> points = ring4_ladder_points();
-
-  SweepOptions w1;
-  w1.workers = 1;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(w1).run(suite.loops, points)), kPinned);
-
-  SweepOptions w4 = w1;
-  w4.workers = 4;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(w4).run(suite.loops, points)), kPinned);
+  for (const auto& sweep : sweeps) {
+    for (const int workers : {1, 4}) {
+      SweepOptions options;
+      options.workers = workers;
+      EXPECT_EQ(fingerprint_hex(SweepRunner(options).run(suite.loops, sweep.points)), sweep.pinned)
+          << sweep.name << " at " << workers << " workers";
+    }
+  }
 }
 
 TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {
@@ -184,7 +214,7 @@ TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {
   EXPECT_EQ(cached.verify_violations(), 0u);
 
   // And installs are outcome-invisible: same fingerprint as a sweep that
-  // cannot memoize anything (caching off disables the per-task memo).
+  // cannot memoize anything (caching off disables the MII-optimality memo).
   // Compared with verification off on both sides — verify_checked is
   // itself a fingerprinted field.
   SweepOptions plain = strict;

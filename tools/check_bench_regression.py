@@ -78,7 +78,7 @@ def require(obj, source, *path):
 # The per-stage wall-time gates: (run, stage) pairs whose stage_seconds
 # must not regress past the stage tolerance.  The uncached run exposes the
 # cold front end (copy insertion dominates it); the cached run exposes the
-# memoized verifier.
+# back end on shared front ends.
 STAGE_GATES = (
     ("uncached", "copy_insert"),
     ("uncached", "schedule"),
@@ -240,7 +240,6 @@ def check(baseline, fresh, tolerance, speedup_floor=1.5, stage_tolerance=0.50):
         return 1
 
     print(f"info: cache speedup {fresh.get('cache_speedup', 0.0):.2f}x, "
-          f"naive probe fallbacks {fresh['cached'].get('unroll_probe_naive_fallbacks', 0)}, "
           f"fingerprint {fresh.get('fingerprint', '?')}")
     return 0
 

@@ -40,7 +40,6 @@ def bench_json(cached_lps=100.0, identical=True, workers=1, hardware=1,
         },
         "cached": {
             "loops_per_second": cached_lps,
-            "unroll_probe_naive_fallbacks": 0,
             "verify_checked": verify_checked,
             "verify_violations": verify_violations,
             "sched_mii_optimal": mii_optimal,
