@@ -12,7 +12,6 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/stage.h"
 #include "harness/sweep.h"
 #include "support/strings.h"
 #include "workload/suite.h"
@@ -27,17 +26,6 @@ inline int suite_size() {
     if (n > 0) return n;
   }
   return 1258;
-}
-
-/// Default worker-thread request for the benches: QVLIW_WORKERS=<n>, 0 =
-/// auto (one per hardware thread).  Benches overriding it with a
-/// --workers flag still fall back here when the flag is absent.
-inline int env_workers() {
-  if (const char* env = std::getenv("QVLIW_WORKERS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;
 }
 
 /// Unroll search bound (QVLIW_MAX_UNROLL, default 8 as in the library).
@@ -60,67 +48,6 @@ inline std::string topology_label(TopologyKind kind, int clusters) {
   return cat(kind == TopologyKind::kCrossbar ? "xbar" : topology_kind_name(kind), "-", clusters);
 }
 
-/// Shared `--topology ring|mesh|crossbar` / `--clusters N` parsing for the
-/// bench drivers.  Defaults to the paper's 4-cluster ring, so benches run
-/// without flags keep their historical labels and fingerprints.
-struct TopologyChoice {
-  TopologyKind kind = TopologyKind::kRing;
-  int clusters = 4;
-
-  [[nodiscard]] MachineConfig machine() const {
-    return MachineConfig::topology_machine(kind, clusters);
-  }
-  [[nodiscard]] std::string label() const { return topology_label(kind, clusters); }
-
-  /// Consumes `--topology`/`--clusters` at argv[a] (advancing `a` past the
-  /// value).  Returns false on an unknown flag or a bad value; callers fall
-  /// through to their own flag handling.
-  bool parse_flag(int argc, char** argv, int& a) {
-    const std::string flag = argv[a];
-    if (flag == "--topology") {
-      if (a + 1 >= argc) return false;
-      const auto parsed = parse_topology_kind(argv[++a]);
-      if (!parsed.has_value()) return false;
-      kind = *parsed;
-      return true;
-    }
-    if (flag == "--clusters") {
-      if (a + 1 >= argc) return false;
-      clusters = std::atoi(argv[++a]);
-      return clusters >= 1;
-    }
-    return false;
-  }
-};
-
-/// The multi-heuristic back-end sweep perf_micro and sweep_scaling share:
-/// every point reuses the unrolled/copy-inserted front end of one machine
-/// (default: the paper's 4-cluster ring) and differs only in (heuristic,
-/// IMS budget), so the points form ascending-budget ladders per heuristic
-/// that the MII-optimality memo short-circuits.
-inline std::vector<SweepPoint> perf_sweep_points(const TopologyChoice& choice = {}) {
-  PipelineOptions base;
-  base.unroll = true;
-  base.max_unroll = max_unroll();
-
-  std::vector<SweepPoint> points;
-  const MachineConfig machine = choice.machine();
-  for (const ClusterHeuristic heuristic :
-       {ClusterHeuristic::kAffinity, ClusterHeuristic::kLoadBalance,
-        ClusterHeuristic::kFirstFit}) {
-    for (const int budget : {6, 12}) {
-      PipelineOptions options = base;
-      options.scheduler = SchedulerKind::kClustered;
-      options.heuristic = heuristic;
-      options.ims.budget_ratio = budget;
-      points.push_back({cat(choice.label(), "-", cluster_heuristic_name(heuristic), "-", budget,
-                            "x"),
-                        machine, options});
-    }
-  }
-  return points;
-}
-
 inline void print_suite_line(std::ostream& os, const Suite& suite) {
   os << "suite: " << suite.loops.size() << " loops (" << suite.kernel_count
      << " hand-written kernels + " << suite.loops.size() - static_cast<std::size_t>(suite.kernel_count)
@@ -138,12 +65,6 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
     os << " " << total.stage << " " << fixed(total.seconds, 2) << "s";
   }
   os << "\n";
-}
-
-/// Sum of the back-end stages' wall time.
-inline double backend_seconds(const SweepResult& sweep) {
-  return sweep.stage_seconds(kStageSchedule) + sweep.stage_seconds(kStageQueueAlloc) +
-         sweep.stage_seconds(kStageSim);
 }
 
 }  // namespace qvliw::bench

@@ -13,8 +13,8 @@
 //
 // Timings are bucketed by pre-rewrite loop size so the per-loop-size
 // scaling of the two paths is visible, and emitted as a machine-readable
-// BENCH_copy_insert.json (override with argv[1] or QVLIW_COPY_BENCH_JSON)
-// for CI artifact upload next to BENCH_pipeline.json.
+// BENCH_copy_insert.json (override with argv[1] or QVLIW_COPY_BENCH_JSON),
+// which CI uploads as an artifact.
 //
 //   QVLIW_LOOPS=200 QVLIW_COPY_REPS=3 ./build/bench/bench_copy_insert [out.json]
 #include <chrono>

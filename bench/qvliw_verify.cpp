@@ -21,6 +21,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "harness/stage.h"
 #include "support/diagnostics.h"
 #include "verify/verify.h"
 

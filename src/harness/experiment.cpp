@@ -6,10 +6,7 @@ namespace qvliw {
 
 std::vector<LoopResult> run_suite(const std::vector<Loop>& loops, const MachineConfig& machine,
                                   const PipelineOptions& options) {
-  // One point: nothing for the prefix cache to share, so run it uncached.
-  SweepOptions sweep_options;
-  sweep_options.use_cache = false;
-  SweepResult sweep = SweepRunner(sweep_options).run(loops, machine, {options});
+  SweepResult sweep = SweepRunner().run(loops, machine, {options});
   return std::move(sweep.by_point.front());
 }
 

@@ -86,7 +86,7 @@ struct LoopResult {
   std::string failure;
   /// Stage that reported the failure (empty when ok).  Stage names are the
   /// canonical ones from harness/stage.h: "invariants", "unroll",
-  /// "copy_insert", "schedule", "queue_alloc", "sim".
+  /// "copy_insert", "schedule", "queue_alloc", "sim", "verify".
   std::string failed_stage;
 
   // Shape.

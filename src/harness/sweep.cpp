@@ -299,10 +299,6 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
     for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
       LoopResult& out = sweep.by_point[p][i];
-      if (!options_.use_cache) {
-        out = run_pipeline(loops[i], point.machine, cell_options[p]);
-        continue;
-      }
       FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
       out = front.result.ok ? run_back_end(loops[i], point, cell_options[p], keys[p], front,
                                            cache, stats, seconds)

@@ -7,16 +7,16 @@
 // sweep points that share an options *prefix* — same invariant strategy,
 // same unroll choice, same copy insertion — reuse the cached
 // post-transform loop, its DDG, and the MII bounds instead of recomputing
-// them, and only the back end (schedule, queue allocation, simulation)
-// runs per point.
+// them, and only the back end (schedule, queue allocation, simulation,
+// verification) runs per point.
 //
 // One task per loop: a task owns the loop's two caches (the front-prefix
 // cache with its MII bounds, and the MII-optimality schedule memo),
 // writes its own by_point cells and its own accounting slot, and touches
 // nothing another task writes — so it needs no locks, and the runner sums
-// the slots in loop order once every task is done.  Results are
-// bit-identical with the cache on or off and at every worker count (golden
-// tests enforce both).
+// the slots in loop order once every task is done.  Every cell is
+// identical to run_pipeline's result for it, at every worker count
+// (golden tests enforce both).
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,7 @@ enum class SweepVerifyMode : std::uint8_t {
 };
 
 struct SweepOptions {
-  bool use_cache = true;  // prefix-artifact caching across points
-  bool parallel = true;   // false forces serial regardless of `workers`
+  bool parallel = true;  // false forces serial regardless of `workers`
 
   /// Worker threads executing tasks (one per loop).  0 = auto (one per
   /// hardware thread, on the shared pool); 1 = serial; N > 1 = exactly N
@@ -93,8 +92,7 @@ struct SweepOptions {
 
 /// The worker-thread count SweepRunner::run will actually use under
 /// `options`: 1 when parallel is false, `workers` when explicit, hardware
-/// concurrency otherwise.  This (not SweepOptions::workers) is what
-/// benches report as their `workers` field.
+/// concurrency otherwise.
 [[nodiscard]] int resolved_sweep_workers(const SweepOptions& options);
 
 /// Option-prefix hashes of one sweep point.  Derived once per point by

@@ -25,8 +25,8 @@
 // A diagnostic names the violated rule (verify_rule_name) so tests and
 // operators can tell *which* legality condition broke, not just that one
 // did.  The verifier is wired in four ways: the pipeline's VerifyStage
-// (PipelineOptions::verify), the sweep's sampling SweepOptions::verify_mode,
-// the qvliw_verify CLI over dumped bundles, and a randomized fuzz oracle
+// (PipelineOptions::verify), the sweep's SweepOptions::verify_mode, the
+// qvliw_verify CLI over dumped bundles, and a randomized fuzz oracle
 // cross-checking verdicts against sim/vliwsim.
 #pragma once
 

@@ -87,7 +87,7 @@ namespace {
 /// Shared candidate walk: `measure(factor)` returns the (exact) bounds of
 /// unroll(loop, factor); `adopted()` fires whenever the factor just
 /// measured becomes the best so far (letting the naive path pin that
-/// candidate's artifacts).  Selection is the smallest factor strictly
+/// candidate's loop).  Selection is the smallest factor strictly
 /// improving the per-source-iteration rate, identical on both paths.
 template <typename Measure, typename Adopted>
 UnrollProbe probe_with(const Loop& loop, int max_factor, int max_ops, Measure measure,
@@ -124,27 +124,20 @@ UnrollProbe probe_unroll_factor_naive(const Loop& loop, const MachineConfig& mac
                                       int max_factor, int max_ops) {
   check(max_factor >= 1, "select_unroll_factor: max_factor must be >= 1");
 
-  // The current candidate's artifacts; pinned as the winner's whenever the
-  // walk adopts the candidate, so nothing is ever materialised twice.
+  // The current candidate's loop; pinned as the winner whenever the walk
+  // adopts the candidate, so nothing is ever materialised twice.
   std::shared_ptr<const Loop> candidate_loop;
-  std::shared_ptr<const Ddg> candidate_graph;
   std::shared_ptr<const Loop> best_loop;
-  std::shared_ptr<const Ddg> best_graph;
 
   auto measure = [&](int factor) {
     candidate_loop = factor == 1 ? nullptr : std::make_shared<const Loop>(unroll(loop, factor));
     const Loop& body = factor == 1 ? loop : *candidate_loop;
-    candidate_graph = std::make_shared<const Ddg>(Ddg::build(body, machine.latency));
-    return compute_mii(body, *candidate_graph, machine);
+    return compute_mii(body, Ddg::build(body, machine.latency), machine);
   };
-  auto adopted = [&] {
-    best_loop = candidate_loop;
-    best_graph = candidate_graph;
-  };
+  auto adopted = [&] { best_loop = candidate_loop; };
 
   UnrollProbe probe = probe_with(loop, max_factor, max_ops, measure, adopted);
   probe.loop = std::move(best_loop);
-  probe.graph = std::move(best_graph);
   return probe;
 }
 
@@ -153,22 +146,20 @@ UnrollProbe probe_unroll_factor(const Loop& loop, const MachineConfig& machine, 
   check(max_factor >= 1, "select_unroll_factor: max_factor must be >= 1");
   if (!unroll_probe_is_exact(loop)) return probe_unroll_factor_naive(loop, machine, max_factor, max_ops);
 
-  const auto base_graph = std::make_shared<const Ddg>(Ddg::build(loop, machine.latency));
+  const Ddg base_graph = Ddg::build(loop, machine.latency);
   int rec_floor = 1;
   UnrollProbe probe = probe_with(
       loop, max_factor, max_ops,
       [&](int factor) {
         const MiiInfo mii = factor == 1
-                                ? compute_mii(loop, *base_graph, machine)
-                                : unrolled_mii(loop, *base_graph, machine, factor, rec_floor);
+                                ? compute_mii(loop, base_graph, machine)
+                                : unrolled_mii(loop, base_graph, machine, factor, rec_floor);
         if (mii.feasible) rec_floor = std::max(rec_floor, mii.rec_mii);
         return mii;
       },
       [] {});
   probe.incremental = true;
-  if (probe.choice.factor == 1) {
-    probe.graph = base_graph;
-  } else {
+  if (probe.choice.factor > 1) {
     // The one materialisation of the winner; callers reuse it directly.
     probe.loop = std::make_shared<const Loop>(unroll(loop, probe.choice.factor));
   }

@@ -57,12 +57,6 @@ struct UnrollProbe {
   /// loop already is the winner).
   std::shared_ptr<const Loop> loop;
 
-  /// The winner's DDG when the probe built one: always for factor 1 (the
-  /// base graph), and for any factor on the naive path.  Null on the
-  /// incremental fast path for factors > 1 — callers that need the graph
-  /// build it from `loop`.
-  std::shared_ptr<const Ddg> graph;
-
   int factors_probed = 0;     // candidate factors examined, incl. factor 1
   bool incremental = false;   // fast path used (no per-factor materialisation)
 };

@@ -20,6 +20,7 @@
 #include "support/blob.h"
 #include "support/rng.h"
 #include "support/strings.h"
+#include "sweep_reference.h"
 #include "workload/kernels.h"
 #include "workload/suite.h"
 
@@ -115,29 +116,11 @@ TEST(ImsGolden, FullPaperSuiteBitIdenticalToReference) {
 
 // --- sweep-level checks ----------------------------------------------------
 
-/// The canonical perf sweep (bench_common.h's perf_sweep_points on the
-/// paper's 4-cluster ring): three heuristics x ascending budgets {6, 12},
+/// The canonical ladder sweep on the paper's 4-cluster ring (perfbench's
+/// ring4_ladder workload): three heuristics x ascending budgets {6, 12},
 /// all sharing one unrolled front end.
 std::vector<SweepPoint> ring4_ladder_points() {
-  PipelineOptions base;
-  base.unroll = true;
-  base.max_unroll = 8;
-  base.scheduler = SchedulerKind::kClustered;
-
-  std::vector<SweepPoint> points;
-  const MachineConfig machine = MachineConfig::clustered_machine(4);
-  for (const ClusterHeuristic heuristic :
-       {ClusterHeuristic::kAffinity, ClusterHeuristic::kLoadBalance,
-        ClusterHeuristic::kFirstFit}) {
-    for (const int budget : {6, 12}) {
-      PipelineOptions options = base;
-      options.heuristic = heuristic;
-      options.ims.budget_ratio = budget;
-      points.push_back({cat("ring-4-", cluster_heuristic_name(heuristic), "-", budget, "x"),
-                        machine, options});
-    }
-  }
-  return points;
+  return ladder_points(MachineConfig::clustered_machine(4), "ring-4");
 }
 
 /// The Fig. 3 sweep (fig3_queue_requirements): single-cluster 4/6/12 FUs,
@@ -194,6 +177,35 @@ TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
   }
 }
 
+TEST(ImsGolden, StrictRing4LadderPinnedAndVerifiedClean) {
+  // The ring-4 ladder under strict translation validation.  verify_checked
+  // is a fingerprinted field, so this pin differs from the unverified one
+  // above.  Every cell must be verified clean, and the MII-optimality bit
+  // must be exactly "scheduled at II == MII": it is an outcome, however
+  // the schedule was obtained (search or memo install).
+  const Suite suite = full_suite();
+  const std::vector<SweepPoint> points = ring4_ladder_points();
+  SweepOptions options;
+  options.workers = 4;
+  options.verify_mode = SweepVerifyMode::kStrict;
+  const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
+
+  EXPECT_EQ(fingerprint_hex(sweep), "864e8bd145e6c21c");
+  EXPECT_EQ(sweep.verify_checked(), sweep.pipelines);
+  EXPECT_EQ(sweep.verify_violations(), 0u);
+
+  std::uint64_t mii_optimal = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
+      const LoopResult& r = sweep.by_point[p][i];
+      EXPECT_EQ(r.sched_stats.mii_optimal, r.ok && r.ii == r.mii)
+          << points[p].label << " / " << suite.loops[i].name;
+      if (r.sched_stats.mii_optimal) ++mii_optimal;
+    }
+  }
+  EXPECT_EQ(mii_optimal, 7429u);
+}
+
 TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {
   const Suite suite = small_suite(24, 5);
   const std::vector<SweepPoint> points = ring4_ladder_points();
@@ -213,16 +225,20 @@ TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {
   EXPECT_GT(cached.verify_checked(), 0u);
   EXPECT_EQ(cached.verify_violations(), 0u);
 
-  // And installs are outcome-invisible: same fingerprint as a sweep that
-  // cannot memoize anything (caching off disables the MII-optimality memo).
-  // Compared with verification off on both sides — verify_checked is
-  // itself a fingerprinted field.
-  SweepOptions plain = strict;
-  plain.verify_mode = SweepVerifyMode::kOff;
-  SweepOptions uncached = plain;
-  uncached.use_cache = false;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(plain).run(suite.loops, points)),
-            fingerprint_hex(SweepRunner(uncached).run(suite.loops, points)));
+  // And installs are outcome-invisible: same fingerprint as one strict
+  // run_pipeline call per cell, which memoizes nothing, and every
+  // installed cell carries the MII-optimality bit its skipped search sets.
+  const SweepResult reference =
+      run_pipeline_sweep(suite.loops, points, SweepVerifyMode::kStrict);
+  EXPECT_EQ(fingerprint_hex(cached), fingerprint_hex(reference));
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
+      const LoopResult& got = cached.by_point[p][i];
+      if (!got.warm_started) continue;
+      EXPECT_EQ(got.sched_stats.mii_optimal, reference.by_point[p][i].sched_stats.mii_optimal)
+          << points[p].label << " / " << suite.loops[i].name;
+    }
+  }
 }
 
 TEST(ImsGolden, LadderMemoNeverFiresAboveMii) {
