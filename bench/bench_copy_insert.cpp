@@ -25,6 +25,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "harness/experiment.h"
+#include "support/strings.h"
+#include "support/table.h"
 #include "xform/copy_insert.h"
 
 namespace qvliw {

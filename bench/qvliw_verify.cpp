@@ -68,7 +68,6 @@ int dump(int argc, char** argv) {
 
   PipelineOptions options;
   options.unroll = true;
-  options.max_unroll = bench::max_unroll();
   options.ims.budget_ratio = budget;
   MachineConfig machine = MachineConfig::single_cluster_machine(6);
   if (clusters > 1) {

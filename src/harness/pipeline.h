@@ -72,6 +72,8 @@ struct PipelineOptions {
   /// Translation validation of the emitted artifacts (DDG, schedule,
   /// routing, queue allocation) by the independent verifier.
   VerifyPolicy verify = VerifyPolicy::kOff;
+
+  friend bool operator==(const PipelineOptions&, const PipelineOptions&) = default;
 };
 
 /// Wall time spent in one pipeline stage (see harness/stage.h).

@@ -86,6 +86,8 @@ struct ImsOptions {
   /// skips compute_mii — the sweep runner's prefix cache supplies them so
   /// points sharing a front end don't recompute RecMII per point.
   MiiInfo known_mii{};
+
+  friend bool operator==(const ImsOptions&, const ImsOptions&) = default;
 };
 
 struct ImsStats {

@@ -19,6 +19,8 @@ struct MiiInfo {
   int res_mii = 0;
   int rec_mii = 0;
   int mii = 0;  // max(res_mii, rec_mii)
+
+  friend bool operator==(const MiiInfo&, const MiiInfo&) = default;
 };
 
 /// Resource-constrained MII; 0-feasible only if every used FU kind exists.

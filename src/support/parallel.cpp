@@ -28,13 +28,6 @@ std::size_t default_grain(std::size_t count, std::size_t workers) {
 
 namespace detail {
 
-std::size_t rng_grain(std::size_t count) {
-  // Fixed blocks: a pure function of the item count so chunk seeds do not
-  // depend on the machine's core count.
-  (void)count;
-  return 16;
-}
-
 void parallel_chunks(std::size_t count, std::size_t grain, ChunkFn invoke, void* body_ptr) {
   ThreadPool::shared().run(count, grain, invoke, body_ptr);
 }

@@ -20,11 +20,6 @@
 // threads.  Completion is counted per *chunk*, not per worker, so a
 // fan-out on a thread-less pool degrades to the caller draining every
 // chunk itself — serial, but correct and deadlock-free.
-//
-// `parallel_for_rng` supplies the body with a private RNG stream per
-// chunk, seeded from (seed, chunk start) with a grain that depends only on
-// the item count — results are bit-identical no matter how many workers
-// run or which worker executes which chunk.
 #pragma once
 
 #include <condition_variable>
@@ -36,8 +31,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "support/rng.h"
 
 namespace qvliw {
 
@@ -55,10 +48,6 @@ using ChunkFn = void (*)(void* body_ptr, std::size_t worker, std::size_t begin, 
 /// size; otherwise chunks are [k*grain, (k+1)*grain) intersected with
 /// [0, count).
 void parallel_chunks(std::size_t count, std::size_t grain, ChunkFn invoke, void* body_ptr);
-
-/// Deterministic grain for the RNG overload: a function of `count` only,
-/// never of the worker count, so chunk -> seed assignment is stable.
-[[nodiscard]] std::size_t rng_grain(std::size_t count);
 
 }  // namespace detail
 
@@ -126,19 +115,6 @@ void parallel_for(std::size_t count, Body&& body) {
       const_cast<void*>(static_cast<const void*>(std::addressof(body))));
 }
 
-/// parallel_for with an explicit chunk grain (indices per claim).
-template <typename Body>
-void parallel_for_grained(std::size_t count, std::size_t grain, Body&& body) {
-  using Stored = std::remove_reference_t<Body>;
-  detail::parallel_chunks(
-      count, grain == 0 ? 1 : grain,
-      [](void* body_ptr, std::size_t, std::size_t begin, std::size_t end) {
-        Stored& b = *static_cast<Stored*>(body_ptr);
-        for (std::size_t i = begin; i < end; ++i) b(i);
-      },
-      const_cast<void*>(static_cast<const void*>(std::addressof(body))));
-}
-
 /// parallel_for on an explicit pool (grain 0 = default): how the sweep
 /// runner targets a private pool sized by SweepOptions::workers instead
 /// of the hardware-sized shared one.
@@ -152,26 +128,6 @@ void parallel_for_on(ThreadPool& pool, std::size_t count, std::size_t grain, Bod
         for (std::size_t i = begin; i < end; ++i) b(i);
       },
       const_cast<void*>(static_cast<const void*>(std::addressof(body))));
-}
-
-/// Invokes body(i, rng) with a per-chunk RNG stream: rng is freshly seeded
-/// from (seed, first index of the chunk).  Deterministic for any worker
-/// count.
-template <typename Body>
-void parallel_for_rng(std::size_t count, std::uint64_t seed, Body&& body) {
-  using Stored = std::remove_reference_t<Body>;
-  struct Bound {
-    Stored* body;
-    std::uint64_t seed;
-  } bound{std::addressof(body), seed};
-  detail::parallel_chunks(
-      count, detail::rng_grain(count),
-      [](void* body_ptr, std::size_t, std::size_t begin, std::size_t end) {
-        Bound& b = *static_cast<Bound*>(body_ptr);
-        Rng rng(hash_combine(b.seed, begin));
-        for (std::size_t i = begin; i < end; ++i) (*b.body)(i, rng);
-      },
-      &bound);
 }
 
 }  // namespace qvliw

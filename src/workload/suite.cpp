@@ -4,7 +4,6 @@
 
 #include "ir/ddg.h"
 #include "sched/mii.h"
-#include "support/parallel.h"
 #include "workload/kernels.h"
 #include "xform/unroll.h"
 
@@ -58,20 +57,6 @@ bool is_resource_constrained(const Loop& loop, int max_unroll) {
     }
   }
   return resource_bound_at_best;
-}
-
-Suite resource_constrained_subset(const Suite& suite, int max_unroll) {
-  std::vector<char> keep(suite.loops.size(), 0);
-  parallel_for(suite.loops.size(), [&](std::size_t i) {
-    keep[i] = is_resource_constrained(suite.loops[i], max_unroll) ? 1 : 0;
-  });
-  Suite subset;
-  for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-    if (!keep[i]) continue;
-    subset.loops.push_back(suite.loops[i]);
-    if (i < static_cast<std::size_t>(suite.kernel_count)) ++subset.kernel_count;
-  }
-  return subset;
 }
 
 }  // namespace qvliw

@@ -27,8 +27,4 @@ struct Suite {
 /// with unrolling up to `max_unroll`.
 [[nodiscard]] bool is_resource_constrained(const Loop& loop, int max_unroll = 8);
 
-/// The suite restricted to its resource-constrained loops (kernel_count is
-/// recomputed; classification runs in parallel across the worker pool).
-[[nodiscard]] Suite resource_constrained_subset(const Suite& suite, int max_unroll = 8);
-
 }  // namespace qvliw

@@ -8,8 +8,8 @@
 // dozen operations (log-normally distributed), roughly a third memory
 // operations, and about half the loops carrying a register and/or memory
 // recurrence of small distance.  tests/test_workload.cpp pins the
-// calibration; EXPERIMENTS.md records the resulting suite-level shape
-// checks against the paper's aggregates.
+// calibration; the experiment module (harness/experiment.h, run by
+// bench/paper) compares the resulting suite with the paper's aggregates.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "harness/experiment.h"
-#include "harness/report.h"
 #include "workload/kernels.h"
 #include "workload/synth.h"
 
@@ -80,24 +79,14 @@ TEST(Pipeline, FailureIsReportedNotThrown) {
   EXPECT_FALSE(r.failure.empty());
 }
 
-TEST(Experiment, RunSuiteAlignsResults) {
-  SynthConfig config;
-  config.loops = 10;
-  config.seed = 6;
-  const auto loops = synthesize_suite(config);
-  const auto results = run_suite(loops, MachineConfig::single_cluster_machine(6));
-  ASSERT_EQ(results.size(), loops.size());
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    EXPECT_EQ(results[i].name, loops[i].name);
-  }
-}
-
 TEST(Experiment, Aggregations) {
   SynthConfig config;
   config.loops = 12;
   config.seed = 8;
   const auto loops = synthesize_suite(config);
-  const auto results = run_suite(loops, MachineConfig::single_cluster_machine(12));
+  const SweepResult sweep =
+      SweepRunner().run(loops, MachineConfig::single_cluster_machine(12), {PipelineOptions{}});
+  const std::vector<LoopResult>& results = sweep.by_point[0];
   EXPECT_GT(fraction_ok(results), 0.9);
   const double all = fraction_of_scheduled(results, [](const LoopResult&) { return true; });
   EXPECT_DOUBLE_EQ(all, 1.0);
@@ -111,7 +100,9 @@ TEST(Report, CumulativeFractionsMonotone) {
   config.loops = 15;
   config.seed = 9;
   const auto loops = synthesize_suite(config);
-  const auto results = run_suite(loops, MachineConfig::single_cluster_machine(6));
+  const SweepResult sweep =
+      SweepRunner().run(loops, MachineConfig::single_cluster_machine(6), {PipelineOptions{}});
+  const std::vector<LoopResult>& results = sweep.by_point[0];
   const std::vector<int> bounds = {4, 8, 16, 32};
   const auto fractions =
       cumulative_fractions(results, bounds, [](const LoopResult& r) { return r.total_queues; });

@@ -10,14 +10,17 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/partition.h"
+#include "harness/experiment.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
 #include "ims_reference.h"
 #include "sched/ims.h"
 #include "support/blob.h"
+#include "support/diagnostics.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "sweep_reference.h"
@@ -123,25 +126,14 @@ std::vector<SweepPoint> ring4_ladder_points() {
   return ladder_points(MachineConfig::clustered_machine(4), "ring-4");
 }
 
-/// The Fig. 3 sweep (fig3_queue_requirements): single-cluster 4/6/12 FUs,
-/// 12 FUs without copies, and 6 FUs under 4/8/16/32-queue limits, where
-/// the queue-fit loop escalates the II until the allocation fits.  No
-/// point unrolls.
+/// The Fig. 3 experiment's points (harness/experiment.h): single-cluster
+/// 4/6/12 FUs, 12 FUs without copies, and 6 FUs under 4/8/16/32-queue
+/// limits, where the queue-fit loop escalates the II until the allocation
+/// fits.  No point unrolls.
 std::vector<SweepPoint> fig3_queue_fit_points() {
-  std::vector<SweepPoint> points;
-  for (const int fus : {4, 6, 12}) {
-    points.push_back({cat(fus, "-fus"), MachineConfig::single_cluster_machine(fus), {}});
-  }
-  PipelineOptions without;
-  without.insert_copies = false;
-  points.push_back({"12-fus-no-copies", MachineConfig::single_cluster_machine(12), without});
-  for (const int queues : {4, 8, 16, 32}) {
-    PipelineOptions options;
-    options.enforce_queue_limits = true;
-    points.push_back(
-        {cat("6-fus-", queues, "q"), MachineConfig::single_cluster_machine(6, queues), options});
-  }
-  return points;
+  std::vector<Experiment> experiments = paper_experiments();
+  check(experiments[1].id == "fig3", "paper_experiments()[1] is not Fig. 3");
+  return std::move(experiments[1].points);
 }
 
 std::string fingerprint_hex(const SweepResult& sweep) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "ir/dot.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "workload/kernels.h"
@@ -66,16 +65,6 @@ TEST(Printer, RoundTripEntireCorpus) {
     const Loop again = parse_loop(to_text(loop));
     expect_same_loop(loop, again);
   }
-}
-
-TEST(Dot, ContainsNodesAndEdges) {
-  const Loop loop = parse_loop("loop t { x = load X[i]; acc = fadd acc@1, x; store Y[i], acc; }");
-  const Ddg graph = Ddg::build(loop, LatencyModel::classic());
-  const std::string dot = to_dot(loop, graph);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("acc = fadd"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-  EXPECT_NE(dot.find("d1"), std::string::npos);  // distance-1 edge annotated
 }
 
 }  // namespace

@@ -291,7 +291,7 @@ TEST(Parallel, WorkerCountPositive) { EXPECT_GE(worker_count(), 1u); }
 TEST(Parallel, GrainedCoversAllIndicesExactlyOnce) {
   const std::size_t n = 1003;  // not a multiple of the grain
   std::vector<std::atomic<int>> hits(n);
-  parallel_for_grained(n, 7, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for_on(ThreadPool::shared(), n, 7, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
@@ -300,11 +300,11 @@ TEST(Parallel, ExceptionOnCallerChunkStillDrainsOthers) {
   // index still runs and the join completes before the rethrow.
   const std::size_t n = 64;
   std::vector<std::atomic<int>> hits(n);
-  EXPECT_THROW(parallel_for_grained(n, 1,
-                                    [&](std::size_t i) {
-                                      if (i == 0) throw Error("caller-chunk failure");
-                                      hits[i].fetch_add(1);
-                                    }),
+  EXPECT_THROW(parallel_for_on(ThreadPool::shared(), n, 1,
+                               [&](std::size_t i) {
+                                 if (i == 0) throw Error("caller-chunk failure");
+                                 hits[i].fetch_add(1);
+                               }),
                Error);
   for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
@@ -314,27 +314,6 @@ TEST(Parallel, MultipleExceptionsRethrowFirstCaptured) {
                  if (i % 2 == 0) throw Error("even index failed");
                }),
                Error);
-}
-
-TEST(Parallel, RngStreamsAreDeterministic) {
-  const std::size_t n = 200;
-  auto draw = [&] {
-    std::vector<std::uint64_t> values(n);
-    parallel_for_rng(n, 99, [&](std::size_t i, Rng& rng) { values[i] = rng.next(); });
-    return values;
-  };
-  const auto first = draw();
-  const auto second = draw();
-  EXPECT_EQ(first, second);
-  // Distinct chunks use distinct streams: values are not all equal.
-  std::set<std::uint64_t> unique(first.begin(), first.end());
-  EXPECT_GT(unique.size(), n / 2);
-}
-
-TEST(Parallel, RngZeroCountIsNoop) {
-  bool ran = false;
-  parallel_for_rng(0, 1, [&](std::size_t, Rng&) { ran = true; });
-  EXPECT_FALSE(ran);
 }
 
 // --- thread pool ------------------------------------------------------------

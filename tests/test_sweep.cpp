@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "harness/experiment.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
 #include "support/strings.h"
@@ -387,20 +386,6 @@ TEST(Sweep, NonRingLadderSweepsVerifyCleanAndDeterministic) {
       EXPECT_EQ(sweep.verify_checked(), scheduled) << where;
       EXPECT_EQ(sweep.verify_violations(), 0u) << where;
     }
-  }
-}
-
-TEST(Sweep, RunSuiteWrapperMatchesSweep) {
-  SynthConfig config;
-  config.loops = 8;
-  config.seed = 5;
-  const std::vector<Loop> loops = synthesize_suite(config);
-  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
-  const std::vector<LoopResult> via_suite = run_suite(loops, machine);
-  const SweepResult via_sweep = SweepRunner().run(loops, machine, {PipelineOptions{}});
-  ASSERT_EQ(via_suite.size(), via_sweep.by_point[0].size());
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    expect_identical(via_suite[i], via_sweep.by_point[0][i], loops[i].name);
   }
 }
 
