@@ -64,7 +64,8 @@ Experiment sec2() {
   e.points.push_back({"12-fus-chain", MachineConfig::single_cluster_machine(12), chain});
 
   e.render = [fu_sizes](const ExperimentCells& cells, std::ostream& os) {
-    TextTable table({"machine", "same II", "II +1", "II +2 or more", "same SC", "mean dQueues"});
+    TextTable table({"machine", "same II", "II +1", "II +2 or more", "unschedulable", "same SC",
+                     "mean dQueues"});
     for (std::size_t m = 0; m < fu_sizes.size(); ++m) {
       const std::vector<LoopResult>& with = cells[2 * m];
       const std::vector<LoopResult>& plain = cells[2 * m + 1];
@@ -75,7 +76,7 @@ Experiment sec2() {
           });
       table.add_row({cat(fu_sizes[m], " FUs"), percent(c.share(c.same)),
                      percent(c.share(c.plus_one)), percent(c.share(c.plus_more)),
-                     percent(c.share(c.same_sc)), dqueues});
+                     percent(c.share(c.unschedulable)), percent(c.share(c.same_sc)), dqueues});
     }
     table.render(os);
 
@@ -268,7 +269,7 @@ Experiment fig6() {
       const IiComparison r = compare_ii(cells[2 * c], cells[2 * c + 1]);
       table.add_row({cat(clusters), cat(3 * clusters), percent(r.share(r.same)),
                      percent(r.share(r.plus_one)), percent(r.share(r.plus_more)),
-                     percent(r.unschedulable_share()), r.ii_ratio.mean(),
+                     percent(r.share(r.unschedulable)), r.ii_ratio.mean(),
                      percent(r.share(r.same_sc))});
     }
     table.render(os);
@@ -494,7 +495,7 @@ Experiment ablation_moves() {
                        kMoveSchemes[s] == SchedulerKind::kClustered ? std::string("adjacent-only")
                                                                     : std::string("with moves"),
                        percent(r.share(r.same)), percent(r.share(r.plus_one)),
-                       percent(r.share(r.plus_more)), percent(r.unschedulable_share()), moves});
+                       percent(r.share(r.plus_more)), percent(r.share(r.unschedulable)), moves});
       }
     }
     table.render(os);
@@ -546,7 +547,7 @@ Experiment ablation_heuristics() {
         heuristic_table.add_row({cat(cluster_sizes[c]),
                                  std::string(cluster_heuristic_name(kHeuristics[h])),
                                  percent(r.share(r.same)), r.ii_ratio.mean(),
-                                 percent(r.unschedulable_share())});
+                                 percent(r.share(r.unschedulable))});
       }
     }
     heuristic_table.render(os);
@@ -556,7 +557,7 @@ Experiment ablation_heuristics() {
     for (std::size_t b = 0; b < std::size(kBudgets); ++b) {
       const IiComparison r = compare_ii(cells[0], cells[4 * cluster_sizes.size() + b]);
       budget_table.add_row({cat(kBudgets[b], "x"), percent(r.share(r.same)), r.ii_ratio.mean(),
-                            percent(r.unschedulable_share())});
+                            percent(r.share(r.unschedulable))});
     }
     budget_table.render(os);
   };
@@ -661,12 +662,7 @@ IiComparison compare_ii(const std::vector<LoopResult>& baseline,
 }
 
 double IiComparison::share(int count) const {
-  const int both = base - unschedulable;
-  return both > 0 ? static_cast<double>(count) / static_cast<double>(both) : 0.0;
-}
-
-double IiComparison::unschedulable_share() const {
-  return base > 0 ? static_cast<double>(unschedulable) / static_cast<double>(base) : 0.0;
+  return base > 0 ? static_cast<double>(count) / static_cast<double>(base) : 0.0;
 }
 
 void print_banner(std::ostream& os, const std::string& experiment,

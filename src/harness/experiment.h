@@ -74,20 +74,20 @@ struct ExperimentRun {
 void write_fig7_json(std::ostream& os, const ExperimentCells& fig7);
 
 /// Cellwise II comparison of a variant point against a baseline point over
-/// the same loops.
+/// the same loops.  The base is fixed: every cell the baseline schedules.
+/// A cell the variant cannot schedule stays in the base as a miss, so
+/// same, plus_one, plus_more and unschedulable partition it.
 struct IiComparison {
   int base = 0;           // cells the baseline schedules
   int same = 0;           // variant II <= baseline II
   int plus_one = 0;       // variant II == baseline II + 1
   int plus_more = 0;      // variant II >= baseline II + 2
   int unschedulable = 0;  // the baseline schedules the cell, the variant does not
-  int same_sc = 0;        // equal stage counts
+  int same_sc = 0;        // both schedule it with equal stage counts
   OnlineStats ii_ratio;   // variant II / baseline II, over cells both schedule
 
-  /// `count` as a fraction of the cells both points schedule.
+  /// `count` as a fraction of `base` (0 when the base is empty).
   [[nodiscard]] double share(int count) const;
-  /// Unschedulable cells as a fraction of `base`.
-  [[nodiscard]] double unschedulable_share() const;
 };
 
 [[nodiscard]] IiComparison compare_ii(const std::vector<LoopResult>& baseline,

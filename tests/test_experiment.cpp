@@ -29,14 +29,16 @@ TEST(CompareIi, BaselineFailuresLeaveTheBase) {
   EXPECT_EQ(c.unschedulable, 0);
 }
 
-TEST(CompareIi, VariantFailureCountsAsUnschedulable) {
+TEST(CompareIi, VariantFailureIsUnschedulableAndAMiss) {
   const std::vector<LoopResult> baseline = {cell(true, 4), cell(true, 4)};
   const std::vector<LoopResult> variant = {cell(false, 0), cell(true, 4)};
   const IiComparison c = compare_ii(baseline, variant);
   EXPECT_EQ(c.base, 2);
   EXPECT_EQ(c.unschedulable, 1);
   EXPECT_EQ(c.same, 1);
-  EXPECT_DOUBLE_EQ(c.unschedulable_share(), 0.5);
+  EXPECT_EQ(c.same_sc, 1);
+  EXPECT_DOUBLE_EQ(c.share(c.same), 0.5);
+  EXPECT_DOUBLE_EQ(c.share(c.unschedulable), 0.5);
 }
 
 TEST(CompareIi, EqualOrBetterIiCountsAsSame) {
@@ -48,6 +50,20 @@ TEST(CompareIi, EqualOrBetterIiCountsAsSame) {
   EXPECT_EQ(c.same, 2);
   EXPECT_EQ(c.plus_one, 1);
   EXPECT_EQ(c.plus_more, 1);
+}
+
+TEST(CompareIi, BucketsPartitionTheBase) {
+  const std::vector<LoopResult> baseline = {cell(true, 3), cell(true, 3), cell(true, 3),
+                                            cell(true, 3), cell(false, 0), cell(true, 3)};
+  const std::vector<LoopResult> variant = {cell(true, 2), cell(true, 4), cell(true, 9),
+                                           cell(false, 0), cell(true, 3), cell(false, 0)};
+  const IiComparison c = compare_ii(baseline, variant);
+  EXPECT_EQ(c.base, 5);
+  EXPECT_EQ(c.same + c.plus_one + c.plus_more + c.unschedulable, c.base);
+  EXPECT_DOUBLE_EQ(c.share(c.same) + c.share(c.plus_one) + c.share(c.plus_more) +
+                       c.share(c.unschedulable),
+                   1.0);
+  EXPECT_DOUBLE_EQ(c.share(c.unschedulable), 0.4);
 }
 
 TEST(CompareIi, IiRatioAveragesOnlyCellsBothSchedule) {
