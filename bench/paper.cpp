@@ -40,9 +40,7 @@ int run() {
   const Suite suite = bench::make_suite();
   bench::print_suite_line(std::cout, suite);
 
-  const SweepOptions options;
-  const ExperimentRun run =
-      run_experiments(suite.loops, paper_experiments(), SweepRunner(options));
+  const ExperimentRun run = run_experiments(suite.loops, paper_experiments());
   for (std::size_t e = 0; e < run.experiments.size(); ++e) {
     const Experiment& experiment = run.experiments[e];
     print_banner(std::cout, experiment.title, experiment.claim);
@@ -58,7 +56,7 @@ int run() {
     }
     std::cout << "\n";
   }
-  print_sweep_footer(std::cout, run, resolved_sweep_workers(options));
+  print_sweep_footer(std::cout, run, resolved_sweep_workers(SweepOptions{}));
   return 0;
 }
 

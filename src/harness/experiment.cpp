@@ -81,27 +81,24 @@ Experiment sec2() {
     table.render(os);
 
     os << "\nCopy tree shape (12 FUs): balanced vs chain fan-out\n";
-    TextTable shape_table({"shape", "mean II", "mean SC", "same II as balanced"});
-    const std::vector<LoopResult>& rb = cells[4];  // 12 FUs, balanced
-    const std::vector<LoopResult>& rc = cells[6];  // 12 FUs, chain
-    int both = 0;
-    int same = 0;
-    OnlineStats ii_b;
-    OnlineStats ii_c;
-    OnlineStats sc_b;
-    OnlineStats sc_c;
-    for (std::size_t i = 0; i < rb.size(); ++i) {
-      if (!rb[i].ok || !rc[i].ok) continue;
-      ++both;
-      if (rb[i].ii == rc[i].ii) ++same;
-      ii_b.add(rb[i].ii);
-      ii_c.add(rc[i].ii);
-      sc_b.add(rb[i].stage_count);
-      sc_c.add(rc[i].stage_count);
+    TextTable shape_table({"shape", "mean II", "mean SC", "II <= balanced", "II +1",
+                           "II +2 or more", "unschedulable"});
+    const std::vector<LoopResult>& balanced_cells = cells[4];
+    const std::vector<LoopResult>& chain_cells = cells[6];
+    for (const bool is_chain : {false, true}) {
+      const IiComparison c = compare_ii(balanced_cells, is_chain ? chain_cells : balanced_cells);
+      // Means over the cells both shapes schedule.
+      const double mean_ii = mean_over_both(
+          balanced_cells, chain_cells,
+          [is_chain](const LoopResult& b, const LoopResult& v) { return (is_chain ? v : b).ii; });
+      const double mean_sc = mean_over_both(
+          balanced_cells, chain_cells, [is_chain](const LoopResult& b, const LoopResult& v) {
+            return (is_chain ? v : b).stage_count;
+          });
+      shape_table.add_row({std::string(is_chain ? "chain" : "balanced"), mean_ii, mean_sc,
+                           percent(c.share(c.same)), percent(c.share(c.plus_one)),
+                           percent(c.share(c.plus_more)), percent(c.share(c.unschedulable))});
     }
-    shape_table.add_row({std::string("balanced"), ii_b.mean(), sc_b.mean(), percent(1.0)});
-    shape_table.add_row({std::string("chain"), ii_c.mean(), sc_c.mean(),
-                         percent(both > 0 ? static_cast<double>(same) / both : 0.0)});
     shape_table.render(os);
   };
   return e;
@@ -434,9 +431,11 @@ Experiment fig9() {
                "near-linear single-cluster scaling; clustered slightly lower at 15/18 FUs",
                ipc_points(), {}};
   e.render = [](const ExperimentCells& cells, std::ostream& os) {
+    // The subset uses the unroll bound of the points it filters.
+    const int max_unroll = cells.points[0].options.max_unroll;
     std::vector<char> keep(cells.loops.size(), 0);
     parallel_for(keep.size(), [&](std::size_t i) {
-      keep[i] = is_resource_constrained(cells.loops[i]) ? 1 : 0;
+      keep[i] = is_resource_constrained(cells.loops[i], max_unroll) ? 1 : 0;
     });
     std::size_t kept = 0;
     std::vector<std::vector<LoopResult>> subset(cells.by_point.size());
@@ -609,11 +608,10 @@ ExperimentCells ExperimentRun::cells(std::size_t e) const {
   return out;
 }
 
-ExperimentRun run_experiments(const std::vector<Loop>& loops, std::vector<Experiment> experiments,
-                              const SweepRunner& runner) {
+ExperimentRun run_experiments(const std::vector<Loop>& loops, std::vector<Experiment> experiments) {
   ExperimentRun run;
   run.merged = merge_points(experiments);
-  run.sweep = runner.run(loops, run.merged.points);
+  run.sweep = SweepRunner().run(loops, run.merged.points);
   run.experiments = std::move(experiments);
   run.loops = &loops;
   return run;

@@ -67,8 +67,7 @@ struct ExperimentRun {
 
 /// Merges the experiments' points and sweeps the union once over `loops`.
 [[nodiscard]] ExperimentRun run_experiments(const std::vector<Loop>& loops,
-                                            std::vector<Experiment> experiments,
-                                            const SweepRunner& runner = SweepRunner());
+                                            std::vector<Experiment> experiments);
 
 /// Fig. 7's per-topology resource curves as the BENCH_fig7.json document.
 void write_fig7_json(std::ostream& os, const ExperimentCells& fig7);

@@ -144,6 +144,25 @@ TEST(MergePoints, PaperExperimentsMergeTo45Points) {
   EXPECT_EQ(merged.slots[8][10], merged.slots[3][1]);
 }
 
+// --- rendering --------------------------------------------------------------
+
+TEST(Render, Sec2ShapeTableKeepsChainFailuresInTheBase) {
+  const Experiment sec2 = paper_experiments()[0];
+  ASSERT_EQ(sec2.id, "sec2");
+  const std::vector<Loop> loops(2);  // rendering reads only the cells
+  const std::vector<LoopResult> scheduled = {cell(true, 4), cell(true, 4)};
+  const std::vector<LoopResult> chain = {cell(true, 4), cell(false, 0)};
+  std::vector<const std::vector<LoopResult>*> by_point(sec2.points.size(), &scheduled);
+  by_point[6] = &chain;  // 12 FUs, chain copy tree
+  std::ostringstream os;
+  sec2.render(ExperimentCells{loops, sec2.points, by_point}, os);
+  // II <= balanced, +1, +2 or more, unschedulable: half the base each way.
+  EXPECT_NE(os.str().find("| chain    |    4.00 |    1.00 | 50.0%          | 0.0%  | 0.0%          "
+                          "| 50.0%         |"),
+            std::string::npos)
+      << os.str();
+}
+
 // --- the union sweep --------------------------------------------------------
 
 TEST(PaperRun, UnionCellsMatchEachExperimentsOwnSweep) {
