@@ -31,7 +31,7 @@ void print_sweep_footer(std::ostream& os, const ExperimentRun& run, int workers)
      << sweep.cache.probes() << " probes)\n[sweep] stage time summed over " << workers
      << " workers:";
   for (const StageTotal& total : sweep.stage_totals) {
-    os << " " << total.stage << " " << fixed(total.seconds, 2) << "s";
+    os << " " << stage_name(total.stage) << " " << fixed(total.seconds, 2) << "s";
   }
   os << "\n";
 }

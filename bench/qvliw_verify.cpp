@@ -78,7 +78,7 @@ int dump(int argc, char** argv) {
   // Run the pipeline keeping the context, so the artifacts the stages
   // produced (not just the scalar result) are still in hand.
   PipelineContext ctx(suite.loops[static_cast<std::size_t>(index)], machine, options);
-  run_stages(ctx, full_stage_plan());
+  if (run_front_end(ctx)) run_back_end(ctx);
   if (!ctx.result.ok) {
     std::cerr << "pipeline failed on loop " << ctx.result.name << " ("
               << ctx.result.failed_stage << "): " << ctx.result.failure << "\n";

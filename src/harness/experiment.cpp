@@ -434,7 +434,7 @@ Experiment fig9() {
     // The subset uses the unroll bound of the points it filters.
     const int max_unroll = cells.points[0].options.max_unroll;
     std::vector<char> keep(cells.loops.size(), 0);
-    parallel_for(keep.size(), [&](std::size_t i) {
+    parallel_for(keep.size(), worker_count(), [&](std::size_t i) {
       keep[i] = is_resource_constrained(cells.loops[i], max_unroll) ? 1 : 0;
     });
     std::size_t kept = 0;

@@ -13,10 +13,11 @@
 // options; benches only aggregate LoopResult records.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "cluster/partition.h"
 #include "ir/loop.h"
@@ -28,7 +29,7 @@
 
 namespace qvliw {
 
-/// How the pipeline's VerifyStage treats the independent legality checker
+/// How the pipeline's verify stage treats the independent legality checker
 /// (src/verify): off, audit (record violation counts, keep the result), or
 /// strict (a violation fails the loop like any other stage failure).
 /// Ordered so std::max picks the stronger of two policies.
@@ -76,19 +77,32 @@ struct PipelineOptions {
   friend bool operator==(const PipelineOptions&, const PipelineOptions&) = default;
 };
 
-/// Wall time spent in one pipeline stage (see harness/stage.h).
-struct StageTiming {
-  std::string stage;
-  double seconds = 0.0;
+/// The pipeline's stages in execution order (harness/stage.h), plus the
+/// sweep runner's MII pre-computation (kMii, 0 under run_pipeline).
+enum class Stage : std::uint8_t {
+  kInvariants,
+  kUnroll,
+  kCopyInsert,
+  kMii,
+  kSchedule,
+  kQueueAlloc,
+  kSim,
+  kVerify,
 };
+inline constexpr std::size_t kStageCount = 8;
+
+/// "invariants", "unroll", "copy_insert", "mii", "schedule",
+/// "queue_alloc", "sim" or "verify".
+[[nodiscard]] std::string_view stage_name(Stage stage);
+
+/// Wall seconds per stage, indexed by Stage.
+using StageSeconds = std::array<double, kStageCount>;
 
 struct LoopResult {
   std::string name;
   bool ok = false;
   std::string failure;
-  /// Stage that reported the failure (empty when ok).  Stage names are the
-  /// canonical ones from harness/stage.h: "invariants", "unroll",
-  /// "copy_insert", "schedule", "queue_alloc", "sim", "verify".
+  /// stage_name of the stage that reported the failure (empty when ok).
   std::string failed_stage;
 
   // Shape.
@@ -138,16 +152,16 @@ struct LoopResult {
   std::string backend;
 
   /// True when the accepted schedule came from a warm-start seed instead
-  /// of a search (see sched/ims.h).  Like stage_times, this records how
+  /// of a search (see sched/ims.h).  Like stage_seconds, this records how
   /// the result was obtained, not what it is, and is excluded from
   /// result-equivalence comparisons.
   bool warm_started = false;
 
-  /// Per-stage wall time of this run, in execution order.  Stages skipped
-  /// via a SweepRunner cache hit do not appear (their cost was paid once by
-  /// the run that populated the cache).  Excluded from result-equivalence
-  /// comparisons: timing is measurement, not outcome.
-  std::vector<StageTiming> stage_times;
+  /// Per-stage wall time of this run; stages that did not run read 0, as
+  /// do the front-end stages of a cell the SweepRunner served from its
+  /// cache (the sweep charges that cost once, to the task).  Excluded from
+  /// result-equivalence comparisons: timing is measurement, not outcome.
+  StageSeconds stage_seconds{};
 };
 
 /// Runs the full pipeline on one loop.  Failures (loop does not fit the

@@ -2,7 +2,7 @@
 //
 // `sweep_result_fingerprint` is the canonical byte string of a sweep's
 // *outcomes* — every semantic LoopResult field, excluding wall times and
-// scheduling-effort/provenance fields (stage_times, ImsStats,
+// scheduling-effort/provenance fields (stage_seconds, ImsStats,
 // warm_started), which record how results were obtained, not what they
 // are.  Two sweeps are result-identical iff their fingerprints are equal
 // bytes; the golden tests pin hash_bytes of it, so its byte layout is

@@ -21,14 +21,18 @@ PipelineContext::PipelineContext(const Loop& source_loop, const MachineConfig& m
   result.src_ops = source_loop.op_count();
 }
 
-// --- stages ----------------------------------------------------------------
+namespace {
 
-bool InvariantStage::run(PipelineContext& ctx) {
+// --- stages ----------------------------------------------------------------
+//
+// Each returns false on failure, having filled ctx.result.failure.
+
+bool invariant_stage(PipelineContext& ctx) {
   ctx.loop = materialize_invariants(*ctx.source, ctx.options->invariants);
   return true;
 }
 
-bool UnrollStage::run(PipelineContext& ctx) {
+bool unroll_stage(PipelineContext& ctx) {
   if (!ctx.options->unroll) return true;
   if (ctx.options->forced_unroll >= 1) {
     ctx.result.unroll_factor = ctx.options->forced_unroll;
@@ -43,7 +47,7 @@ bool UnrollStage::run(PipelineContext& ctx) {
   return true;
 }
 
-bool CopyInsertStage::run(PipelineContext& ctx) {
+bool copy_insert_stage(PipelineContext& ctx) {
   if (ctx.options->insert_copies) {
     // Fused rewrite + incremental DDG derivation: the post-copy graph is
     // built from the pre-copy memory dependences mapped through op_map,
@@ -60,8 +64,10 @@ bool CopyInsertStage::run(PipelineContext& ctx) {
   return true;
 }
 
+/// One scheduling attempt starting at `start_ii` (0 = from MII): shared by
+/// the schedule stage and the queue-fit escalation of queue_alloc.
 ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
-  // Unknown backend names throw Error here; run_stages converts that into
+  // Unknown backend names throw Error here; run_stage converts that into
   // the canonical "pipeline error: ..." failure with the registry's
   // known-names diagnostic.
   const SchedulerBackend& backend =
@@ -89,7 +95,7 @@ ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
   return std::move(outcome.ims);
 }
 
-bool ScheduleStage::run(PipelineContext& ctx) {
+bool schedule_stage(PipelineContext& ctx) {
   ctx.sched = schedule_attempt(ctx, 0);
   ctx.result.warm_started = ctx.sched.warm_started;
   ctx.result.sched_ops = ctx.loop.op_count();
@@ -104,7 +110,7 @@ bool ScheduleStage::run(PipelineContext& ctx) {
   return true;
 }
 
-bool QueueAllocStage::run(PipelineContext& ctx) {
+bool queue_alloc_stage(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
   ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
   result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
@@ -149,7 +155,7 @@ bool QueueAllocStage::run(PipelineContext& ctx) {
   return true;
 }
 
-bool SimStage::run(PipelineContext& ctx) {
+bool sim_stage(PipelineContext& ctx) {
   if (!ctx.options->simulate) return true;
   SimOptions sim_options;
   sim_options.seed = ctx.options->seed;
@@ -167,9 +173,9 @@ bool SimStage::run(PipelineContext& ctx) {
   return true;
 }
 
-bool VerifyStage::run(PipelineContext& ctx) {
+bool verify_stage(PipelineContext& ctx) {
   if (ctx.options->verify == VerifyPolicy::kOff) return true;
-  // Earlier-stage failures stop the plan before this stage, so a complete
+  // Earlier-stage failures stop the back end before this stage, so a complete
   // artifact set (loop, graph, schedule, allocation) is guaranteed here.
   // `must_fit` verifies the producer's capacity *claim*: only when the
   // pipeline reported a fitting allocation must queues/depths check out.
@@ -188,58 +194,39 @@ bool VerifyStage::run(PipelineContext& ctx) {
   return true;
 }
 
-// --- plans and the runner --------------------------------------------------
+// --- the two halves -------------------------------------------------------
 
-namespace {
-
-InvariantStage invariant_stage;
-UnrollStage unroll_stage;
-CopyInsertStage copy_insert_stage;
-ScheduleStage schedule_stage;
-QueueAllocStage queue_alloc_stage;
-SimStage sim_stage;
-VerifyStage verify_stage;
+/// Runs one stage: times it into result.stage_seconds, turns a thrown
+/// Error into the "pipeline error: ..." failure, and records failed_stage.
+bool run_stage(PipelineContext& ctx, Stage stage, bool (*body)(PipelineContext&)) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  bool passed = false;
+  try {
+    passed = body(ctx);
+  } catch (const Error& error) {
+    ctx.result.failure = cat("pipeline error: ", error.what());
+  }
+  ctx.result.stage_seconds[static_cast<std::size_t>(stage)] =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  if (!passed) ctx.result.failed_stage = stage_name(stage);
+  return passed;
+}
 
 }  // namespace
 
-const std::vector<Stage*>& front_stage_plan() {
-  static const std::vector<Stage*> plan = {&invariant_stage, &unroll_stage, &copy_insert_stage};
-  return plan;
+bool run_front_end(PipelineContext& ctx) {
+  return run_stage(ctx, Stage::kInvariants, invariant_stage) &&
+         run_stage(ctx, Stage::kUnroll, unroll_stage) &&
+         run_stage(ctx, Stage::kCopyInsert, copy_insert_stage);
 }
 
-const std::vector<Stage*>& back_stage_plan() {
-  static const std::vector<Stage*> plan = {&schedule_stage, &queue_alloc_stage, &sim_stage,
-                                           &verify_stage};
-  return plan;
-}
-
-const std::vector<Stage*>& full_stage_plan() {
-  static const std::vector<Stage*> plan = [] {
-    std::vector<Stage*> all = front_stage_plan();
-    all.insert(all.end(), back_stage_plan().begin(), back_stage_plan().end());
-    return all;
-  }();
-  return plan;
-}
-
-void run_stages(PipelineContext& ctx, const std::vector<Stage*>& stages) {
-  using Clock = std::chrono::steady_clock;
-  for (Stage* stage : stages) {
-    const Clock::time_point start = Clock::now();
-    bool passed = false;
-    try {
-      passed = stage->run(ctx);
-    } catch (const Error& error) {
-      ctx.result.failure = cat("pipeline error: ", error.what());
-    }
-    ctx.result.stage_times.push_back(
-        {std::string(stage->name()), std::chrono::duration<double>(Clock::now() - start).count()});
-    if (!passed) {
-      ctx.result.failed_stage = stage->name();
-      return;
-    }
-  }
-  ctx.result.ok = true;
+bool run_back_end(PipelineContext& ctx) {
+  ctx.result.ok = run_stage(ctx, Stage::kSchedule, schedule_stage) &&
+                  run_stage(ctx, Stage::kQueueAlloc, queue_alloc_stage) &&
+                  run_stage(ctx, Stage::kSim, sim_stage) &&
+                  run_stage(ctx, Stage::kVerify, verify_stage);
+  return ctx.result.ok;
 }
 
 }  // namespace qvliw

@@ -1,6 +1,5 @@
 #include "harness/sweep.h"
 
-#include <array>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -38,11 +37,9 @@ double SweepResult::pipelines_per_second() const {
   return wall_seconds > 0.0 ? static_cast<double>(pipelines) / wall_seconds : 0.0;
 }
 
-double SweepResult::stage_seconds(std::string_view stage) const {
-  for (const StageTotal& total : stage_totals) {
-    if (total.stage == stage) return total.seconds;
-  }
-  return 0.0;
+double SweepResult::stage_seconds(Stage stage) const {
+  const auto s = static_cast<std::size_t>(stage);
+  return s < stage_totals.size() ? stage_totals[s].seconds : 0.0;
 }
 
 std::uint64_t SweepResult::verify_checked() const {
@@ -71,6 +68,10 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+void add(StageSeconds& into, const StageSeconds& seconds) {
+  for (std::size_t s = 0; s < kStageCount; ++s) into[s] += seconds[s];
 }
 
 // --- prefix keys -----------------------------------------------------------
@@ -116,9 +117,10 @@ std::uint64_t front_key(std::uint64_t k2, const PipelineOptions& options,
 struct FrontEntry {
   Loop loop;  // copy-inserted scheduler input
   std::shared_ptr<const Ddg> graph;
-  LoopResult result;  // the front plan's result; when !result.ok, the
-                      // canonical failing LoopResult replayed for every
-                      // point (stage_times cleared; its cost is charged once)
+  bool ok = false;    // every front-end stage passed
+  LoopResult result;  // the front end's result; when !ok, the canonical
+                      // failing LoopResult replayed for every point
+                      // (stage_seconds zeroed; its cost is charged once)
   std::map<std::uint64_t, MiiInfo> mii;  // machine signature -> bounds
 };
 
@@ -140,14 +142,11 @@ struct TaskCache {
   std::unordered_map<std::uint64_t, SchedEntry> sched;  // MII-optimality memo
 };
 
-// Front-end wall time indexed as: invariants, unroll, copy_insert, mii.
-using FrontSeconds = std::array<double, 4>;
-
-/// The front end of one (loop, prefix): run through the front stage plan
-/// once, then replayed — artifacts or canonical failure — for every point
-/// sharing the prefix.
+/// The front end of one (loop, prefix): run once, its time charged to the
+/// task's `seconds`, then replayed — artifacts or canonical failure — for
+/// every point sharing the prefix.
 FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPrefixKeys& keys,
-                      TaskCache& cache, SweepCacheStats& stats, FrontSeconds& seconds) {
+                      TaskCache& cache, SweepCacheStats& stats, StageSeconds& seconds) {
   ++stats.front_probes;
   if (auto it = cache.front.find(keys.front); it != cache.front.end()) {
     ++stats.front_hits;
@@ -155,19 +154,15 @@ FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPr
   }
 
   PipelineContext ctx(source, point.machine, point.options);
-  run_stages(ctx, front_stage_plan());
-  for (const StageTiming& timing : ctx.result.stage_times) {
-    if (timing.stage == kStageInvariants) seconds[0] += timing.seconds;
-    if (timing.stage == kStageUnroll) seconds[1] += timing.seconds;
-    if (timing.stage == kStageCopyInsert) seconds[2] += timing.seconds;
-  }
-  ctx.result.stage_times.clear();  // charged once via FrontSeconds
-  FrontEntry entry{std::move(ctx.loop), std::move(ctx.graph), std::move(ctx.result), {}};
+  const bool ok = run_front_end(ctx);
+  add(seconds, ctx.result.stage_seconds);
+  ctx.result.stage_seconds = {};
+  FrontEntry entry{std::move(ctx.loop), std::move(ctx.graph), ok, std::move(ctx.result), {}};
   return cache.front.emplace(keys.front, std::move(entry)).first->second;
 }
 
 MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKeys& keys,
-                SweepCacheStats& stats, FrontSeconds& seconds) {
+                SweepCacheStats& stats, StageSeconds& seconds) {
   ++stats.mii_probes;
   if (auto it = front.mii.find(keys.machine); it != front.mii.end()) {
     ++stats.mii_hits;
@@ -175,7 +170,7 @@ MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKey
   }
   const Clock::time_point start = Clock::now();
   const MiiInfo mii = compute_mii(front.loop, *front.graph, point.machine);
-  seconds[3] += seconds_since(start);
+  seconds[static_cast<std::size_t>(Stage::kMii)] += seconds_since(start);
   front.mii.emplace(keys.machine, mii);
   return mii;
 }
@@ -183,10 +178,9 @@ MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKey
 /// Runs the back end of one (loop, point) cell on a cached front entry,
 /// installing a sibling ladder point's MII-optimal schedule when the
 /// task's MII-optimality memo holds one this point's budget may use.
-LoopResult run_back_end(const Loop& source, const SweepPoint& point,
-                        const PipelineOptions& options, const SweepPrefixKeys& keys,
-                        FrontEntry& front, TaskCache& cache, SweepCacheStats& stats,
-                        FrontSeconds& seconds) {
+LoopResult run_cell(const Loop& source, const SweepPoint& point, const PipelineOptions& options,
+                    const SweepPrefixKeys& keys, FrontEntry& front, TaskCache& cache,
+                    SweepCacheStats& stats, StageSeconds& seconds) {
   PipelineContext ctx(source, point.machine, options);
   ctx.loop = front.loop;
   ctx.graph = front.graph;
@@ -203,7 +197,7 @@ LoopResult run_back_end(const Loop& source, const SweepPoint& point,
       ctx.seed = &it->second.seed;
     }
   }
-  run_stages(ctx, back_stage_plan());
+  run_back_end(ctx);
   if (ctx.result.warm_started) ++stats.sched_memo_hits;
 
   // Publish a proven-optimal accepted schedule (II == MII, post queue-fit
@@ -217,23 +211,6 @@ LoopResult run_back_end(const Loop& source, const SweepPoint& point,
     }
   }
   return std::move(ctx.result);
-}
-
-/// Canonical ordering of aggregated per-stage seconds: the pipeline stages
-/// in execution order first, any other stage alphabetically after.
-std::vector<StageTotal> ordered_stage_totals(std::map<std::string, double, std::less<>> totals) {
-  static constexpr std::string_view kOrder[] = {kStageInvariants, kStageUnroll, kStageCopyInsert,
-                                                "mii",            kStageSchedule, kStageQueueAlloc,
-                                                kStageSim,        kStageVerify};
-  std::vector<StageTotal> out;
-  for (std::string_view stage : kOrder) {
-    if (auto it = totals.find(stage); it != totals.end()) {
-      out.push_back({it->first, it->second});
-      totals.erase(it);
-    }
-  }
-  for (const auto& [stage, seconds] : totals) out.push_back({stage, seconds});
-  return out;
 }
 
 }  // namespace
@@ -290,57 +267,40 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   // One accounting slot per task; each task writes only its own slot and
   // its own by_point cells, so tasks share no mutable state.
   std::vector<SweepCacheStats> task_stats(loops.size());
-  std::vector<FrontSeconds> task_seconds(loops.size());
+  std::vector<StageSeconds> task_seconds(loops.size());
 
   auto run_task = [&](std::size_t i) {
     TaskCache cache;
     SweepCacheStats stats;
-    FrontSeconds seconds{};
+    StageSeconds seconds{};
     for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
       LoopResult& out = sweep.by_point[p][i];
       FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
-      out = front.result.ok ? run_back_end(loops[i], point, cell_options[p], keys[p], front,
-                                           cache, stats, seconds)
-                            : front.result;
+      out = front.ok ? run_cell(loops[i], point, cell_options[p], keys[p], front, cache, stats,
+                                seconds)
+                     : front.result;
     }
     task_stats[i] = stats;
     task_seconds[i] = seconds;
   };
+  parallel_for(loops.size(), static_cast<std::size_t>(resolved_sweep_workers(options_)),
+               run_task);
 
-  const int workers = resolved_sweep_workers(options_);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < loops.size(); ++i) run_task(i);
-  } else if (options_.workers > 0) {
-    // An explicit count means exactly that many threads, even above the
-    // core count — determinism tests depend on it.
-    ThreadPool pool(static_cast<std::size_t>(workers));
-    // Grain 1: tasks are whole loops (many pipeline runs each), so
-    // per-claim overhead is noise and load balancing wins.
-    parallel_for_on(pool, loops.size(), 1, run_task);
-  } else {
-    parallel_for_on(ThreadPool::shared(), loops.size(), 1, run_task);
-  }
-
-  // Sum the task slots in loop order, then aggregate per-stage wall time:
-  // per-run stage_times plus the front-end work the cache performed
-  // outside any single run.
-  FrontSeconds front_seconds{};
+  // Sum the task slots in loop order, then per-stage wall time: each
+  // cell's back end plus the front-end and MII work the tasks charged
+  // once.
+  StageSeconds totals{};
   for (std::size_t i = 0; i < loops.size(); ++i) {
     sweep.cache += task_stats[i];
-    for (std::size_t k = 0; k < front_seconds.size(); ++k) front_seconds[k] += task_seconds[i][k];
+    add(totals, task_seconds[i]);
   }
-  std::map<std::string, double, std::less<>> totals;
   for (const std::vector<LoopResult>& results : sweep.by_point) {
-    for (const LoopResult& result : results) {
-      for (const StageTiming& timing : result.stage_times) totals[timing.stage] += timing.seconds;
-    }
+    for (const LoopResult& result : results) add(totals, result.stage_seconds);
   }
-  totals[std::string(kStageInvariants)] += front_seconds[0];
-  totals[std::string(kStageUnroll)] += front_seconds[1];
-  totals[std::string(kStageCopyInsert)] += front_seconds[2];
-  if (front_seconds[3] > 0.0) totals["mii"] += front_seconds[3];
-  sweep.stage_totals = ordered_stage_totals(std::move(totals));
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    sweep.stage_totals.push_back({static_cast<Stage>(s), totals[s]});
+  }
 
   sweep.wall_seconds = seconds_since(sweep_start);
   return sweep;

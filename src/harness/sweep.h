@@ -2,8 +2,8 @@
 //
 // Every figure of the paper is the same pipeline swept over ~1258 loops
 // under varying options/machines.  `SweepRunner` executes the full
-// (loop x sweep point) cross product, fanning loops across the worker
-// pool, and exploits the stage graph's front/back split (harness/stage.h):
+// (loop x sweep point) cross product, fanning loops across worker
+// threads, and exploits the pipeline's front/back split (harness/stage.h):
 // sweep points that share an options *prefix* — same invariant strategy,
 // same unroll choice, same copy insertion — reuse the cached
 // post-transform loop, its DDG, and the MII bounds instead of recomputing
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/pipeline.h"
@@ -62,12 +61,11 @@ struct SweepCacheStats {
   SweepCacheStats& operator+=(const SweepCacheStats& other);
 };
 
-/// Wall time summed over every pipeline run of the sweep, per stage.
-/// Front-end stages computed once per cache miss are charged once; "mii"
-/// appears as its own entry when the runner pre-computes bounds for the
-/// back end.
+/// Wall time of one stage summed over every pipeline run of the sweep.
+/// Front-end stages computed once per cache miss are charged once; kMii is
+/// the runner's own pre-computation of MII bounds for the back end.
 struct StageTotal {
-  std::string stage;
+  Stage stage = Stage::kInvariants;
   double seconds = 0.0;
 };
 
@@ -81,10 +79,10 @@ struct SweepOptions {
   bool parallel = true;  // false forces serial regardless of `workers`
 
   /// Worker threads executing tasks (one per loop).  0 = auto (one per
-  /// hardware thread, on the shared pool); 1 = serial; N > 1 = exactly N
-  /// threads on a private pool, even when the machine has fewer cores
-  /// (how tests exercise real concurrency on small runners).  Results
-  /// are sweep_result_fingerprint-identical at every worker count.
+  /// hardware thread); 1 = serial; N > 1 = exactly N threads, even when
+  /// the machine has fewer cores (how tests exercise real concurrency on
+  /// small runners).  Results are sweep_result_fingerprint-identical at
+  /// every worker count.
   int workers = 0;
 
   SweepVerifyMode verify_mode = SweepVerifyMode::kOff;
@@ -125,12 +123,12 @@ struct SweepResult {
   /// results[point][loop], index-aligned with the inputs.
   std::vector<std::vector<LoopResult>> by_point;
   SweepCacheStats cache;
-  std::vector<StageTotal> stage_totals;
+  std::vector<StageTotal> stage_totals;  // one per Stage, in enum order
   double wall_seconds = 0.0;
   std::uint64_t pipelines = 0;  // loops x points executed
 
   [[nodiscard]] double pipelines_per_second() const;
-  [[nodiscard]] double stage_seconds(std::string_view stage) const;
+  [[nodiscard]] double stage_seconds(Stage stage) const;
 
   /// Translation-validation roll-up over by_point: cells whose verify
   /// stage ran, and the summed violation count (0 on a legal sweep).

@@ -103,7 +103,7 @@ TEST(RingEquivalence, AllocatorDomainsMatchLegacyAcrossSuite) {
   int lifetimes_checked = 0;
   for (const Loop& source : suite.loops) {
     PipelineContext ctx(source, machine, options);
-    run_stages(ctx, full_stage_plan());
+    if (run_front_end(ctx)) run_back_end(ctx);
     if (!ctx.result.ok) continue;
     for (const Lifetime& lt : ctx.allocation.lifetimes) {
       const int pc = ctx.sched.schedule.place(lt.producer).cluster;

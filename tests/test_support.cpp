@@ -266,124 +266,79 @@ TEST(Table, CsvRendering) {
 // --- parallel ---------------------------------------------------------------------
 
 TEST(Parallel, CoversAllIndicesExactlyOnce) {
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    const std::size_t n = 1003;
+    std::vector<std::atomic<int>> hits(n);
+    parallel_for(n, workers, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << workers << " " << i;
+  }
 }
 
 TEST(Parallel, ZeroCountIsNoop) {
   bool ran = false;
-  parallel_for(0, [&](std::size_t) { ran = true; });
+  parallel_for(0, 4, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(Parallel, PropagatesException) {
-  EXPECT_THROW(
-      parallel_for(16, [](std::size_t i) {
-        if (i == 7) throw Error("worker failed");
-      }),
-      Error);
 }
 
 TEST(Parallel, WorkerCountPositive) { EXPECT_GE(worker_count(), 1u); }
 
-TEST(Parallel, GrainedCoversAllIndicesExactlyOnce) {
-  const std::size_t n = 1003;  // not a multiple of the grain
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_on(ThreadPool::shared(), n, 7, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(Parallel, ExceptionStillRunsEveryOtherIndex) {
+  // The throwing index fails alone: every other index still runs and the
+  // join completes before the rethrow.
+  for (const std::size_t workers : {1u, 4u}) {
+    const std::size_t n = 64;
+    std::vector<std::atomic<int>> hits(n);
+    EXPECT_THROW(parallel_for(n, workers,
+                              [&](std::size_t i) {
+                                if (i == 0) throw Error("index 0 failed");
+                                hits[i].fetch_add(1);
+                              }),
+                 Error);
+    for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << workers << " " << i;
+  }
 }
 
-TEST(Parallel, ExceptionOnCallerChunkStillDrainsOthers) {
-  // Grain 1: the throwing index kills only its own chunk; every other
-  // index still runs and the join completes before the rethrow.
-  const std::size_t n = 64;
-  std::vector<std::atomic<int>> hits(n);
-  EXPECT_THROW(parallel_for_on(ThreadPool::shared(), n, 1,
-                               [&](std::size_t i) {
-                                 if (i == 0) throw Error("caller-chunk failure");
-                                 hits[i].fetch_add(1);
-                               }),
-               Error);
-  for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(Parallel, MultipleExceptionsRethrowFirstCaptured) {
-  EXPECT_THROW(parallel_for(256, [](std::size_t i) {
-                 if (i % 2 == 0) throw Error("even index failed");
-               }),
+TEST(Parallel, MultipleExceptionsRethrowOne) {
+  EXPECT_THROW(parallel_for(256, 4,
+                            [](std::size_t i) {
+                              if (i % 2 == 0) throw Error("even index failed");
+                            }),
                Error);
 }
 
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, ExplicitWorkerCountCoversAllIndices) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  const std::size_t n = 257;  // not a multiple of any grain
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_on(pool, n, 1, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, RunsChunksConcurrently) {
-  // Four workers (three pool threads + the caller) can hold four grain-1
-  // chunks in flight at once: each chunk spins until all four have
-  // started.  A pool that failed to fan out would deadlock here (caught
-  // by the test timeout), not pass by accident.
-  ThreadPool pool(4);
+TEST(Parallel, WorkersRunConcurrently) {
+  // Four workers (three threads + the caller) hold four indices at once:
+  // each index spins until all four have started.  A call that failed to
+  // fan out would hang here (caught by the test timeout), not pass.
   std::atomic<int> started{0};
-  parallel_for_on(pool, 4, 1, [&](std::size_t) {
+  parallel_for(4, 4, [&](std::size_t) {
     started.fetch_add(1);
     while (started.load() < 4) std::this_thread::yield();
   });
   EXPECT_EQ(started.load(), 4);
 }
 
-TEST(ThreadPool, PropagatesExceptionAndStaysUsable) {
-  ThreadPool pool(3);
-  EXPECT_THROW(parallel_for_on(pool, 64, 1,
-                               [](std::size_t i) {
-                                 if (i == 13) throw Error("chunk failed");
-                               }),
-               Error);
-  // The pool survives a failed job: the next job runs to completion.
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for_on(pool, hits.size(), 1, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(Parallel, SingleWorkerRunsInIndexOrder) {
+  std::vector<std::size_t> order;  // no lock needed: serial by contract
+  parallel_for(100, 1, [&](std::size_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, NestedFanOutRunsInline) {
-  // A body that itself calls parallel_for must not deadlock waiting for
-  // pool threads that are all busy running the outer job: nested
-  // fan-outs run inline on the calling worker.
-  ThreadPool pool(2);
+TEST(Parallel, NestedCallCompletes) {
   std::vector<std::atomic<int>> hits(32 * 8);
-  parallel_for_on(pool, 32, 1, [&](std::size_t outer) {
-    parallel_for(8, [&](std::size_t inner) { hits[outer * 8 + inner].fetch_add(1); });
+  parallel_for(32, 2, [&](std::size_t outer) {
+    parallel_for(8, 2, [&](std::size_t inner) { hits[outer * 8 + inner].fetch_add(1); });
   });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPool, SingleWorkerPoolRunsSerially) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.workers(), 1u);
-  std::vector<int> hits(100, 0);  // no atomics needed: serial by contract
-  parallel_for_on(pool, hits.size(), 1, [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
-TEST(ThreadPool, ForkedChildDegradesToCallerDraining) {
-  // A forked child inherits the pool object but none of its threads; a
-  // run() in the child must complete (caller drains every chunk) rather
-  // than wait forever on workers that do not exist.
-  (void)ThreadPool::shared();  // ensure the shared pool predates the fork
+TEST(Parallel, CallInForkedChildCompletes) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     std::atomic<std::size_t> sum{0};
-    parallel_for(100, [&](std::size_t i) { sum.fetch_add(i + 1); });
+    parallel_for(100, 4, [&](std::size_t i) { sum.fetch_add(i + 1); });
     _exit(sum.load() == 5050 ? 0 : 1);
   }
   int status = 0;

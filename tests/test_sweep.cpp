@@ -53,7 +53,7 @@ std::vector<SweepPoint> demo_points() {
   return points;
 }
 
-// Every semantic field of LoopResult.  stage_times is deliberately
+// Every semantic field of LoopResult.  stage_seconds is deliberately
 // excluded: wall time is measurement, not outcome.  ImsStats are compared
 // too — but only when both sides actually searched (warm_started false on
 // both): a schedule the MII-optimality ladder memo installed is
@@ -201,11 +201,15 @@ TEST(Sweep, StageTotalsCoverBackEnd) {
   const Suite suite = small_suite(4, 13);
   SweepPoint point{"single-6fu", MachineConfig::single_cluster_machine(6), {}};
   const SweepResult sweep = SweepRunner().run(suite.loops, {point});
-  EXPECT_GT(sweep.stage_seconds("schedule"), 0.0);
-  EXPECT_GT(sweep.stage_seconds("queue_alloc"), 0.0);
+  ASSERT_EQ(sweep.stage_totals.size(), kStageCount);
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    EXPECT_EQ(sweep.stage_totals[s].stage, static_cast<Stage>(s));
+    EXPECT_GE(sweep.stage_totals[s].seconds, 0.0);
+  }
+  EXPECT_GT(sweep.stage_seconds(Stage::kSchedule), 0.0);
+  EXPECT_GT(sweep.stage_seconds(Stage::kQueueAlloc), 0.0);
   EXPECT_GT(sweep.wall_seconds, 0.0);
   EXPECT_GT(sweep.pipelines_per_second(), 0.0);
-  EXPECT_EQ(sweep.stage_seconds("no-such-stage"), 0.0);
 }
 
 TEST(Sweep, PrefixKeyDomainsAreDisjoint) {

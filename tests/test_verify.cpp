@@ -31,7 +31,7 @@ struct Artifacts {
 Artifacts prepare(const Loop& source, const MachineConfig& machine,
                   PipelineOptions options = {}) {
   PipelineContext ctx(source, machine, options);
-  run_stages(ctx, full_stage_plan());
+  if (run_front_end(ctx)) run_back_end(ctx);
   EXPECT_TRUE(ctx.result.ok) << ctx.result.failure;
   Artifacts a;
   a.loop = ctx.loop;
