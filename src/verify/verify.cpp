@@ -19,6 +19,8 @@ std::string_view verify_rule_name(VerifyRule rule) {
   switch (rule) {
     case VerifyRule::kArtifactShape:
       return "artifact-shape";
+    case VerifyRule::kArtifactSize:
+      return "artifact-size";
     case VerifyRule::kLoopStructure:
       return "loop-structure";
     case VerifyRule::kDdgFlow:
@@ -267,6 +269,59 @@ std::string safe_domain_name(const Topology& topology, const QueueDomain& domain
   return domain_name(topology, domain);
 }
 
+/// The largest per-kind FU count of any cluster (>= 1): the instance axis
+/// of the dense modulo occupancy map.
+int max_fus_per_kind(const MachineConfig& machine) {
+  int max_fu = 1;
+  for (int c = 0; c < machine.cluster_count(); ++c) {
+    for (int k = 0; k < kNumFuKinds; ++k) {
+      max_fu = std::max(max_fu, machine.fu_count(c, static_cast<FuKind>(k)));
+    }
+  }
+  return max_fu;
+}
+
+/// Modulo occupancy slots per cycle: one per (cluster, FU kind, instance).
+std::uint64_t slots_per_cycle(const MachineConfig& machine) {
+  return static_cast<std::uint64_t>(machine.cluster_count()) * kNumFuKinds *
+         static_cast<std::uint64_t>(max_fus_per_kind(machine));
+}
+
+/// The cycle up to which one queue's FIFO replay runs: past the members'
+/// latest pop by two IIs, long enough to reach steady state.
+long long replay_horizon(const QueueAllocation& allocation, const std::vector<int>& members,
+                         int ii) {
+  long long horizon = 0;
+  for (int l : members) {
+    horizon = std::max<long long>(horizon, allocation.lifetimes[static_cast<std::size_t>(l)].pop);
+  }
+  return horizon + 2LL * ii;
+}
+
+/// Events the FIFO replay of verify_queue_allocation generates, summed
+/// over every queue whose members name real lifetimes, or a number above
+/// `cap` once the sum passes it.
+std::uint64_t replay_event_count(const QueueAllocation& allocation, int ii, std::uint64_t cap) {
+  const auto lifetime_count = static_cast<int>(allocation.lifetimes.size());
+  std::uint64_t events = 0;
+  for (const AllocatedQueue& queue : allocation.queues) {
+    if (std::any_of(queue.members.begin(), queue.members.end(),
+                    [&](int l) { return l < 0 || l >= lifetime_count; })) {
+      continue;  // the replay never runs on a queue naming no such lifetime
+    }
+    const long long horizon = replay_horizon(allocation, queue.members, ii);
+    const auto instances = [&](long long from) {
+      return from <= horizon ? static_cast<std::uint64_t>((horizon - from) / ii + 1) : 0;
+    };
+    for (int l : queue.members) {
+      const Lifetime& lt = allocation.lifetimes[static_cast<std::size_t>(l)];
+      events += instances(lt.push) + instances(lt.pop);
+      if (events > cap) return events;
+    }
+  }
+  return events;
+}
+
 }  // namespace
 
 VerifyReport verify_ddg(const Loop& loop, const Ddg& graph, const LatencyModel& latency) {
@@ -401,15 +456,8 @@ VerifyReport verify_modulo_schedule(const Loop& loop, const Ddg& graph,
   // built modulo occupancy map (one owner per (cluster, class, instance,
   // cycle mod II) slot) — a dense array over the machine's slot space,
   // indexed only after the placement checks passed.
-  int max_fu = 1;
-  for (int c = 0; c < machine.cluster_count(); ++c) {
-    for (int k = 0; k < kNumFuKinds; ++k) {
-      max_fu = std::max(max_fu, machine.fu_count(c, static_cast<FuKind>(k)));
-    }
-  }
-  std::vector<int> slot_owner(static_cast<std::size_t>(machine.cluster_count()) * kNumFuKinds *
-                                  static_cast<std::size_t>(max_fu) * static_cast<std::size_t>(ii),
-                              -1);
+  const int max_fu = max_fus_per_kind(machine);
+  std::vector<int> slot_owner(slots_per_cycle(machine) * static_cast<std::uint64_t>(ii), -1);
   for (int i = 0; i < loop.op_count(); ++i) {
     if (!schedule.scheduled(i)) {
       report.add(VerifyRule::kSchedIncomplete, cat(op_label(loop, i), " has no placement"));
@@ -662,12 +710,7 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
           std::all_of(members.begin(), members.end(),
                       [&](int l) { return lifetime_usable[static_cast<std::size_t>(l)]; });
       if (!all_usable) continue;  // endpoint diagnostics already filed
-      long long horizon = 0;
-      for (int l : members) {
-        horizon = std::max<long long>(horizon,
-                                      allocation.lifetimes[static_cast<std::size_t>(l)].pop);
-      }
-      horizon += 2LL * ii;
+      const long long horizon = replay_horizon(allocation, members, ii);
 
       struct Event {
         long long time = 0;
@@ -903,6 +946,27 @@ VerifyReport verify_bundle(const VerifyBundle& bundle) {
   } catch (const Error& error) {
     report.add(VerifyRule::kArtifactShape, cat("machine config invalid: ", error.what()));
     return report;
+  }
+  // Outside input can ask for any amount of work: refuse more than the
+  // caps before the schedule and queue passes size anything by it.
+  // (validate() bounds the FU counts, so slots per cycle cannot overflow.)
+  const int ii = bundle.schedule.ii();
+  const std::uint64_t per_cycle = slots_per_cycle(bundle.machine);
+  if (per_cycle > kMaxBundleModuloSlots / static_cast<std::uint64_t>(ii)) {
+    report.add(VerifyRule::kArtifactSize,
+               cat("modulo occupancy map of ", per_cycle, " slots per cycle at II ", ii,
+                   " exceeds the cap of ", kMaxBundleModuloSlots, " slots"));
+    return report;
+  }
+  if (bundle.has_allocation) {
+    const std::uint64_t events =
+        replay_event_count(bundle.allocation, ii, kMaxBundleReplayEvents);
+    if (events > kMaxBundleReplayEvents) {
+      report.add(VerifyRule::kArtifactSize,
+                 cat("FIFO replay needs more than ", kMaxBundleReplayEvents,
+                     " push/pop events, the cap"));
+      return report;
+    }
   }
   Ddg graph;
   try {

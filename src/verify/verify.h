@@ -30,6 +30,7 @@
 // cross-checking verdicts against sim/vliwsim.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +47,7 @@ namespace qvliw {
 /// verify_rule_name) are part of the diagnostic format.
 enum class VerifyRule : std::uint8_t {
   kArtifactShape,         // op counts of loop/DDG/schedule/allocation disagree
+  kArtifactSize,          // a bundle asks for more verifier work than the caps allow
   kLoopStructure,         // Loop::validate failed
   kDdgFlow,               // flow edges disagree with the loop's operands
   kDdgMem,                // memory edges disagree with the affine derivation
@@ -143,8 +145,23 @@ struct VerifyBundle {
   bool must_fit = false;
 };
 
+/// Caps on the work verify_bundle accepts from a bundle.  A bundle above
+/// either is rejected with an artifact-size diagnostic before anything
+/// sized by it is allocated.  Pipeline artifacts sit orders of magnitude
+/// below both, and the pipeline's own verify stage does not check them.
+///
+/// Modulo occupancy slots: clusters x FU kinds x max FUs per kind x II
+/// (4 bytes each, so at most 64 MiB).
+inline constexpr std::uint64_t kMaxBundleModuloSlots = std::uint64_t{1} << 24;
+/// FIFO-replay events over all queues: each lifetime pushes once per
+/// instance from its push cycle, and pops once per instance from its pop
+/// cycle, up to its queue's horizon (the latest pop plus two IIs) —
+/// about (pop - push) / II + 6 events for a lifetime alone in its queue.
+inline constexpr std::uint64_t kMaxBundleReplayEvents = std::uint64_t{1} << 21;
+
 /// Runs every applicable pass over the bundle (the DDG is rebuilt from
-/// loop + machine latency, so it cannot be forged independently).
+/// loop + machine latency, so it cannot be forged independently), after
+/// checking the machine and the two work caps above.
 [[nodiscard]] VerifyReport verify_bundle(const VerifyBundle& bundle);
 
 [[nodiscard]] std::string encode_verify_bundle(const VerifyBundle& bundle);

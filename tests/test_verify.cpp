@@ -365,6 +365,64 @@ TEST(VerifyCodec, BundleRejectsCorruption) {
   }
 }
 
+// Length lies: a small bundle may claim a machine and an II whose modulo
+// occupancy map, or lifetimes whose FIFO replay, would take gigabytes.
+// verify_bundle must refuse both up front instead of trying.
+TEST(VerifyCodec, BundleAskingForHugeOccupancyMapIsRejected) {
+  const Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
+  for (const int clusters : {4096, 65536}) {
+    VerifyBundle bundle;
+    bundle.loop = a.loop;
+    bundle.machine = a.machine;
+    bundle.machine.clusters.assign(static_cast<std::size_t>(clusters), a.machine.cluster(0));
+    bundle.schedule = Schedule(a.loop.op_count(), kMaxScheduleIi);
+    for (int op = 0; op < a.loop.op_count(); ++op) bundle.schedule.set(op, a.schedule.place(op));
+    const VerifyReport report = verify_bundle(decode_verify_bundle(encode_verify_bundle(bundle)));
+    ASSERT_EQ(report.violations(), 1) << clusters << ": " << report.summary(0);
+    EXPECT_TRUE(report.has_rule(VerifyRule::kArtifactSize)) << report.summary(0);
+  }
+}
+
+TEST(VerifyCodec, BundleAskingForHugeFifoReplayIsRejected) {
+  // daxpy at II 2 with its ops spread over the whole decodable cycle
+  // range: consumers pop millions of cycles after their producers push.
+  // The allocation is exactly what that schedule implies (one queue per
+  // lifetime), so nothing short of the replay itself would stop it.
+  const Loop loop = kernel_by_name("daxpy");
+  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
+  const Ddg graph = Ddg::build(loop, machine.latency);
+  const int ii = 2;
+  const int spread = kMaxScheduleCycle / loop.op_count();
+  VerifyBundle bundle;
+  bundle.loop = loop;
+  bundle.machine = machine;
+  bundle.schedule = Schedule(loop.op_count(), ii);
+  for (int op = 0; op < loop.op_count(); ++op) {
+    bundle.schedule.set(op, {op * spread, 0, op % 2});
+  }
+  bundle.has_allocation = true;
+  bundle.allocation.ii = ii;
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    const DepEdge& edge = graph.edge(e);
+    if (!edge.is_value_flow()) continue;
+    Lifetime lt;
+    lt.edge = e;
+    lt.producer = edge.src;
+    lt.consumer = edge.dst;
+    lt.push = bundle.schedule.cycle(edge.src) +
+              machine.latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
+    lt.pop = bundle.schedule.cycle(edge.dst) + ii * edge.distance;
+    const int q = static_cast<int>(bundle.allocation.queues.size());
+    bundle.allocation.queue_of.push_back(q);
+    bundle.allocation.queues.push_back({lt.domain, q, {q}, 1});
+    bundle.allocation.lifetimes.push_back(lt);
+  }
+  ASSERT_GE(bundle.allocation.lifetimes.size(), 2u);
+  const VerifyReport report = verify_bundle(decode_verify_bundle(encode_verify_bundle(bundle)));
+  ASSERT_EQ(report.violations(), 1) << report.summary(0);
+  EXPECT_TRUE(report.has_rule(VerifyRule::kArtifactSize)) << report.summary(0);
+}
+
 TEST(VerifyCodec, V1BundleDecodesAsRingAndVerifies) {
   // A bundle written by the pre-topology tool: old magic, machine blob
   // without the topology suffix, and direction-local ring-cw/ring-ccw
