@@ -191,15 +191,13 @@ void serialize_machine(BlobWriter& out, const MachineConfig& machine) {
   out.put_i32(machine.segment.queues_per_segment);
   out.put_i32(machine.segment.queue_depth);
   for (int l : machine.latency.latency) out.put_i32(l);
-  // Version-2 suffix: interconnect shape.
+  // Interconnect shape.
   out.put_i32(static_cast<std::int32_t>(machine.topology_kind));
   out.put_i32(machine.mesh_rows);
   out.put_i32(machine.mesh_cols);
 }
 
-MachineConfig deserialize_machine(BlobReader& in, int version) {
-  check(version >= 1 && version <= kMachineCodecVersion,
-        cat("deserialize_machine: unsupported codec version ", version));
+MachineConfig deserialize_machine(BlobReader& in) {
   MachineConfig machine;
   machine.name = in.get_string();
   const std::int32_t clusters = in.get_i32();
@@ -214,19 +212,17 @@ MachineConfig deserialize_machine(BlobReader& in, int version) {
   machine.segment.queues_per_segment = in.get_i32();
   machine.segment.queue_depth = in.get_i32();
   for (int& l : machine.latency.latency) l = in.get_i32();
-  if (version >= 2) {
-    const std::int32_t kind = in.get_i32();
-    check(kind >= 0 && kind <= static_cast<std::int32_t>(TopologyKind::kCrossbar),
-          cat("deserialize_machine: bad topology kind ", kind));
-    machine.topology_kind = static_cast<TopologyKind>(kind);
-    machine.mesh_rows = in.get_i32();
-    machine.mesh_cols = in.get_i32();
-    if (machine.topology_kind == TopologyKind::kMesh) {
-      check(machine.mesh_rows >= 1 && machine.mesh_cols >= 1 &&
-                static_cast<long long>(machine.mesh_rows) * machine.mesh_cols == clusters,
-            cat("deserialize_machine: mesh of ", machine.mesh_rows, "x", machine.mesh_cols,
-                " does not cover ", clusters, " clusters"));
-    }
+  const std::int32_t kind = in.get_i32();
+  check(kind >= 0 && kind <= static_cast<std::int32_t>(TopologyKind::kCrossbar),
+        cat("deserialize_machine: bad topology kind ", kind));
+  machine.topology_kind = static_cast<TopologyKind>(kind);
+  machine.mesh_rows = in.get_i32();
+  machine.mesh_cols = in.get_i32();
+  if (machine.topology_kind == TopologyKind::kMesh) {
+    check(machine.mesh_rows >= 1 && machine.mesh_cols >= 1 &&
+              static_cast<long long>(machine.mesh_rows) * machine.mesh_cols == clusters,
+          cat("deserialize_machine: mesh of ", machine.mesh_rows, "x", machine.mesh_cols,
+              " does not cover ", clusters, " clusters"));
   }
   return machine;
 }

@@ -147,26 +147,16 @@ class MachineConfig {
 class BlobReader;
 class BlobWriter;
 
-/// Machine blob layout version.  Version 1 predates configurable
-/// topologies (every machine was a ring); version 2 appends the topology
-/// kind and mesh dimensions.  Containers embedding a machine record which
-/// version they carry (e.g. the qvliw_verify bundle magic) and pass it to
-/// deserialize_machine.
-inline constexpr int kMachineCodecVersion = 2;
-
-/// Serialises `machine` into the portable blob format
-/// (support/blob.h) at kMachineCodecVersion: name, per-cluster
-/// FU mix and queue configuration, segment config, latency model, and the
-/// topology kind + mesh dimensions.  Used by the qvliw_verify bundle so a
+/// Serialises `machine` into the portable blob format (support/blob.h):
+/// name, per-cluster FU mix and queue configuration, segment config,
+/// latency model, and the topology kind + mesh dimensions.  Used by the qvliw_verify bundle so a
 /// dumped artifact names the exact machine it claims legality against.
 void serialize_machine(BlobWriter& out, const MachineConfig& machine);
 
 /// Inverse of serialize_machine; throws Error on truncation, an
-/// implausible cluster count, or a malformed topology.  `version` selects
-/// the blob layout (version-1 blobs decode as ring machines).  The result
-/// is *not* validated — run MachineConfig::validate before trusting a
+/// implausible cluster count, or a malformed topology.  The result is
+/// *not* validated — run MachineConfig::validate before trusting a
 /// deserialised machine.
-[[nodiscard]] MachineConfig deserialize_machine(BlobReader& in,
-                                                int version = kMachineCodecVersion);
+[[nodiscard]] MachineConfig deserialize_machine(BlobReader& in);
 
 }  // namespace qvliw

@@ -147,11 +147,11 @@ TEST(Topology, SegmentNames) {
   EXPECT_THROW((void)ring.segment_name(8), Error);
 }
 
-// --- machine codec versioning ---------------------------------------------
+// --- machine codec --------------------------------------------------------
 
-/// Bytes of `machine` serialized at codec version 1: today's layout with
-/// the topology suffix (kind + mesh dims, three i32s) chopped off.
-std::string v1_machine_bytes(const MachineConfig& machine) {
+/// Bytes of `machine` serialized without the trailing topology fields
+/// (kind + mesh dims, three i32s), for splicing in malformed ones.
+std::string machine_bytes_before_topology(const MachineConfig& machine) {
   BlobWriter out;
   serialize_machine(out, machine);
   std::string bytes = out.take();
@@ -162,16 +162,6 @@ std::string v1_machine_bytes(const MachineConfig& machine) {
   const std::size_t suffix_size = suffix.take().size();
   bytes.resize(bytes.size() - suffix_size);
   return bytes;
-}
-
-TEST(MachineCodec, V1BlobDecodesAsRing) {
-  const MachineConfig machine = MachineConfig::clustered_machine(3);
-  const std::string bytes = v1_machine_bytes(machine);
-  BlobReader reader(bytes);
-  const MachineConfig copy = deserialize_machine(reader, 1);
-  reader.require_exhausted("machine v1");
-  EXPECT_EQ(copy.topology_kind, TopologyKind::kRing);
-  EXPECT_EQ(copy.signature(), machine.signature());
 }
 
 TEST(MachineCodec, V2RoundTripsEveryTopology) {
@@ -193,7 +183,7 @@ TEST(MachineCodec, V2RoundTripsEveryTopology) {
 }
 
 TEST(MachineCodec, RejectsBadTopologyKind) {
-  std::string bytes = v1_machine_bytes(MachineConfig::clustered_machine(3));
+  std::string bytes = machine_bytes_before_topology(MachineConfig::clustered_machine(3));
   BlobWriter suffix;
   suffix.put_i32(7);  // no such TopologyKind
   suffix.put_i32(0);
@@ -204,7 +194,7 @@ TEST(MachineCodec, RejectsBadTopologyKind) {
 }
 
 TEST(MachineCodec, RejectsMeshDimsThatDoNotCoverClusters) {
-  std::string bytes = v1_machine_bytes(MachineConfig::mesh_machine(2, 3));
+  std::string bytes = machine_bytes_before_topology(MachineConfig::mesh_machine(2, 3));
   BlobWriter suffix;
   suffix.put_i32(static_cast<std::int32_t>(TopologyKind::kMesh));
   suffix.put_i32(2);
@@ -212,20 +202,6 @@ TEST(MachineCodec, RejectsMeshDimsThatDoNotCoverClusters) {
   bytes += suffix.take();
   BlobReader reader(bytes);
   EXPECT_THROW((void)deserialize_machine(reader), Error);
-}
-
-TEST(MachineCodec, RejectsUnknownVersion) {
-  BlobWriter out;
-  serialize_machine(out, MachineConfig::clustered_machine(2));
-  const std::string bytes = out.take();
-  {
-    BlobReader reader(bytes);
-    EXPECT_THROW((void)deserialize_machine(reader, 0), Error);
-  }
-  {
-    BlobReader reader(bytes);
-    EXPECT_THROW((void)deserialize_machine(reader, kMachineCodecVersion + 1), Error);
-  }
 }
 
 }  // namespace

@@ -423,82 +423,24 @@ TEST(VerifyCodec, BundleAskingForHugeFifoReplayIsRejected) {
   EXPECT_TRUE(report.has_rule(VerifyRule::kArtifactSize)) << report.summary(0);
 }
 
-TEST(VerifyCodec, V1BundleDecodesAsRingAndVerifies) {
-  // A bundle written by the pre-topology tool: old magic, machine blob
-  // without the topology suffix, and direction-local ring-cw/ring-ccw
-  // queue-domain kinds instead of canonical segment ids.  The blob format
-  // is positional, so the v1 payload can be spliced from byte strings.
+TEST(VerifyCodec, PreTopologyMagicIsRejected) {
+  // Version 0001 bundles predate the machine's topology fields; their
+  // decoder is gone, so the old magic is just a bad one.
   const Artifacts a = prepare_clustered(kernel_by_name("daxpy"), 4);
   VerifyBundle bundle;
   bundle.loop = a.loop;
   bundle.machine = a.machine;
   bundle.schedule = a.schedule;
-  bundle.has_allocation = true;
-  bundle.allocation = a.allocation;
-  bundle.must_fit = a.fits;
-
-  const int k = a.machine.cluster_count();
-  const auto put_v1_domain = [k](BlobWriter& out, const QueueDomain& domain) {
-    if (domain.kind == QueueDomain::Kind::kPrivate) {
-      out.put_i32(0);
-      out.put_i32(domain.index);
-    } else if (domain.index < k) {
-      out.put_i32(1);  // ring-cw
-      out.put_i32(domain.index);
-    } else {
-      out.put_i32(2);  // ring-ccw, direction-local index
-      out.put_i32(domain.index - k);
-    }
-  };
-
-  BlobWriter head;
-  head.put_u64(0x5156424e444c0001ULL);
-  serialize_loop(head, bundle.loop);
-  std::string blob = head.take();
-  {
-    BlobWriter machine_bytes;
-    serialize_machine(machine_bytes, bundle.machine);
-    std::string bytes = machine_bytes.take();
-    bytes.resize(bytes.size() - 12);  // drop the v2 topology suffix (3 i32s)
-    blob += bytes;
+  std::string blob = encode_verify_bundle(bundle);
+  BlobWriter old_magic;
+  old_magic.put_u64(0x5156424e444c0001ULL);
+  blob.replace(0, 8, old_magic.take());
+  try {
+    (void)decode_verify_bundle(blob);
+    ADD_FAILURE() << "the pre-topology magic decoded";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos) << error.what();
   }
-  BlobWriter tail;
-  serialize_schedule(tail, bundle.schedule);
-  tail.put_bool(bundle.has_allocation);
-  tail.put_i32(bundle.allocation.ii);
-  tail.put_i32(static_cast<std::int32_t>(bundle.allocation.lifetimes.size()));
-  for (const Lifetime& lt : bundle.allocation.lifetimes) {
-    tail.put_i32(lt.edge);
-    tail.put_i32(lt.producer);
-    tail.put_i32(lt.consumer);
-    tail.put_i32(lt.push);
-    tail.put_i32(lt.pop);
-    put_v1_domain(tail, lt.domain);
-  }
-  tail.put_i32(static_cast<std::int32_t>(bundle.allocation.queue_of.size()));
-  for (int q : bundle.allocation.queue_of) tail.put_i32(q);
-  tail.put_i32(static_cast<std::int32_t>(bundle.allocation.queues.size()));
-  for (const AllocatedQueue& queue : bundle.allocation.queues) {
-    put_v1_domain(tail, queue.domain);
-    tail.put_i32(queue.index_in_domain);
-    tail.put_i32(queue.max_occupancy);
-    tail.put_i32(static_cast<std::int32_t>(queue.members.size()));
-    for (int member : queue.members) tail.put_i32(member);
-  }
-  tail.put_bool(bundle.check_fanout);
-  tail.put_bool(bundle.must_fit);
-  blob += tail.take();
-
-  const VerifyBundle copy = decode_verify_bundle(blob);
-  EXPECT_EQ(copy.machine.signature(), bundle.machine.signature());
-  ASSERT_EQ(copy.allocation.lifetimes.size(), bundle.allocation.lifetimes.size());
-  for (std::size_t i = 0; i < bundle.allocation.lifetimes.size(); ++i) {
-    EXPECT_EQ(copy.allocation.lifetimes[i].domain, bundle.allocation.lifetimes[i].domain);
-  }
-  const VerifyReport report = verify_bundle(copy);
-  EXPECT_TRUE(report.ok()) << report.summary(0);
-  // Re-encoding the decoded bundle upgrades it to the current format.
-  EXPECT_EQ(encode_verify_bundle(copy), encode_verify_bundle(bundle));
 }
 
 TEST(VerifyCodec, TamperedBundleFailsVerification) {
