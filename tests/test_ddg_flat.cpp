@@ -108,8 +108,9 @@ TEST(DdgFlat, MirrorsEmptyAndSingleNodeGraphs) {
 }
 
 TEST(BuildFrom, FusedCopyInsertMatchesColdRebuild) {
+  const Suite suite = full_suite();  // the paper's 1258 loops
   for (const CopyTreeShape shape : {CopyTreeShape::kBalanced, CopyTreeShape::kChain}) {
-    for (const Loop& loop : small_suite().loops) {
+    for (const Loop& loop : suite.loops) {
       const CopyInsertResult cold = insert_copies(loop, shape);
       const Ddg cold_graph = Ddg::build(cold.loop, LatencyModel::classic());
       const CopyInsertWithGraph fused =
