@@ -282,6 +282,28 @@ TEST(Sweep, FailingPrefixComputedOnceWithExactParity) {
   // other points.
   EXPECT_EQ(cached.cache.front_probes, points.size() * loops.size());
   EXPECT_EQ(cached.cache.front_hits, (points.size() - 1) * loops.size());
+
+  // Its time is charged once, to the task: no cell replaying it carries
+  // any stage time, the first included.
+  SweepOptions serial_options;
+  serial_options.workers = 1;
+  const SweepResult serial = SweepRunner(serial_options).run(loops, points);
+  for (const SweepResult* sweep : {&cached, &serial}) {
+    for (const std::vector<LoopResult>& cells : sweep->by_point) {
+      for (const LoopResult& cell : cells) {
+        if (cell.failed_stage != "unroll") continue;
+        for (std::size_t s = 0; s < kStageCount; ++s) {
+          EXPECT_EQ(cell.stage_seconds[s], 0.0)
+              << cell.name << " " << stage_name(static_cast<Stage>(s));
+        }
+      }
+    }
+  }
+  // Charged once, a serial sweep's stage time cannot exceed its wall time.
+  double stage_sum = 0.0;
+  for (const StageTotal& total : serial.stage_totals) stage_sum += total.seconds;
+  EXPECT_GT(stage_sum, 0.0);
+  EXPECT_LE(stage_sum, serial.wall_seconds);
 }
 
 // Regression: backends with different cache-key contributions must never
