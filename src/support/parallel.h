@@ -37,7 +37,7 @@ void parallel_for(std::size_t count, std::size_t workers, Body&& body) {
   std::exception_ptr first_error;
   const auto drain = [&] {
     while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = next.fetch_add(1);
       if (i >= count) return;
       try {
         body(i);
