@@ -48,10 +48,10 @@ void parallel_for(std::size_t count, std::size_t workers, Body&& body) {
     }
   };
   {
-    std::vector<std::jthread> threads;
-    const std::size_t spawned = std::min(workers, count);
-    threads.reserve(spawned);
-    for (std::size_t t = 1; t < spawned; ++t) {
+    std::vector<std::jthread> threads;  // the caller is the first worker
+    const std::size_t used = std::min(workers, count);
+    threads.reserve(used);
+    for (std::size_t t = 1; t < used; ++t) {
       try {
         threads.emplace_back(drain);
       } catch (const std::system_error&) {
