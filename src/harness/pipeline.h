@@ -89,7 +89,7 @@ enum class Stage : std::uint8_t {
   kSim,
   kVerify,
 };
-inline constexpr std::size_t kStageCount = 8;
+inline constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kVerify) + 1;
 
 /// "invariants", "unroll", "copy_insert", "mii", "schedule",
 /// "queue_alloc", "sim" or "verify".
