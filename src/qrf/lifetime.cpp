@@ -7,15 +7,6 @@
 
 namespace qvliw {
 
-namespace {
-long long floor_div(long long a, long long b) {
-  QVLIW_ASSERT(b > 0, "floor_div: divisor must be positive");
-  long long q = a / b;
-  if (a % b != 0 && a < 0) --q;
-  return q;
-}
-}  // namespace
-
 std::string domain_name(const Topology& topology, const QueueDomain& domain) {
   switch (domain.kind) {
     case QueueDomain::Kind::kPrivate:
@@ -59,25 +50,43 @@ std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,
   return lifetimes;
 }
 
-int live_instances(int push, int pop, int ii, long long t) {
-  check(ii >= 1, "live_instances: ii must be >= 1");
-  check(pop >= push, "live_instances: pop before push");
-  // Count k >= 0 with push + k*ii <= t and t <= pop + k*ii:
-  //   k <= floor((t - push) / ii)  and  k >= ceil((t - pop) / ii).
-  const long long k_hi = floor_div(t - push, ii);
-  const long long k_lo = std::max<long long>(0, -floor_div(pop - t, ii));
-  if (k_hi < k_lo) return 0;
-  return static_cast<int>(k_hi - k_lo + 1);
+PhaseSpan phase_span(int push, int pop, int ii) {
+  check(ii >= 1, "phase_span: ii must be >= 1");
+  check(pop >= push, "phase_span: pop before push");
+  int phase = push % ii;
+  if (phase < 0) phase += ii;
+  return {phase, pop - push};
 }
 
-int max_live_instances(int push, int pop, int ii) {
-  // Steady state is reached once t >= pop; scan one period beyond that.
-  const long long t0 = pop;
-  int best = 0;
-  for (int phase = 0; phase < ii; ++phase) {
-    best = std::max(best, live_instances(push, pop, ii, t0 + phase));
+int peak_live(std::span<const PhaseSpan> spans, int ii) {
+  check(ii >= 1, "peak_live: ii must be >= 1");
+  // A span of length q*II + r holds q instances in every phase, plus one
+  // more in the r + 1 cyclic phases starting at its push phase.  So the
+  // peak is the sum of the q's plus the most such windows any one phase
+  // lies in; `opens` counts windows opening (+1) and closing (-1) at each
+  // phase of one period.
+  std::vector<int> opens(static_cast<std::size_t>(ii) + 1, 0);
+  int always_live = 0;
+  for (const PhaseSpan& span : spans) {
+    QVLIW_ASSERT(span.phase >= 0 && span.phase < ii && span.length >= 0,
+                 "peak_live: span not from phase_span");
+    always_live += span.length / ii;
+    const int end = span.phase + span.length % ii + 1;  // one past the window
+    ++opens[static_cast<std::size_t>(span.phase)];
+    if (end <= ii) {
+      --opens[static_cast<std::size_t>(end)];
+    } else {  // the window wraps into the next period
+      ++opens[0];
+      --opens[static_cast<std::size_t>(end - ii)];
+    }
   }
-  return best;
+  int windows = 0;
+  int most = 0;
+  for (int phase = 0; phase < ii; ++phase) {
+    windows += opens[static_cast<std::size_t>(phase)];
+    most = std::max(most, windows);
+  }
+  return always_live + most;
 }
 
 }  // namespace qvliw

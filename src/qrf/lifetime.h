@@ -10,6 +10,7 @@
 // adjacent clusters.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,12 +63,23 @@ struct Lifetime {
                                                       const MachineConfig& machine,
                                                       const Schedule& schedule);
 
-/// Number of live instances of a (push, pop, II)-periodic lifetime at
-/// absolute cycle `t`, counting residency inclusively on both ends
-/// (instances with push+k*II <= t <= pop+k*II, k >= 0).
-[[nodiscard]] int live_instances(int push, int pop, int ii, long long t);
+/// A (push, pop, II)-periodic lifetime reduced to what its steady state
+/// depends on: the push phase (push mod II, in [0, II)) and the residency
+/// length pop - push.  Q-compatibility and occupancy need nothing else.
+struct PhaseSpan {
+  int phase = 0;
+  int length = 0;
+};
 
-/// Steady-state maximum of live_instances over one period.
-[[nodiscard]] int max_live_instances(int push, int pop, int ii);
+/// The span of a lifetime pushed at `push` and popped at `pop` under
+/// initiation interval `ii`.  Fails (Error) unless ii >= 1 and pop >= push.
+[[nodiscard]] PhaseSpan phase_span(int push, int pop, int ii);
+
+/// Steady-state maximum, over one period, of the summed live instances of
+/// `spans`, counting residency inclusively on both ends (an instance is
+/// live from its push cycle through its pop cycle).  This is a queue's
+/// depth when the spans share it, and MaxLive over a value's register
+/// lifetimes.  O(spans + II).
+[[nodiscard]] int peak_live(std::span<const PhaseSpan> spans, int ii);
 
 }  // namespace qvliw

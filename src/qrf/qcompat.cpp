@@ -10,17 +10,7 @@
 namespace qvliw {
 
 bool q_compatible(int push_a, int pop_a, int push_b, int pop_b, int ii) {
-  check(ii >= 1, "q_compatible: ii must be >= 1");
-  check(pop_a >= push_a && pop_b >= push_b, "q_compatible: pop before push");
-  // Order so that a has the longer residency.
-  if (pop_a - push_a < pop_b - push_b) {
-    std::swap(push_a, push_b);
-    std::swap(pop_a, pop_b);
-  }
-  const int d = (pop_a - push_a) - (pop_b - push_b);
-  if (d >= ii) return false;  // some instance pair always collides
-  const int x = ((push_b - push_a) % ii + ii) % ii;
-  return x > d;
+  return q_compatible(phase_span(push_a, pop_a, ii), phase_span(push_b, pop_b, ii), ii);
 }
 
 bool q_compatible(const Lifetime& a, const Lifetime& b, int ii) {

@@ -19,11 +19,26 @@
 // the compatibility equation of Theorem 1.1 expressed on production times.
 #pragma once
 
+#include <utility>
+
 #include "qrf/lifetime.h"
 
 namespace qvliw {
 
-/// O(1) compatibility test on (push, pop) representatives.
+/// O(1) compatibility test on spans (phase_span under the same `ii`):
+/// (Pb - Pa) mod II equals (phase_b - phase_a) mod II, so no division.
+/// Inline because queue allocation's first-fit scan calls it per pair.
+[[nodiscard]] inline bool q_compatible(PhaseSpan a, PhaseSpan b, int ii) {
+  // Order so that a has the longer residency.
+  if (a.length < b.length) std::swap(a, b);
+  const int d = a.length - b.length;
+  if (d >= ii) return false;  // some instance pair always collides
+  int x = b.phase - a.phase;  // both phases lie in [0, II)
+  if (x < 0) x += ii;
+  return x > d;
+}
+
+/// The same test on (push, pop) representatives, through phase_span.
 [[nodiscard]] bool q_compatible(int push_a, int pop_a, int push_b, int pop_b, int ii);
 
 /// Convenience overload on lifetimes (domains are not inspected).

@@ -1,7 +1,6 @@
 #include "qrf/queue_alloc.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "qrf/qcompat.h"
 #include "support/diagnostics.h"
@@ -77,16 +76,13 @@ QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const Machin
   allocation.queue_of.assign(allocation.lifetimes.size(), -1);
   allocation.queues.reserve(allocation.lifetimes.size());  // worst case: one queue each
 
-  // Flat (push, pop) mirrors of the lifetimes: the compatibility scans and
+  // Each lifetime reduced once to its span: the compatibility scans and
   // the occupancy analysis below touch only these two ints per lifetime,
-  // so they iterate contiguous arrays instead of the full Lifetime records.
-  const std::size_t count = allocation.lifetimes.size();
-  std::vector<std::int32_t> push(count);
-  std::vector<std::int32_t> pop(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    push[i] = allocation.lifetimes[i].push;
-    pop[i] = allocation.lifetimes[i].pop;
-  }
+  // so they iterate a contiguous array instead of the full Lifetime records.
+  const int ii = allocation.ii;
+  std::vector<PhaseSpan> spans;
+  spans.reserve(allocation.lifetimes.size());
+  for (const Lifetime& lt : allocation.lifetimes) spans.push_back(phase_span(lt.push, lt.pop, ii));
 
   // Stable processing order: by domain, then push time, then pop, then edge.
   std::vector<int> order(allocation.lifetimes.size());
@@ -104,7 +100,6 @@ QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const Machin
   // are created contiguously: a running counter gives index_in_domain and
   // the first queue of the current domain, with no rescans of the queue
   // list for either.
-  const int ii = allocation.ii;
   QueueDomain current_domain{};
   int domain_first_queue = 0;   // index of the current domain's first queue
   int domain_queue_count = 0;   // queues created for the current domain
@@ -122,9 +117,8 @@ QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const Machin
       AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
       bool fits = true;
       for (int member : queue.members) {
-        const std::size_t m = static_cast<std::size_t>(member);
-        if (!q_compatible(push[m], pop[m], push[static_cast<std::size_t>(lt_index)],
-                          pop[static_cast<std::size_t>(lt_index)], ii)) {
+        if (!q_compatible(spans[static_cast<std::size_t>(member)],
+                          spans[static_cast<std::size_t>(lt_index)], ii)) {
           fits = false;
           break;
         }
@@ -145,23 +139,14 @@ QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const Machin
     allocation.queue_of[static_cast<std::size_t>(lt_index)] = target;
   }
 
-  // Steady-state positions per queue: maximum summed occupancy over one
-  // period, evaluated past the longest lifetime's first pop.
+  // Steady-state positions per queue, gathered into one reused buffer.
+  std::vector<PhaseSpan> member_spans;
   for (AllocatedQueue& queue : allocation.queues) {
-    long long t0 = 0;
+    member_spans.clear();
     for (int member : queue.members) {
-      t0 = std::max<long long>(t0, pop[static_cast<std::size_t>(member)]);
+      member_spans.push_back(spans[static_cast<std::size_t>(member)]);
     }
-    int best = 0;
-    for (int phase = 0; phase < ii; ++phase) {
-      int live = 0;
-      for (int member : queue.members) {
-        const std::size_t m = static_cast<std::size_t>(member);
-        live += live_instances(push[m], pop[m], ii, t0 + phase);
-      }
-      best = std::max(best, live);
-    }
-    queue.max_occupancy = best;
+    queue.max_occupancy = peak_live(member_spans, ii);
   }
 
   return allocation;

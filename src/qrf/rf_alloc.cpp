@@ -29,19 +29,12 @@ std::vector<RfLifetime> rf_lifetimes(const Loop& loop, const Ddg& graph, const L
 
 int register_requirement(const Loop& loop, const Ddg& graph, const LatencyModel& lat,
                          const Schedule& schedule) {
-  const std::vector<RfLifetime> lifetimes = rf_lifetimes(loop, graph, lat, schedule);
   const int ii = schedule.ii();
-  long long t0 = 0;
-  for (const RfLifetime& lt : lifetimes) t0 = std::max<long long>(t0, lt.end);
-  int best = 0;
-  for (int phase = 0; phase < ii; ++phase) {
-    int live = 0;
-    for (const RfLifetime& lt : lifetimes) {
-      live += live_instances(lt.start, lt.end, ii, t0 + phase);
-    }
-    best = std::max(best, live);
+  std::vector<PhaseSpan> spans;
+  for (const RfLifetime& lt : rf_lifetimes(loop, graph, lat, schedule)) {
+    spans.push_back(phase_span(lt.start, lt.end, ii));
   }
-  return best;
+  return peak_live(spans, ii);
 }
 
 }  // namespace qvliw

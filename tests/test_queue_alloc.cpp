@@ -104,7 +104,8 @@ TEST(QueueAlloc, OccupancyPositiveAndBounded) {
     int bound = 0;
     for (int member : q.members) {
       const Lifetime& lt = a.lifetimes[static_cast<std::size_t>(member)];
-      bound += max_live_instances(lt.push, lt.pop, a.ii);
+      const PhaseSpan span = phase_span(lt.push, lt.pop, a.ii);
+      bound += peak_live({&span, 1}, a.ii);
     }
     EXPECT_LE(q.max_occupancy, bound);
   }
