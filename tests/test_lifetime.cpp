@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ir/parser.h"
 #include "occupancy_reference.h"
 #include "qrf/lifetime.h"
 #include "sched/ims.h"
 #include "support/diagnostics.h"
+#include "support/rng.h"
 #include "xform/copy_insert.h"
 
 namespace qvliw {
@@ -63,6 +66,51 @@ TEST(LiveInstances, MaxMatchesBruteForce) {
       }
     }
   }
+}
+
+TEST(PhaseSpan, FloorModPhaseAndLength) {
+  EXPECT_EQ(phase_span(0, 0, 1).phase, 0);
+  EXPECT_EQ(phase_span(7, 12, 3).phase, 1);
+  EXPECT_EQ(phase_span(7, 12, 3).length, 5);
+  EXPECT_EQ(phase_span(-1, 4, 3).phase, 2);  // floor mod, not C++'s %
+  EXPECT_THROW((void)phase_span(0, 1, 0), Error);   // ii < 1
+  EXPECT_THROW((void)phase_span(3, 2, 4), Error);   // pop before push
+}
+
+TEST(PeakLive, EmptyAndBadIi) {
+  EXPECT_EQ(peak_live({}, 5), 0);
+  EXPECT_THROW((void)peak_live({}, 0), Error);
+}
+
+// Seeded property test: peak_live over random span sets against the
+// reference per-phase scan, on II 1-40 (II = 1 included), lengths 0-5*II
+// (zero-length spans included), and pushes spread over three periods so
+// that windows start anywhere and wrap past the end of the period.
+TEST(PeakLive, MatchesPhaseScanOnRandomSpanSets) {
+  Rng rng(20260);
+  int wrapped = 0;
+  int zero_length = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int ii = trial < 200 ? 1 : rng.uniform_int(1, 40);
+    const int count = rng.uniform_int(0, 12);
+    std::vector<Lifetime> lifetimes;
+    std::vector<int> members;
+    std::vector<PhaseSpan> spans;
+    for (int i = 0; i < count; ++i) {
+      Lifetime lt;
+      lt.push = rng.uniform_int(0, 3 * ii - 1);
+      lt.pop = lt.push + rng.uniform_int(0, 5 * ii);
+      lifetimes.push_back(lt);
+      members.push_back(i);
+      spans.push_back(phase_span(lt.push, lt.pop, ii));
+      if (spans.back().phase + spans.back().length % ii >= ii) ++wrapped;
+      if (lt.pop == lt.push) ++zero_length;
+    }
+    ASSERT_EQ(peak_live(spans, ii), reference_queue_occupancy(lifetimes, members, ii))
+        << "trial " << trial << ", ii " << ii << ", " << count << " spans";
+  }
+  EXPECT_GT(wrapped, 0);
+  EXPECT_GT(zero_length, 0);
 }
 
 TEST(DomainOfEdge, PrivateSameCluster) {

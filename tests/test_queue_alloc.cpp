@@ -2,10 +2,13 @@
 
 #include "cluster/partition.h"
 #include "ir/parser.h"
+#include "occupancy_reference.h"
 #include "qrf/qcompat.h"
 #include "qrf/queue_alloc.h"
+#include "qrf/rf_alloc.h"
 #include "sched/ims.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
 #include "workload/synth.h"
 #include "xform/copy_insert.h"
 
@@ -109,6 +112,38 @@ TEST(QueueAlloc, OccupancyPositiveAndBounded) {
     }
     EXPECT_LE(q.max_occupancy, bound);
   }
+}
+
+// peak_live against the per-phase scan it replaced
+// (tests/occupancy_reference.h), on every loop of the paper suite: each
+// queue's depth over its members, and MaxLive over the register
+// lifetimes, on one cluster of 6 FUs (IMS) and on the 4-cluster ring
+// (partitioned schedule, so segment queues too).
+TEST(QueueAlloc, DepthAndMaxLiveMatchPhaseScanOnFullSuite) {
+  const Suite suite = full_suite();
+  int checked = 0;
+  for (const bool clustered : {false, true}) {
+    const MachineConfig machine = clustered ? MachineConfig::clustered_machine(4)
+                                            : MachineConfig::single_cluster_machine(6);
+    for (const Loop& source : suite.loops) {
+      const Loop loop = insert_copies(source).loop;
+      const Ddg graph = Ddg::build(loop, machine.latency);
+      const ImsResult r = clustered ? partition_schedule(loop, graph, machine)
+                                    : ims_schedule(loop, graph, machine);
+      if (!r.ok) continue;
+      const QueueAllocation a = allocate_queues(loop, graph, machine, r.schedule);
+      for (const AllocatedQueue& q : a.queues) {
+        ASSERT_EQ(q.max_occupancy, reference_queue_occupancy(a.lifetimes, q.members, a.ii))
+            << machine.name << " / " << source.name;
+      }
+      ASSERT_EQ(register_requirement(loop, graph, machine.latency, r.schedule),
+                reference_register_requirement(
+                    rf_lifetimes(loop, graph, machine.latency, r.schedule), r.ii))
+          << machine.name << " / " << source.name;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, static_cast<int>(suite.loops.size()));
 }
 
 TEST(QueueAlloc, CapacityViolationsDetected) {
