@@ -55,6 +55,8 @@ std::string_view verify_rule_name(VerifyRule rule) {
       return "queue-port";
     case VerifyRule::kQueueCapacity:
       return "queue-capacity";
+    case VerifyRule::kQueueDepth:
+      return "queue-depth";
   }
   return "unknown-rule";
 }
@@ -700,12 +702,16 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
   // the hardware's rules directly — pushes land at cycle start, pops
   // retire at cycle end, one push and one pop per queue per cycle, and a
   // pop must take the value at the front.  This deliberately does not use
-  // qrf/qcompat.h's closed-form test.
+  // qrf/qcompat.h's closed-form test.  A replay that finishes clean must
+  // peak at the queue's recorded depth, which queue-fit escalation and
+  // the results read: it starts from an empty queue, runs two IIs past
+  // every member's first pop, and its inclusive live count rises only at
+  // a push, so its peak is the steady-state maximum.
   std::vector<int> sim_occupancy(static_cast<std::size_t>(queue_count), 0);
   if (assignment_ok) {
     for (int q = 0; q < queue_count; ++q) {
       const std::vector<int>& members = members_of[static_cast<std::size_t>(q)];
-      if (members.empty()) continue;
+      const AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
       const bool all_usable =
           std::all_of(members.begin(), members.end(),
                       [&](int l) { return lifetime_usable[static_cast<std::size_t>(l)]; });
@@ -745,9 +751,7 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
         if (!event.is_pop) {
           if (event.time == last_push_cycle) {
             report.add(VerifyRule::kQueuePort,
-                       cat("queue ", q, " (",
-                           safe_domain_name(
-                               topology, allocation.queues[static_cast<std::size_t>(q)].domain),
+                       cat("queue ", q, " (", safe_domain_name(topology, queue.domain),
                            ") receives two pushes in cycle ", event.time));
             queue_ok = false;
             break;
@@ -783,6 +787,12 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
           }
           ++head;
         }
+      }
+      if (queue_ok && queue.max_occupancy != sim_occupancy[static_cast<std::size_t>(q)]) {
+        report.add(VerifyRule::kQueueDepth,
+                   cat("queue ", q, " (", safe_domain_name(topology, queue.domain),
+                       ") records depth ", queue.max_occupancy, ", its FIFO replay peaks at ",
+                       sim_occupancy[static_cast<std::size_t>(q)]));
       }
     }
   }

@@ -19,8 +19,10 @@
 //   4. Queue-RF legality — lifetimes re-derived from the schedule, FIFO
 //      read order and the one-push/one-pop-per-cycle port rule checked by
 //      a joint FIFO simulation per queue (not qrf/qcompat.h's closed
-//      form), no read-before-write, and capacity against the machine when
-//      the producer claimed the allocation fits.
+//      form), each queue's recorded depth against the simulation's peak
+//      (not qrf/lifetime.h's peak_live), no read-before-write, and
+//      capacity against the machine when the producer claimed the
+//      allocation fits.
 //
 // A diagnostic names the violated rule (verify_rule_name) so tests and
 // operators can tell *which* legality condition broke, not just that one
@@ -65,6 +67,7 @@ enum class VerifyRule : std::uint8_t {
   kQueueFifo,             // FIFO pop order violated inside one queue
   kQueuePort,             // two pushes (or pops) of one queue in one cycle
   kQueueCapacity,         // claimed-fitting allocation exceeds machine queues/depths
+  kQueueDepth,            // a queue's recorded depth is not its FIFO replay's peak
 };
 
 [[nodiscard]] std::string_view verify_rule_name(VerifyRule rule);
@@ -113,9 +116,9 @@ struct VerifyReport {
 /// Pass 4: the queue allocation is legal for (loop, graph, schedule):
 /// every flow edge has exactly one lifetime with re-derived push/pop and
 /// domain, the queue bookkeeping is consistent, every queue's joint FIFO
-/// simulation preserves pop order and the port rule, nothing reads before
-/// it is written, and — with `must_fit` — queue counts and depths fit
-/// `machine`.
+/// simulation preserves pop order and the port rule and peaks at the
+/// queue's recorded max_occupancy, nothing reads before it is written,
+/// and — with `must_fit` — queue counts and depths fit `machine`.
 [[nodiscard]] VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
                                                    const MachineConfig& machine,
                                                    const Schedule& schedule,

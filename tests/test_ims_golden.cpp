@@ -198,6 +198,33 @@ TEST(ImsGolden, StrictRing4LadderPinnedAndVerifiedClean) {
   EXPECT_EQ(mii_optimal, 7429u);
 }
 
+TEST(ImsGolden, StrictFig3QueueFitPinnedAndVerifiedClean) {
+  // The Fig. 3 queue-fit sweep under strict translation validation: every
+  // scheduled cell, including each one whose II the queue-fit loop
+  // escalated, has its final allocation verified clean, queue depths
+  // against the FIFO replay included.
+  const Suite suite = full_suite();
+  const std::vector<SweepPoint> points = fig3_queue_fit_points();
+  SweepOptions options;
+  options.workers = 4;
+  options.verify_mode = SweepVerifyMode::kStrict;
+  const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
+
+  EXPECT_EQ(fingerprint_hex(sweep), "f08284e721e0667d");
+  EXPECT_EQ(sweep.verify_violations(), 0u);
+  std::uint64_t scheduled = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
+      const LoopResult& r = sweep.by_point[p][i];
+      if (!r.ok) continue;
+      ++scheduled;
+      EXPECT_TRUE(r.verify_checked) << points[p].label << " / " << suite.loops[i].name;
+    }
+  }
+  EXPECT_GT(scheduled, 0u);
+  EXPECT_EQ(sweep.verify_checked(), scheduled);
+}
+
 TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {
   const Suite suite = small_suite(24, 5);
   const std::vector<SweepPoint> points = ring4_ladder_points();

@@ -263,6 +263,30 @@ TEST(VerifyQueueMutation, ShrunkenQueueDepthCaught) {
   EXPECT_TRUE(report.has_rule(VerifyRule::kQueueCapacity)) << report.summary(0);
 }
 
+TEST(VerifyQueueMutation, MisstatedQueueDepthCaught) {
+  // Queue-fit escalation and LoopResult::max_positions read the recorded
+  // depth, so one that disagrees with the FIFO replay, either way, is
+  // caught even when nothing else about the allocation is wrong.
+  const Artifacts a = prepare_clustered(kernel_by_name("daxpy"), 4);
+  ASSERT_FALSE(a.allocation.queues.empty());
+  for (const int delta : {+1, -1}) {
+    VerifyBundle bundle;
+    bundle.loop = a.loop;
+    bundle.machine = a.machine;
+    bundle.schedule = a.schedule;
+    bundle.has_allocation = true;
+    bundle.allocation = a.allocation;
+    bundle.must_fit = a.fits;
+    ASSERT_TRUE(verify_bundle(bundle).ok());
+    bundle.allocation.queues[0].max_occupancy += delta;
+    const VerifyReport report = verify_bundle(decode_verify_bundle(encode_verify_bundle(bundle)));
+    ASSERT_EQ(report.violations(), 1) << delta << ": " << report.summary(0);
+    EXPECT_TRUE(report.has_rule(VerifyRule::kQueueDepth)) << delta << ": " << report.summary(0);
+    EXPECT_EQ(report.diagnostics[0].message.rfind("queue-depth: ", 0), 0u)
+        << report.diagnostics[0].message;
+  }
+}
+
 // --- rule names -----------------------------------------------------------
 
 TEST(Verify, DiagnosticsNameTheViolatedRule) {
