@@ -1,6 +1,8 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 
@@ -16,6 +18,7 @@ struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;
   std::int64_t number = 0;
+  bool fits_int64 = true;  // false for a digit run past int64 (number unset)
   int line = 0;
   int column = 0;
 };
@@ -49,7 +52,8 @@ class Lexer {
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) advance();
       token.kind = TokenKind::kNumber;
       token.text = std::string(text_.substr(start, pos_ - start));
-      token.number = std::stoll(token.text);
+      const char* end = token.text.data() + token.text.size();
+      token.fits_int64 = std::from_chars(token.text.data(), end, token.number).ec == std::errc{};
       return token;
     }
     token.kind = TokenKind::kPunct;
@@ -162,9 +166,20 @@ class Parser {
 
   std::int64_t expect_number(std::string_view what) {
     if (current_.kind != TokenKind::kNumber) error(cat("expected ", what));
+    if (!current_.fits_int64) error(cat(what, " does not fit in 64 bits"));
     std::int64_t value = current_.number;
     shift();
     return value;
+  }
+
+  /// A number for an int field: a literal past INT_MAX is a parse error,
+  /// not a silently wrapped value.
+  int expect_int(std::string_view what) {
+    if (current_.kind == TokenKind::kNumber &&
+        (!current_.fits_int64 || current_.number > std::numeric_limits<int>::max())) {
+      error(cat(what, " does not fit in an int"));
+    }
+    return static_cast<int>(expect_number(what));
   }
 
   /// Parses "i", "i+3", "i-2" after the caller saw '['; stops before ']'.
@@ -174,7 +189,7 @@ class Parser {
     if (is_punct("+") || is_punct("-")) {
       const bool negative = current_.text == "-";
       shift();
-      offset = static_cast<int>(expect_number("index offset"));
+      offset = expect_int("index offset");
       if (negative) offset = -offset;
     }
     return offset;
@@ -200,7 +215,7 @@ class Parser {
       if (is_punct("+") || is_punct("-")) {
         const bool negative = current_.text == "-";
         shift();
-        int offset = static_cast<int>(expect_number("index offset"));
+        int offset = expect_int("index offset");
         out.index_offset = negative ? -offset : offset;
       }
       return out;
@@ -209,7 +224,7 @@ class Parser {
     out.name = expect_ident("operand");
     if (is_punct("@")) {
       shift();
-      out.distance = static_cast<int>(expect_number("distance"));
+      out.distance = expect_int("distance");
     }
     return out;
   }
@@ -236,14 +251,14 @@ class Parser {
 
     if (is_ident("trip")) {
       shift();
-      loop.trip_hint = static_cast<int>(expect_number("trip count"));
+      loop.trip_hint = expect_int("trip count");
       expect_punct(";");
       return;
     }
 
     if (is_ident("stride")) {
       shift();
-      loop.stride = static_cast<int>(expect_number("stride"));
+      loop.stride = expect_int("stride");
       expect_punct(";");
       return;
     }

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string>
+
 #include "ir/parser.h"
+#include "ir/printer.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
+#include "workload/kernels.h"
 
 namespace qvliw {
 namespace {
@@ -153,6 +159,81 @@ TEST(ParserErrors, BadIndexExpression) {
 TEST(ParserErrors, LoadWithDistanceZeroForwardUse) {
   // Distance-0 use before definition must be rejected by validation.
   EXPECT_THROW((void)parse_loop("loop t { s = add x, 1; x = load X[i]; store Y[i], s; }"), Error);
+}
+
+// Literals that do not fit their field used to wrap silently (the int
+// fields) or escape as std::out_of_range (anything past int64).  Each
+// must be a parse error naming the literal's line and column.
+TEST(ParserErrors, OutOfRangeNumbersRejectedWithPosition) {
+  const struct {
+    const char* text;
+    const char* literal;
+    const char* says;
+  } cases[] = {
+      {"loop t {\n  acc = fadd acc@4294967297, 1;\n  store Y[i], acc;\n}", "4294967297",
+       "distance does not fit in an int"},
+      {"loop t {\n  x = load X[i+4294967299];\n  store Y[i], x;\n}", "4294967299",
+       "index offset does not fit in an int"},
+      {"loop t {\n  trip 4294967297;\n  x = load X[i];\n  store Y[i], x;\n}", "4294967297",
+       "trip count does not fit in an int"},
+      {"loop t {\n  s = add 1, 12345678901234567890;\n  store Y[i], s;\n}",
+       "12345678901234567890", "immediate does not fit in 64 bits"},
+  };
+  for (const auto& c : cases) {
+    const std::string text = c.text;
+    const std::size_t at = text.find(c.literal);
+    const std::size_t line_start = text.rfind('\n', at) + 1;
+    const std::string where = cat("line 2, column ", at - line_start + 1, ": ", c.says);
+    try {
+      (void)parse_loop(text);
+      ADD_FAILURE() << c.literal << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.literal << ": threw a non-Error " << e.what();
+    }
+  }
+  // The largest literals that fit still parse.
+  const Loop loop = parse_loop(
+      "loop t { trip 2147483647; s = add -9223372036854775807, 9223372036854775807; "
+      "store Y[i], s; }");
+  EXPECT_EQ(loop.trip_hint, 2147483647);
+}
+
+// Deterministic mutation sweep over the DSL parser, modelled on
+// VerifyCodec.BundleRejectsCorruption: every truncation, and every
+// single-byte XOR with 0x01, 0x7f, 0x80 and 0xff, of each printed kernel
+// either parses into validated loops or is rejected with Error.  Any
+// other exception fails here, and undefined behaviour fails the
+// sanitizer CI job that runs this test.
+TEST(ParserErrors, MutatedKernelTextParsesOrThrowsError) {
+  int parsed = 0;
+  int rejected = 0;
+  for (const Loop& kernel : kernel_corpus()) {
+    const std::string text = to_text(kernel);
+    const auto judge = [&](const std::string& mutant, const std::string& where) {
+      try {
+        (void)parse_loops(mutant);
+        ++parsed;
+      } catch (const Error&) {
+        ++rejected;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << kernel.name << ", " << where << ": parser threw " << error.what();
+      }
+    };
+    for (std::size_t size = 0; size < text.size(); ++size) {
+      judge(text.substr(0, size), cat("truncated to ", size));
+    }
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      for (const unsigned char mask : {0x01, 0x7f, 0x80, 0xff}) {
+        std::string mutant = text;
+        mutant[at] = static_cast<char>(static_cast<unsigned char>(mutant[at]) ^ mask);
+        judge(mutant, cat("byte ", at, " ^ ", static_cast<int>(mask)));
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);    // some mutants are still valid loops
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
