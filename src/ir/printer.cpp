@@ -54,13 +54,16 @@ std::string op_text(const Loop& loop, const Op& op) {
 std::string to_text(const Loop& loop) {
   std::ostringstream os;
   os << "loop " << loop.name << " {\n";
-  if (!loop.invariants.empty()) {
-    os << "  invariant ";
-    for (std::size_t i = 0; i < loop.invariants.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << loop.invariants[i];
-    }
+  // Declared in id order, so a re-parse interns invariants and arrays
+  // with the same ids instead of in first-use order.
+  const auto declare = [&os](const char* keyword, const std::vector<std::string>& names) {
+    if (names.empty()) return;
+    os << "  " << keyword << ' ';
+    for (std::size_t i = 0; i < names.size(); ++i) os << (i == 0 ? "" : ", ") << names[i];
     os << ";\n";
-  }
+  };
+  declare("invariant", loop.invariants);
+  declare("array", loop.arrays);
   os << "  trip " << loop.trip_hint << ";\n";
   if (loop.stride != 1) os << "  stride " << loop.stride << ";\n";
   for (const Op& op : loop.ops) {
