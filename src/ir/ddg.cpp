@@ -19,29 +19,58 @@ std::string_view dep_kind_name(DepKind kind) {
   QVLIW_ASSERT(false, "bad DepKind");
 }
 
-Ddg::Ddg(int nodes) : node_count_(nodes), out_(static_cast<std::size_t>(nodes)), in_(static_cast<std::size_t>(nodes)) {
+Ddg::Ddg(int nodes) : node_count_(nodes) {
   check(nodes >= 0, "Ddg: negative node count");
+  index();
 }
 
-void Ddg::add_edge(DepEdge edge) {
+void Ddg::append(const DepEdge& edge) {
   check(edge.src >= 0 && edge.src < node_count_, "Ddg::add_edge: src out of range");
   check(edge.dst >= 0 && edge.dst < node_count_, "Ddg::add_edge: dst out of range");
   check(edge.latency >= 0, "Ddg::add_edge: negative latency");
   check(edge.distance >= 0, "Ddg::add_edge: negative distance");
-  const int index = static_cast<int>(edges_.size());
-  out_[static_cast<std::size_t>(edge.src)].push_back(index);
-  in_[static_cast<std::size_t>(edge.dst)].push_back(index);
   edges_.push_back(edge);
 }
 
-const std::vector<int>& Ddg::out_edges(int node) const {
-  check(node >= 0 && node < node_count_, "Ddg::out_edges: node out of range");
-  return out_[static_cast<std::size_t>(node)];
+void Ddg::add_edge(DepEdge edge) {
+  append(edge);
+  index();
 }
 
-const std::vector<int>& Ddg::in_edges(int node) const {
+void Ddg::index() {
+  // Counting sort of edge ids by source and by destination: count into
+  // off[v], prefix-sum to each node's end, then place ids from the last
+  // down.  That leaves off[v] at the node's start and its ids ascending.
+  const auto n = static_cast<std::size_t>(node_count_);
+  out_off_.assign(n + 1, 0);
+  in_off_.assign(n + 1, 0);
+  for (const DepEdge& edge : edges_) {
+    ++out_off_[static_cast<std::size_t>(edge.src)];
+    ++in_off_[static_cast<std::size_t>(edge.dst)];
+  }
+  for (std::size_t v = 1; v <= n; ++v) {
+    out_off_[v] += out_off_[v - 1];
+    in_off_[v] += in_off_[v - 1];
+  }
+  out_ids_.resize(edges_.size());
+  in_ids_.resize(edges_.size());
+  for (int e = edge_count() - 1; e >= 0; --e) {
+    const DepEdge& edge = edges_[static_cast<std::size_t>(e)];
+    out_ids_[static_cast<std::size_t>(--out_off_[static_cast<std::size_t>(edge.src)])] = e;
+    in_ids_[static_cast<std::size_t>(--in_off_[static_cast<std::size_t>(edge.dst)])] = e;
+  }
+}
+
+std::span<const int> Ddg::out_edges(int node) const {
+  check(node >= 0 && node < node_count_, "Ddg::out_edges: node out of range");
+  const auto v = static_cast<std::size_t>(node);
+  return {out_ids_.data() + out_off_[v], out_ids_.data() + out_off_[v + 1]};
+}
+
+std::span<const int> Ddg::in_edges(int node) const {
   check(node >= 0 && node < node_count_, "Ddg::in_edges: node out of range");
-  return in_[static_cast<std::size_t>(node)];
+  const auto v = static_cast<std::size_t>(node);
+  return {in_ids_.data() + in_off_[v], in_ids_.data() + in_off_[v + 1]};
 }
 
 Ddg Ddg::build(const Loop& loop, const LatencyModel& lat) {
@@ -66,7 +95,7 @@ Ddg Ddg::build_from(const Loop& loop, const LatencyModel& lat, const std::vector
       edge.distance = arg.distance;
       edge.kind = DepKind::kFlow;
       edge.dst_arg = static_cast<int>(a);
-      graph.add_edge(edge);
+      graph.append(edge);
     }
   }
 
@@ -87,56 +116,11 @@ Ddg Ddg::build_from(const Loop& loop, const LatencyModel& lat, const std::vector
         edge.kind = DepKind::kMemOutput;
         break;
     }
-    graph.add_edge(edge);
+    graph.append(edge);
   }
 
+  graph.index();
   return graph;
-}
-
-DdgFlat DdgFlat::from(const Ddg& graph) {
-  DdgFlat flat;
-  flat.node_count = graph.node_count();
-  const int edges = graph.edge_count();
-  const std::size_t n = static_cast<std::size_t>(flat.node_count);
-  const std::size_t m = static_cast<std::size_t>(edges);
-
-  flat.src.resize(m);
-  flat.dst.resize(m);
-  flat.latency.resize(m);
-  flat.distance.resize(m);
-  flat.kind.resize(m);
-  flat.dst_arg.resize(m);
-  flat.out_off.assign(n + 1, 0);
-  flat.in_off.assign(n + 1, 0);
-  flat.out_ids.resize(m);
-  flat.in_ids.resize(m);
-
-  for (int e = 0; e < edges; ++e) {
-    const DepEdge& edge = graph.edge(e);
-    const std::size_t i = static_cast<std::size_t>(e);
-    flat.src[i] = edge.src;
-    flat.dst[i] = edge.dst;
-    flat.latency[i] = edge.latency;
-    flat.distance[i] = edge.distance;
-    flat.kind[i] = edge.kind;
-    flat.dst_arg[i] = edge.dst_arg;
-    ++flat.out_off[static_cast<std::size_t>(edge.src) + 1];
-    ++flat.in_off[static_cast<std::size_t>(edge.dst) + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    flat.out_off[v + 1] += flat.out_off[v];
-    flat.in_off[v + 1] += flat.in_off[v];
-  }
-  // Fill in ascending edge-id order: the per-node lists end up in the same
-  // insertion order Ddg keeps in out_/in_.
-  std::vector<std::int32_t> out_cursor(flat.out_off.begin(), flat.out_off.end() - 1);
-  std::vector<std::int32_t> in_cursor(flat.in_off.begin(), flat.in_off.end() - 1);
-  for (int e = 0; e < edges; ++e) {
-    const std::size_t i = static_cast<std::size_t>(e);
-    flat.out_ids[static_cast<std::size_t>(out_cursor[static_cast<std::size_t>(flat.src[i])]++)] = e;
-    flat.in_ids[static_cast<std::size_t>(in_cursor[static_cast<std::size_t>(flat.dst[i])]++)] = e;
-  }
-  return flat;
 }
 
 }  // namespace qvliw

@@ -10,6 +10,7 @@
 // opcode's latency); memory order edges come from memdep.h (latency 1).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,72 +56,33 @@ class Ddg {
   [[nodiscard]] const std::vector<DepEdge>& edges() const { return edges_; }
   [[nodiscard]] const DepEdge& edge(int e) const { return edges_[static_cast<std::size_t>(e)]; }
 
-  /// Edge indices leaving / entering a node.
-  [[nodiscard]] const std::vector<int>& out_edges(int node) const;
-  [[nodiscard]] const std::vector<int>& in_edges(int node) const;
+  /// Ids of the edges leaving / entering a node, in ascending order.
+  [[nodiscard]] std::span<const int> out_edges(int node) const;
+  [[nodiscard]] std::span<const int> in_edges(int node) const;
 
   /// Sum of latencies over all nodes (a safe horizon for schedules).
   [[nodiscard]] int total_latency() const { return total_latency_; }
 
-  /// Constructs an empty DDG with `nodes` nodes (used by transforms/tests).
+  /// Constructs a DDG with `nodes` nodes and no edges.
   explicit Ddg(int nodes = 0);
 
   /// Adds an edge; endpoints must be in range, latency >= 0, distance >= 0.
+  /// Re-indexes the adjacency, O(nodes + edges): for hand-built graphs.
   void add_edge(DepEdge edge);
 
  private:
+  void append(const DepEdge& edge);
+  void index();
+
   int node_count_ = 0;
   int total_latency_ = 0;
   std::vector<DepEdge> edges_;
-  std::vector<std::vector<int>> out_;
-  std::vector<std::vector<int>> in_;
-};
-
-/// Structure-of-arrays mirror of a Ddg with CSR adjacency.  Edge ids are
-/// identical to the source Ddg's, so `Lifetime.edge` and any diagnostic that
-/// names an edge index means the same thing in both representations.  The
-/// per-node id lists preserve the Ddg's insertion order (ids ascend within a
-/// node).  Hot inner loops (IMS placement, cluster scoring, queue lifetime
-/// extraction, FIFO verification) iterate these contiguous arrays instead of
-/// chasing vector<vector<int>> + AoS DepEdge pointers.
-struct DdgFlat {
-  int node_count = 0;
-
-  // Per-edge arrays, indexed by Ddg edge id.
-  std::vector<std::int32_t> src;
-  std::vector<std::int32_t> dst;
-  std::vector<std::int32_t> latency;
-  std::vector<std::int32_t> distance;
-  std::vector<DepKind> kind;
-  std::vector<std::int32_t> dst_arg;
-
-  // CSR adjacency: edge ids leaving node n are out_ids[out_off[n]..out_off[n+1]).
-  std::vector<std::int32_t> out_off;
-  std::vector<std::int32_t> out_ids;
-  std::vector<std::int32_t> in_off;
-  std::vector<std::int32_t> in_ids;
-
-  struct IdRange {
-    const std::int32_t* first;
-    const std::int32_t* last;
-    [[nodiscard]] const std::int32_t* begin() const { return first; }
-    [[nodiscard]] const std::int32_t* end() const { return last; }
-  };
-
-  [[nodiscard]] static DdgFlat from(const Ddg& graph);
-
-  [[nodiscard]] int edge_count() const { return static_cast<int>(src.size()); }
-  [[nodiscard]] IdRange out(int node) const {
-    return {out_ids.data() + out_off[static_cast<std::size_t>(node)],
-            out_ids.data() + out_off[static_cast<std::size_t>(node) + 1]};
-  }
-  [[nodiscard]] IdRange in(int node) const {
-    return {in_ids.data() + in_off[static_cast<std::size_t>(node)],
-            in_ids.data() + in_off[static_cast<std::size_t>(node) + 1]};
-  }
-  [[nodiscard]] bool is_value_flow(int e) const {
-    return kind[static_cast<std::size_t>(e)] == DepKind::kFlow;
-  }
+  // CSR adjacency: the ids of the edges leaving node n are
+  // out_ids_[out_off_[n] .. out_off_[n + 1]), ascending; in_ likewise.
+  std::vector<int> out_off_;
+  std::vector<int> out_ids_;
+  std::vector<int> in_off_;
+  std::vector<int> in_ids_;
 };
 
 }  // namespace qvliw

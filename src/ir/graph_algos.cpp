@@ -106,11 +106,7 @@ int scc_count(const Ddg& graph) {
   return tarjan.components();
 }
 
-bool has_positive_cycle(const Ddg& graph, int ii) {
-  return has_positive_cycle_scaled(graph, ii, 1);
-}
-
-bool has_positive_cycle_scaled(const Ddg& graph, int ii, int latency_scale) {
+bool has_positive_cycle(const Ddg& graph, int ii, int latency_scale) {
   check(ii >= 1, "has_positive_cycle: ii must be >= 1");
   check(latency_scale >= 1, "has_positive_cycle: latency_scale must be >= 1");
   const auto n = static_cast<std::size_t>(graph.node_count());
@@ -197,10 +193,10 @@ std::vector<Circuit> elementary_circuits(const Ddg& graph, std::size_t max_circu
   return circuits;
 }
 
-std::vector<int> height_priority(const Ddg& graph, int ii) {
+void height_priority(const Ddg& graph, int ii, std::vector<int>& height) {
   check(ii >= 1, "height_priority: ii must be >= 1");
   const auto n = static_cast<std::size_t>(graph.node_count());
-  std::vector<int> height(n, 0);
+  height.assign(n, 0);
   // Every node implicitly reaches a STOP sink with latency 0, hence the
   // clamp at zero.  Without positive cycles this converges within n rounds.
   for (std::size_t round = 0; round <= n; ++round) {
@@ -210,28 +206,6 @@ std::vector<int> height_priority(const Ddg& graph, int ii) {
       const int candidate = std::max(0, height[static_cast<std::size_t>(e.dst)] + w);
       if (candidate > height[static_cast<std::size_t>(e.src)]) {
         height[static_cast<std::size_t>(e.src)] = candidate;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-    QVLIW_ASSERT(round < n, "height_priority on graph with positive cycle");
-  }
-  return height;
-}
-
-void height_priority(const DdgFlat& flat, int ii, std::vector<int>& height) {
-  check(ii >= 1, "height_priority: ii must be >= 1");
-  const auto n = static_cast<std::size_t>(flat.node_count);
-  height.assign(n, 0);
-  const int m = flat.edge_count();
-  for (std::size_t round = 0; round <= n; ++round) {
-    bool changed = false;
-    for (int e = 0; e < m; ++e) {
-      const auto i = static_cast<std::size_t>(e);
-      const int w = flat.latency[i] - ii * flat.distance[i];
-      const int candidate = std::max(0, height[static_cast<std::size_t>(flat.dst[i])] + w);
-      if (candidate > height[static_cast<std::size_t>(flat.src[i])]) {
-        height[static_cast<std::size_t>(flat.src[i])] = candidate;
         changed = true;
       }
     }

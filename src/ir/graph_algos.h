@@ -17,16 +17,14 @@ namespace qvliw {
 /// True when the constraint system sigma(dst) >= sigma(src) + lat - ii*dist
 /// admits no solution, i.e. some cycle has positive total (lat - ii*dist).
 /// Bellman-Ford-style longest-path relaxation; O(V * E).
-[[nodiscard]] bool has_positive_cycle(const Ddg& graph, int ii);
-
-/// Generalisation under weights (latency_scale*lat - ii*dist).  With
-/// latency_scale = U this decides RecMII feasibility of the U-fold
-/// replica lift of `graph` (the DDG of the loop unrolled by U) without
-/// materialising it: every circuit of the lifted graph projects to a
-/// closed walk of the base graph whose distance sum is U times the lifted
-/// one, so lifted feasibility at II is exactly "no base circuit with
-/// U*latency > II*distance".
-[[nodiscard]] bool has_positive_cycle_scaled(const Ddg& graph, int ii, int latency_scale);
+///
+/// With latency_scale = U the weights are (U*lat - ii*dist), which decides
+/// RecMII feasibility of the U-fold replica lift of `graph` (the DDG of
+/// the loop unrolled by U) without materialising it: every circuit of the
+/// lifted graph projects to a closed walk of the base graph whose distance
+/// sum is U times the lifted one, so lifted feasibility at II is exactly
+/// "no base circuit with U*latency > II*distance".
+[[nodiscard]] bool has_positive_cycle(const Ddg& graph, int ii, int latency_scale = 1);
 
 /// An elementary circuit with its latency/distance totals.
 struct Circuit {
@@ -45,14 +43,10 @@ struct Circuit {
                                                        std::size_t max_circuits = 4096);
 
 /// Longest-path "height" of each node to any sink under weights
-/// (lat - ii*dist), clamped at >= 0.  Requires !has_positive_cycle(graph,ii).
-/// This is the height-based scheduling priority of Rau's IMS.
-[[nodiscard]] std::vector<int> height_priority(const Ddg& graph, int ii);
-
-/// Same computation over the flat SoA mirror, writing into `height`'s
-/// existing storage (resized to node_count).  Edge order matches Ddg edge
-/// ids, so the result is identical to the Ddg overload; this is the
-/// allocation-free form the IMS searcher recomputes per II attempt.
-void height_priority(const DdgFlat& flat, int ii, std::vector<int>& height);
+/// (lat - ii*dist), clamped at >= 0, written into `height` (resized to
+/// node_count; the IMS searcher reuses one buffer per II attempt).
+/// Requires !has_positive_cycle(graph, ii).  This is the height-based
+/// scheduling priority of Rau's IMS.
+void height_priority(const Ddg& graph, int ii, std::vector<int>& height);
 
 }  // namespace qvliw

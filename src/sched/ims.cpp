@@ -30,11 +30,11 @@ class ImsSearcher {
  public:
   ImsSearcher(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
               ClusterAssigner& assigner)
-      : flat_(DdgFlat::from(graph)),
+      : graph_(graph),
         assigner_(assigner),
-        n_(flat_.node_count),
+        n_(graph.node_count()),
         mrt_(machine, 1),
-        schedule_(flat_.node_count, 1) {
+        schedule_(graph.node_count(), 1) {
     kind_of_.reserve(static_cast<std::size_t>(n_));
     for (int op = 0; op < n_; ++op) {
       kind_of_.push_back(fu_for(loop.ops[static_cast<std::size_t>(op)].opcode));
@@ -49,7 +49,7 @@ class ImsSearcher {
   bool attempt(int ii, int budget_ratio, ImsStats& stats) {
     ii_ = ii;
     stats_ = &stats;
-    height_priority(flat_, ii, height_);
+    height_priority(graph_, ii, height_);
     schedule_.reset(n_, ii);
     mrt_.reset(ii);
     std::fill(prev_cycle_.begin(), prev_cycle_.end(), -1);
@@ -126,12 +126,11 @@ class ImsSearcher {
   /// Earliest start from currently scheduled predecessors.
   [[nodiscard]] int earliest_start(int op) const {
     int estart = 0;
-    for (const std::int32_t e : flat_.in(op)) {
-      const int src = flat_.src[static_cast<std::size_t>(e)];
-      if (src == op) continue;  // self-dependence never binds (lat <= ii*dist at ii >= RecMII)
-      if (!schedule_.scheduled(src)) continue;
-      estart = std::max(estart, schedule_.cycle(src) + flat_.latency[static_cast<std::size_t>(e)] -
-                                    ii_ * flat_.distance[static_cast<std::size_t>(e)]);
+    for (const int e : graph_.in_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.src == op) continue;  // self-dependence never binds (lat <= ii*dist at ii >= RecMII)
+      if (!schedule_.scheduled(edge.src)) continue;
+      estart = std::max(estart, schedule_.cycle(edge.src) + edge.latency - ii_ * edge.distance);
     }
     return estart;
   }
@@ -216,20 +215,18 @@ class ImsSearcher {
 
     // Displace scheduled neighbours whose dependence constraints broke.
     evictions_.clear();
-    for (const std::int32_t e : flat_.out(op)) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      const int dst = flat_.dst[i];
-      if (dst == op || !schedule_.scheduled(dst)) continue;
-      if (schedule_.cycle(dst) < chosen_cycle + flat_.latency[i] - ii_ * flat_.distance[i]) {
-        evictions_.push_back(dst);
+    for (const int e : graph_.out_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.dst == op || !schedule_.scheduled(edge.dst)) continue;
+      if (schedule_.cycle(edge.dst) < chosen_cycle + edge.latency - ii_ * edge.distance) {
+        evictions_.push_back(edge.dst);
       }
     }
-    for (const std::int32_t e : flat_.in(op)) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      const int src = flat_.src[i];
-      if (src == op || !schedule_.scheduled(src)) continue;
-      if (chosen_cycle < schedule_.cycle(src) + flat_.latency[i] - ii_ * flat_.distance[i]) {
-        evictions_.push_back(src);
+    for (const int e : graph_.in_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.src == op || !schedule_.scheduled(edge.src)) continue;
+      if (chosen_cycle < schedule_.cycle(edge.src) + edge.latency - ii_ * edge.distance) {
+        evictions_.push_back(edge.src);
       }
     }
     // And neighbours whose value paths are no longer cluster-reachable.
@@ -238,7 +235,7 @@ class ImsSearcher {
     for (int v : evictions_) displace(v);
   }
 
-  const DdgFlat flat_;
+  const Ddg& graph_;
   ClusterAssigner& assigner_;
   const int n_;
   int ii_ = 1;
@@ -294,8 +291,8 @@ ImsResult ims_schedule(const Loop& loop, const Ddg& graph, const MachineConfig& 
                            seed->schedule.ii() == seed->ii &&
                            verify_schedule(loop, graph, machine, seed->schedule).empty();
 
-  // One searcher arena (flat DDG mirror, MRT, schedule, ready structure,
-  // scratch) serves every II attempt of this call.
+  // One searcher arena (MRT, schedule, ready structure, scratch) serves
+  // every II attempt of this call.
   ImsSearcher searcher(loop, graph, machine, strategy);
 
   for (int ii = first_ii; ii <= last_ii; ++ii) {

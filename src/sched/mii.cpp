@@ -7,14 +7,15 @@
 
 namespace qvliw {
 
-int res_mii(const Loop& loop, const MachineConfig& machine) {
+int res_mii(const Loop& loop, const MachineConfig& machine, int factor) {
+  check(factor >= 1, "res_mii: factor must be >= 1");
   std::array<int, kNumFuKinds> ops_per_kind{};
   for (const Op& op : loop.ops) {
     ops_per_kind[static_cast<std::size_t>(fu_for(op.opcode))] += 1;
   }
   int bound = 1;
   for (int k = 0; k < kNumFuKinds; ++k) {
-    const int ops = ops_per_kind[static_cast<std::size_t>(k)];
+    const int ops = ops_per_kind[static_cast<std::size_t>(k)] * factor;
     if (ops == 0) continue;
     const int fus = machine.total_fus(static_cast<FuKind>(k));
     if (fus == 0) return 0;  // infeasible marker
@@ -23,16 +24,19 @@ int res_mii(const Loop& loop, const MachineConfig& machine) {
   return bound;
 }
 
-int rec_mii(const Ddg& graph) {
+int rec_mii(const Ddg& graph, int factor, int rec_floor) {
+  check(factor >= 1, "rec_mii: factor must be >= 1");
+  check(rec_floor >= 1, "rec_mii: rec_floor must be >= 1");
   // Feasibility is monotone in II: raising II only lowers the weight of
   // distance-carrying edges.  An II equal to the total latency is always
-  // feasible (any circuit has distance >= 1 in a valid DDG).
-  int lo = 1;
-  int hi = std::max(1, graph.total_latency());
-  QVLIW_ASSERT(!has_positive_cycle(graph, hi), "DDG has a zero-distance cycle");
+  // feasible (any circuit has distance >= 1 in a valid DDG), and the
+  // unrolled total latency is factor times the base one.
+  int lo = rec_floor;
+  int hi = std::max(lo, factor * std::max(1, graph.total_latency()));
+  QVLIW_ASSERT(!has_positive_cycle(graph, hi, factor), "DDG has a zero-distance cycle");
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (has_positive_cycle(graph, mid)) {
+    if (has_positive_cycle(graph, mid, factor)) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -41,59 +45,15 @@ int rec_mii(const Ddg& graph) {
   return lo;
 }
 
-MiiInfo unrolled_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine, int factor,
-                     int rec_floor) {
-  check(factor >= 1, "unrolled_mii: factor must be >= 1");
-  check(rec_floor >= 1, "unrolled_mii: rec_floor must be >= 1");
+MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine, int factor,
+                    int rec_floor) {
   MiiInfo info;
-
-  // ResMII: every FU-class count scales by the factor; feasibility (some
-  // used class has no FU at all) is factor-independent.
-  std::array<int, kNumFuKinds> ops_per_kind{};
-  for (const Op& op : loop.ops) {
-    ops_per_kind[static_cast<std::size_t>(fu_for(op.opcode))] += 1;
-  }
-  int res = 1;
-  for (int k = 0; k < kNumFuKinds; ++k) {
-    const int ops = ops_per_kind[static_cast<std::size_t>(k)] * factor;
-    if (ops == 0) continue;
-    const int fus = machine.total_fus(static_cast<FuKind>(k));
-    if (fus == 0) {
-      info.feasible = false;
-      return info;
-    }
-    res = std::max(res, (ops + fus - 1) / fus);
-  }
-  info.res_mii = res;
-
-  // RecMII of the lifted graph: binary search over II with scaled weights.
-  // The unrolled total latency is factor * base total latency, so that is
-  // a feasible upper bound exactly as in rec_mii.
-  int lo = rec_floor;
-  int hi = std::max(lo, factor * std::max(1, graph.total_latency()));
-  QVLIW_ASSERT(!has_positive_cycle_scaled(graph, hi, factor), "DDG has a zero-distance cycle");
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (has_positive_cycle_scaled(graph, mid, factor)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  info.rec_mii = lo;
-  info.mii = std::max(info.res_mii, info.rec_mii);
-  info.feasible = true;
-  return info;
-}
-
-MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine) {
-  MiiInfo info;
-  info.res_mii = res_mii(loop, machine);
+  info.res_mii = res_mii(loop, machine, factor);
   if (info.res_mii == 0) {
     info.feasible = false;
     return info;
   }
-  info.rec_mii = rec_mii(graph);
+  info.rec_mii = rec_mii(graph, factor, rec_floor);
   info.mii = std::max(info.res_mii, info.rec_mii);
   info.feasible = true;
   return info;

@@ -23,30 +23,27 @@ struct MiiInfo {
   friend bool operator==(const MiiInfo&, const MiiInfo&) = default;
 };
 
-/// Resource-constrained MII; 0-feasible only if every used FU kind exists.
-[[nodiscard]] MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine);
+/// ResMII of unroll(loop, factor): every FU-class count scales by the
+/// factor and is ceil-divided by the machine-wide instances.  0 when some
+/// used FU kind has no instance at all (infeasible marker).
+[[nodiscard]] int res_mii(const Loop& loop, const MachineConfig& machine, int factor = 1);
 
-/// ResMII alone (ops per FU kind vs machine-wide instances).
-[[nodiscard]] int res_mii(const Loop& loop, const MachineConfig& machine);
+/// RecMII of `graph` unrolled by `factor`, computed on `graph` itself:
+/// the smallest II admitting no positive cycle under weights
+/// (factor*latency - II*distance), found by binary search.  That equals
+/// RecMII of the replica-lifted (unrolled) DDG exactly; see
+/// has_positive_cycle.  `rec_floor` (>= 1) is a known lower bound on the
+/// answer (RecMII is nondecreasing in the factor, so the previous
+/// factor's value is a valid floor for an incremental sweep).
+[[nodiscard]] int rec_mii(const Ddg& graph, int factor = 1, int rec_floor = 1);
 
-/// RecMII alone: binary search over II with positive-cycle detection.
-[[nodiscard]] int rec_mii(const Ddg& graph);
-
-/// MII bounds of unroll(loop, factor) computed on the *base* loop and DDG,
-/// without materialising the unrolled loop:
-///   - ResMII scales analytically (factor*ops per FU class, ceil-divided
-///     by machine-wide instances);
-///   - RecMII is the smallest II admitting no positive cycle in the base
-///     graph under weights (factor*latency - II*distance), which equals
-///     RecMII of the replica-lifted (unrolled) DDG exactly — see
-///     has_positive_cycle_scaled.
-/// `rec_floor` (>= 1) is an optional known lower bound on the answer's
-/// RecMII component (RecMII is nondecreasing in the factor, so the
-/// previous factor's value is a valid floor for an incremental sweep).
-/// Exact versus compute_mii on the materialised unrolled loop whenever the
-/// unrolled DDG is the replica lift of `graph`; unroll_probe_is_exact
-/// (xform/unroll.h) decides that precondition.
-[[nodiscard]] MiiInfo unrolled_mii(const Loop& loop, const Ddg& graph,
-                                   const MachineConfig& machine, int factor, int rec_floor = 1);
+/// MII bounds of unroll(loop, factor) from the *base* loop and DDG,
+/// without materialising the unrolled loop; factor 1 bounds `loop`
+/// itself.  Exact versus the bounds of the materialised unrolled loop
+/// whenever the unrolled DDG is the replica lift of `graph`;
+/// unroll_probe_is_exact (xform/unroll.h) decides that precondition.
+/// Infeasible when the machine lacks an FU kind the loop uses.
+[[nodiscard]] MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+                                  int factor = 1, int rec_floor = 1);
 
 }  // namespace qvliw

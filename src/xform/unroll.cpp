@@ -151,9 +151,7 @@ UnrollProbe probe_unroll_factor(const Loop& loop, const MachineConfig& machine, 
   UnrollProbe probe = probe_with(
       loop, max_factor, max_ops,
       [&](int factor) {
-        const MiiInfo mii = factor == 1
-                                ? compute_mii(loop, base_graph, machine)
-                                : unrolled_mii(loop, base_graph, machine, factor, rec_floor);
+        const MiiInfo mii = compute_mii(loop, base_graph, machine, factor, rec_floor);
         if (mii.feasible) rec_floor = std::max(rec_floor, mii.rec_mii);
         return mii;
       },

@@ -18,21 +18,20 @@ namespace {
 /// probes through the reservation table.
 class ReferenceAttempt {
  public:
-  ReferenceAttempt(const Loop& loop, const Ddg& graph, const DdgFlat& flat,
-                   const MachineConfig& machine, ClusterAssigner& assigner, int ii,
-                   int budget_ratio, ImsStats& stats)
+  ReferenceAttempt(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+                   ClusterAssigner& assigner, int ii, int budget_ratio, ImsStats& stats)
       : loop_(loop),
-        flat_(flat),
+        graph_(graph),
         assigner_(assigner),
         ii_(ii),
         stats_(stats),
-        height_(height_priority(graph, ii)),
         schedule_(graph.node_count(), ii),
         mrt_(machine, ii),
         prev_cycle_(static_cast<std::size_t>(graph.node_count()), -1),
         budget_(static_cast<long long>(budget_ratio) * graph.node_count()) {
+    height_priority(graph, ii, height_);
     assigner_.reset(ii);
-    for (int op = 0; op < flat_.node_count; ++op) ready_.insert(key(op));
+    for (int op = 0; op < graph_.node_count(); ++op) ready_.insert(key(op));
   }
 
   bool run() {
@@ -58,12 +57,11 @@ class ReferenceAttempt {
 
   [[nodiscard]] int earliest_start(int op) const {
     int estart = 0;
-    for (const std::int32_t e : flat_.in(op)) {
-      const int src = flat_.src[static_cast<std::size_t>(e)];
-      if (src == op) continue;
-      if (!schedule_.scheduled(src)) continue;
-      estart = std::max(estart, schedule_.cycle(src) + flat_.latency[static_cast<std::size_t>(e)] -
-                                    ii_ * flat_.distance[static_cast<std::size_t>(e)]);
+    for (const int e : graph_.in_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.src == op) continue;
+      if (!schedule_.scheduled(edge.src)) continue;
+      estart = std::max(estart, schedule_.cycle(edge.src) + edge.latency - ii_ * edge.distance);
     }
     return estart;
   }
@@ -141,20 +139,18 @@ class ReferenceAttempt {
     ++stats_.placements;
 
     evictions_.clear();
-    for (const std::int32_t e : flat_.out(op)) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      const int dst = flat_.dst[i];
-      if (dst == op || !schedule_.scheduled(dst)) continue;
-      if (schedule_.cycle(dst) < chosen_cycle + flat_.latency[i] - ii_ * flat_.distance[i]) {
-        evictions_.push_back(dst);
+    for (const int e : graph_.out_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.dst == op || !schedule_.scheduled(edge.dst)) continue;
+      if (schedule_.cycle(edge.dst) < chosen_cycle + edge.latency - ii_ * edge.distance) {
+        evictions_.push_back(edge.dst);
       }
     }
-    for (const std::int32_t e : flat_.in(op)) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      const int src = flat_.src[i];
-      if (src == op || !schedule_.scheduled(src)) continue;
-      if (chosen_cycle < schedule_.cycle(src) + flat_.latency[i] - ii_ * flat_.distance[i]) {
-        evictions_.push_back(src);
+    for (const int e : graph_.in_edges(op)) {
+      const DepEdge& edge = graph_.edge(e);
+      if (edge.src == op || !schedule_.scheduled(edge.src)) continue;
+      if (chosen_cycle < schedule_.cycle(edge.src) + edge.latency - ii_ * edge.distance) {
+        evictions_.push_back(edge.src);
       }
     }
     assigner_.adjacency_evictions(op, chosen_cluster, adjacency_evictions_);
@@ -163,7 +159,7 @@ class ReferenceAttempt {
   }
 
   const Loop& loop_;
-  const DdgFlat& flat_;
+  const Ddg& graph_;
   ClusterAssigner& assigner_;
   const int ii_;
   ImsStats& stats_;
@@ -204,12 +200,10 @@ ImsResult ims_schedule_reference(const Loop& loop, const Ddg& graph, const Machi
     return result;
   }
 
-  const DdgFlat flat = DdgFlat::from(graph);
-
   for (int ii = first_ii; ii <= last_ii; ++ii) {
     if (result.stats.ii_attempts >= options.max_ii_attempts) break;
     ++result.stats.ii_attempts;
-    ReferenceAttempt attempt(loop, graph, flat, machine, strategy, ii, options.budget_ratio,
+    ReferenceAttempt attempt(loop, graph, machine, strategy, ii, options.budget_ratio,
                              result.stats);
     if (!attempt.run()) continue;
     result.schedule = attempt.take_schedule();

@@ -24,7 +24,9 @@ TEST(GraphEdges, EmptyGraphAlgorithms) {
   EXPECT_EQ(scc_count(graph), 0);
   EXPECT_FALSE(has_positive_cycle(graph, 1));
   EXPECT_TRUE(elementary_circuits(graph).empty());
-  EXPECT_TRUE(height_priority(graph, 1).empty());
+  std::vector<int> height{7};
+  height_priority(graph, 1, height);
+  EXPECT_TRUE(height.empty());
 }
 
 TEST(GraphEdges, AcyclicGraphHasNoCircuits) {

@@ -125,7 +125,8 @@ TEST(Circuits, RecMiiMatchesCircuitMax) {
 
 TEST(Height, SinkIsZero) {
   const Ddg graph = chain(3, 2);
-  const auto h = height_priority(graph, 1);
+  std::vector<int> h;
+  height_priority(graph, 1, h);
   EXPECT_EQ(h[2], 0);
   EXPECT_EQ(h[1], 2);
   EXPECT_EQ(h[0], 4);
@@ -136,7 +137,8 @@ TEST(Height, BackEdgeDiscountedByII) {
   graph.add_edge({0, 1, 3, 0, DepKind::kFlow, -1});
   graph.add_edge({1, 0, 1, 1, DepKind::kFlow, -1});
   // At II=4: h(1) = max(0, h(0) + 1 - 4) = 0; h(0) = 3.
-  const auto h = height_priority(graph, 4);
+  std::vector<int> h;
+  height_priority(graph, 4, h);
   EXPECT_EQ(h[1], 0);
   EXPECT_EQ(h[0], 3);
 }
@@ -144,7 +146,9 @@ TEST(Height, BackEdgeDiscountedByII) {
 TEST(Height, NeverNegative) {
   const Loop loop = kernel_by_name("rec2");
   const Ddg graph = Ddg::build(loop, LatencyModel::classic());
-  for (int h : height_priority(graph, 8)) EXPECT_GE(h, 0);
+  std::vector<int> heights;
+  height_priority(graph, 8, heights);
+  for (int h : heights) EXPECT_GE(h, 0);
 }
 
 }  // namespace

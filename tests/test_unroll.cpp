@@ -246,7 +246,7 @@ TEST(SelectUnroll, PerFactorBoundsMatchNaive) {
       const Loop materialized = unroll(loop, factor);
       const Ddg graph = Ddg::build(materialized, machine.latency);
       const MiiInfo oracle = compute_mii(materialized, graph, machine);
-      const MiiInfo fast = unrolled_mii(loop, base, machine, factor, rec_floor);
+      const MiiInfo fast = compute_mii(loop, base, machine, factor, rec_floor);
       const std::string where = cat(loop.name, " x", factor);
       EXPECT_EQ(fast.feasible, oracle.feasible) << where;
       EXPECT_EQ(fast.res_mii, oracle.res_mii) << where;
