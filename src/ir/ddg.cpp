@@ -84,7 +84,6 @@ Ddg Ddg::build_from(const Loop& loop, const LatencyModel& lat, const std::vector
 
   for (int u = 0; u < loop.op_count(); ++u) {
     const Op& op = loop.ops[static_cast<std::size_t>(u)];
-    graph.total_latency_ += lat.of(op.opcode);
     for (std::size_t a = 0; a < op.args.size(); ++a) {
       const Operand& arg = op.args[a];
       if (!arg.is_value()) continue;

@@ -60,9 +60,6 @@ class Ddg {
   [[nodiscard]] std::span<const int> out_edges(int node) const;
   [[nodiscard]] std::span<const int> in_edges(int node) const;
 
-  /// Sum of latencies over all nodes (a safe horizon for schedules).
-  [[nodiscard]] int total_latency() const { return total_latency_; }
-
   /// Constructs a DDG with `nodes` nodes and no edges.
   explicit Ddg(int nodes = 0);
 
@@ -75,7 +72,6 @@ class Ddg {
   void index();
 
   int node_count_ = 0;
-  int total_latency_ = 0;
   std::vector<DepEdge> edges_;
   // CSR adjacency: the ids of the edges leaving node n are
   // out_ids_[out_off_[n] .. out_off_[n + 1]), ascending; in_ likewise.

@@ -28,11 +28,20 @@ int rec_mii(const Ddg& graph, int factor, int rec_floor) {
   check(factor >= 1, "rec_mii: factor must be >= 1");
   check(rec_floor >= 1, "rec_mii: rec_floor must be >= 1");
   // Feasibility is monotone in II: raising II only lowers the weight of
-  // distance-carrying edges.  An II equal to the total latency is always
-  // feasible (any circuit has distance >= 1 in a valid DDG), and the
-  // unrolled total latency is factor times the base one.
+  // distance-carrying edges.  An elementary circuit leaves each node on
+  // it by one edge, so the sum over nodes of the largest out-edge latency
+  // bounds its latency, and with distance >= 1 (a valid DDG) II = that
+  // sum is feasible; each of the factor replicas adds the same sum.  The
+  // sum of op latencies is no bound: a memory-order edge has latency 1
+  // even from a latency-0 op.
+  int circuit_latency = 0;
+  for (int v = 0; v < graph.node_count(); ++v) {
+    int longest = 0;
+    for (const int e : graph.out_edges(v)) longest = std::max(longest, graph.edge(e).latency);
+    circuit_latency += longest;
+  }
   int lo = rec_floor;
-  int hi = std::max(lo, factor * std::max(1, graph.total_latency()));
+  int hi = std::max(lo, factor * std::max(1, circuit_latency));
   QVLIW_ASSERT(!has_positive_cycle(graph, hi, factor), "DDG has a zero-distance cycle");
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;

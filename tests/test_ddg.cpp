@@ -89,12 +89,6 @@ TEST(Ddg, AdjacencyConsistent) {
   EXPECT_EQ(from_out, graph.edge_count());
 }
 
-TEST(Ddg, TotalLatency) {
-  const Loop loop = parse_loop("loop t { x = load X[i]; s = fmul x, 3; store Y[i], s; }");
-  const Ddg graph = Ddg::build(loop, LatencyModel::classic());
-  EXPECT_EQ(graph.total_latency(), 2 + 3 + 1);
-}
-
 TEST(Ddg, EmptyGraph) {
   const Ddg graph(0);
   EXPECT_EQ(graph.node_count(), 0);

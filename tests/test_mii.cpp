@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "harness/pipeline.h"
 #include "ir/graph_algos.h"
 #include "ir/parser.h"
 #include "sched/mii.h"
@@ -72,6 +73,32 @@ TEST(RecMii, MemoryCarriedRecurrence) {
   // latencies 1 + 2 + 2 = 5 over distance 1.
   const Ddg graph = Ddg::build(loop, LatencyModel::classic());
   EXPECT_EQ(rec_mii(graph), 5);
+}
+
+TEST(RecMii, ZeroLatencyMemoryOpsStillBoundTheSearch) {
+  // Memory-order edges have latency 1 whatever their source's latency, so
+  // with latency-0 loads and stores the circuit load -> store -> load
+  // through A[i+1] needs more than the sum of op latencies (0).
+  MachineConfig machine = MachineConfig::single_cluster_machine(6);
+  machine.latency.latency[static_cast<std::size_t>(Opcode::kLoad)] = 0;
+  machine.latency.latency[static_cast<std::size_t>(Opcode::kStore)] = 0;
+  const Loop loop = parse_loop(
+      "loop t { x = load A[i+2]; store A[i+1], x; y = load A[i+1]; store A[i+3], y; }");
+  EXPECT_EQ(rec_mii(Ddg::build(loop, machine.latency)), 2);
+
+  for (const bool unroll : {false, true}) {
+    PipelineOptions options;
+    options.unroll = unroll;
+    options.verify = VerifyPolicy::kStrict;
+    const LoopResult result = run_pipeline(loop, machine, options);
+    ASSERT_TRUE(result.ok) << "unroll " << unroll << ": " << result.failure;
+    EXPECT_TRUE(result.verify_checked);
+    EXPECT_EQ(result.verify_violations, 0);
+    if (!unroll) {
+      EXPECT_EQ(result.rec_mii, 2);
+      EXPECT_EQ(result.ii, 2);
+    }
+  }
 }
 
 TEST(RecMii, MatchesCircuitEnumerationOnSyntheticLoops) {
