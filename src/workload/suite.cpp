@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/ddg.h"
-#include "sched/mii.h"
 #include "workload/kernels.h"
 #include "xform/unroll.h"
 
@@ -41,22 +39,9 @@ bool is_resource_constrained(const Loop& loop, int max_unroll) {
   // comparison happens at a common factor because RecMII floors at 1
   // (II >= 1) while unrolling dilutes that floor across U source
   // iterations.
-  const MachineConfig big = MachineConfig::single_cluster_machine(18);
-  double best_rate = 1e18;
-  bool resource_bound_at_best = false;
-  for (int factor = 1; factor <= max_unroll; ++factor) {
-    if (loop.op_count() * factor > 512) break;
-    const Loop unrolled = factor == 1 ? loop : unroll(loop, factor);
-    const Ddg graph = Ddg::build(unrolled, big.latency);
-    const MiiInfo mii = compute_mii(unrolled, graph, big);
-    if (!mii.feasible) continue;
-    const double rate = static_cast<double>(mii.mii) / factor;
-    if (rate < best_rate - 1e-9) {
-      best_rate = rate;
-      resource_bound_at_best = mii.res_mii >= mii.rec_mii;
-    }
-  }
-  return resource_bound_at_best;
+  const UnrollProbe probe =
+      probe_unroll_factor(loop, MachineConfig::single_cluster_machine(18), max_unroll);
+  return probe.mii.res_mii >= probe.mii.rec_mii;
 }
 
 }  // namespace qvliw
