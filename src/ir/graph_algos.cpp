@@ -6,106 +6,6 @@
 
 namespace qvliw {
 
-namespace {
-
-/// Iterative Tarjan SCC (explicit stack so deep unrolled loops are safe).
-class TarjanScc {
- public:
-  explicit TarjanScc(const Ddg& graph) : graph_(graph) {
-    const auto n = static_cast<std::size_t>(graph.node_count());
-    index_.assign(n, -1);
-    low_.assign(n, 0);
-    on_stack_.assign(n, false);
-    component_.assign(n, -1);
-  }
-
-  std::vector<int> run() {
-    for (int v = 0; v < graph_.node_count(); ++v) {
-      if (index_[static_cast<std::size_t>(v)] < 0) strongconnect(v);
-    }
-    // Tarjan emits components in reverse topological order already.
-    return component_;
-  }
-
-  [[nodiscard]] int components() const { return next_component_; }
-
- private:
-  struct Frame {
-    int node;
-    std::size_t edge_cursor;
-  };
-
-  void strongconnect(int root) {
-    std::vector<Frame> call_stack{{root, 0}};
-    begin(root);
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const auto& out = graph_.out_edges(frame.node);
-      bool descended = false;
-      while (frame.edge_cursor < out.size()) {
-        const int w = graph_.edge(out[frame.edge_cursor]).dst;
-        ++frame.edge_cursor;
-        if (index_[static_cast<std::size_t>(w)] < 0) {
-          begin(w);
-          call_stack.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack_[static_cast<std::size_t>(w)]) {
-          low_[static_cast<std::size_t>(frame.node)] =
-              std::min(low_[static_cast<std::size_t>(frame.node)], index_[static_cast<std::size_t>(w)]);
-        }
-      }
-      if (descended) continue;
-
-      const int v = frame.node;
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const int parent = call_stack.back().node;
-        low_[static_cast<std::size_t>(parent)] =
-            std::min(low_[static_cast<std::size_t>(parent)], low_[static_cast<std::size_t>(v)]);
-      }
-      if (low_[static_cast<std::size_t>(v)] == index_[static_cast<std::size_t>(v)]) {
-        while (true) {
-          const int w = node_stack_.back();
-          node_stack_.pop_back();
-          on_stack_[static_cast<std::size_t>(w)] = false;
-          component_[static_cast<std::size_t>(w)] = next_component_;
-          if (w == v) break;
-        }
-        ++next_component_;
-      }
-    }
-  }
-
-  void begin(int v) {
-    index_[static_cast<std::size_t>(v)] = next_index_;
-    low_[static_cast<std::size_t>(v)] = next_index_;
-    ++next_index_;
-    node_stack_.push_back(v);
-    on_stack_[static_cast<std::size_t>(v)] = true;
-  }
-
-  const Ddg& graph_;
-  std::vector<int> index_;
-  std::vector<int> low_;
-  std::vector<bool> on_stack_;
-  std::vector<int> node_stack_;
-  std::vector<int> component_;
-  int next_index_ = 0;
-  int next_component_ = 0;
-};
-
-}  // namespace
-
-std::vector<int> scc_ids(const Ddg& graph) { return TarjanScc(graph).run(); }
-
-int scc_count(const Ddg& graph) {
-  TarjanScc tarjan(graph);
-  tarjan.run();
-  return tarjan.components();
-}
-
 bool has_positive_cycle(const Ddg& graph, int ii, int latency_scale) {
   check(ii >= 1, "has_positive_cycle: ii must be >= 1");
   check(latency_scale >= 1, "has_positive_cycle: latency_scale must be >= 1");

@@ -7,13 +7,6 @@
 
 namespace qvliw {
 
-/// Tarjan strongly-connected components; returns component id per node.
-/// Ids are assigned in reverse topological order of the condensation.
-[[nodiscard]] std::vector<int> scc_ids(const Ddg& graph);
-
-/// Number of distinct values in scc_ids(graph).
-[[nodiscard]] int scc_count(const Ddg& graph);
-
 /// True when the constraint system sigma(dst) >= sigma(src) + lat - ii*dist
 /// admits no solution, i.e. some cycle has positive total (lat - ii*dist).
 /// Bellman-Ford-style longest-path relaxation; O(V * E).

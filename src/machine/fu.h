@@ -46,8 +46,4 @@ inline constexpr int kNumFuKinds = 4;
   return FuKind::kAdd;  // unreachable; keeps constexpr total
 }
 
-/// True for the compute classes the paper counts as "FUs" (copy units are
-/// provisioned separately and excluded from machine-size labels).
-[[nodiscard]] constexpr bool is_compute_fu(FuKind kind) { return kind != FuKind::kCopy; }
-
 }  // namespace qvliw

@@ -28,8 +28,7 @@ std::uint64_t SchedulerBackend::cache_key(ClusterHeuristic, const ImsOptions&) c
 std::uint64_t SchedulerBackend::fold_ims(std::uint64_t key, const ImsOptions& ims) {
   key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.start_ii)));
   key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii)));
-  key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii_attempts)));
-  return hash_combine(key, hash64(static_cast<std::uint64_t>(ims.ii_limit + 1)));
+  return hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii_attempts)));
 }
 
 namespace {

@@ -276,8 +276,7 @@ ImsResult ims_schedule(const Loop& loop, const Ddg& graph, const MachineConfig& 
   }
 
   const int first_ii = std::max(result.mii.mii, options.start_ii);
-  int last_ii = options.max_ii;
-  if (options.ii_limit >= 0) last_ii = std::min(last_ii, options.ii_limit);
+  const int last_ii = options.max_ii;
   if (first_ii > last_ii) {
     result.failure = cat("II limit ", last_ii, " below MII ", result.mii.mii);
     return result;

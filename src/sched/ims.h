@@ -73,13 +73,9 @@ struct ImsOptions {
   /// ladder; 32 attempts is far beyond what any schedulable loop needs.
   int max_ii_attempts = 32;
 
-  /// When > 0, start the search at this II instead of MII (used by the
-  /// same-II clustered experiments of Fig. 6).
+  /// When > 0, start the search at this II instead of MII (used by
+  /// queue-fit escalation, which retries above the II that did not fit).
   int start_ii = 0;
-
-  /// When >= 0, try only IIs up to this value (fail beyond); used to ask
-  /// "does it fit at the single-cluster II?".
-  int ii_limit = -1;
 
   /// Precomputed MII bounds for exactly this (loop, graph, machine).
   /// When `known_mii.feasible` is true the scheduler trusts the bounds and

@@ -34,7 +34,6 @@ void ReservationTable::reset(int ii) {
   }
   slots_.assign(total, -1);
   busy_.assign(counts_.size() * static_cast<std::size_t>(ii_), 0);
-  used_.assign(counts_.size(), 0);
 }
 
 std::size_t ReservationTable::cell(int cluster, FuKind kind) const {
@@ -80,7 +79,6 @@ void ReservationTable::place(int cluster, FuKind kind, int fu, int cycle, int op
   QVLIW_ASSERT(s < 0, "MRT: placing into an occupied slot");
   s = op;
   busy_[i * static_cast<std::size_t>(ii_) + static_cast<std::size_t>(slot)] |= std::uint64_t{1} << fu;
-  ++used_[i];
 }
 
 void ReservationTable::remove(int cluster, FuKind kind, int fu, int cycle, int op) {
@@ -92,11 +90,6 @@ void ReservationTable::remove(int cluster, FuKind kind, int fu, int cycle, int o
   s = -1;
   busy_[i * static_cast<std::size_t>(ii_) + static_cast<std::size_t>(slot)] &=
       ~(std::uint64_t{1} << fu);
-  --used_[i];
-}
-
-int ReservationTable::used_slots(int cluster, FuKind kind) const {
-  return used_[cell(cluster, kind)];
 }
 
 }  // namespace qvliw

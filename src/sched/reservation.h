@@ -5,10 +5,10 @@
 //
 // Occupancy is mirrored in one bitmask word per (cluster, kind, slot):
 // bit `fu` set iff that instance is busy.  find_free is a countr_zero of
-// the complement instead of a linear probe, victim selection walks the
-// set bits of the same word, and used_slots is a per-cell running
-// counter.  reset(ii) rebinds to a new II reusing the allocated storage,
-// so the II-ladder searcher never reconstructs the table.
+// the complement instead of a linear probe, and victim selection walks
+// the set bits of the same word.  reset(ii) rebinds to a new II reusing
+// the allocated storage, so the II-ladder searcher never reconstructs
+// the table.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,6 @@ class ReservationTable {
   /// Releases the booking; the slot must currently hold `op`.
   void remove(int cluster, FuKind kind, int fu, int cycle, int op);
 
-  /// Occupied slots of `kind` in `cluster` (pressure metric for heuristics).
-  [[nodiscard]] int used_slots(int cluster, FuKind kind) const;
-
  private:
   [[nodiscard]] std::size_t cell(int cluster, FuKind kind) const;
   [[nodiscard]] std::size_t base(int cluster, FuKind kind) const;
@@ -60,12 +57,11 @@ class ReservationTable {
 
   int ii_ = 1;
   int clusters_ = 0;
-  // Per (cluster, kind): FU instance count, all-instances mask, offset
-  // into slots_, and occupied-slot counter.
+  // Per (cluster, kind): FU instance count, all-instances mask, and
+  // offset into slots_.
   std::vector<int> counts_;
   std::vector<std::uint64_t> full_;
   std::vector<std::size_t> offsets_;
-  std::vector<int> used_;
   std::vector<int> slots_;           // [offset + fu*ii + slot] -> op or -1
   std::vector<std::uint64_t> busy_;  // [cell*ii + slot] -> busy-instance mask
 };

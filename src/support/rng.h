@@ -65,15 +65,6 @@ class Rng {
     return items[static_cast<std::size_t>(uniform_i64(0, static_cast<std::int64_t>(items.size()) - 1))];
   }
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(uniform_i64(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
-
   /// Derives an independent child generator (for per-loop substreams).
   Rng fork();
 

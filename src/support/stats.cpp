@@ -18,16 +18,9 @@ void OnlineStats::add(double value) {
   sum_ += value;
   const double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
 }
 
 double OnlineStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double OnlineStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double OnlineStats::min() const { return min_; }
 
@@ -62,15 +55,6 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double fraction_at_most(const std::vector<int>& values, int bound) {
-  if (values.empty()) return 0.0;
-  std::size_t hits = 0;
-  for (int v : values) {
-    if (v <= bound) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(values.size());
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
   check(bins > 0, "Histogram needs at least one bin");
   check(hi > lo, "Histogram range must be non-empty");
@@ -97,14 +81,6 @@ double Histogram::bin_lo(std::size_t bin) const {
 double Histogram::bin_hi(std::size_t bin) const {
   const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
   return lo_ + width * static_cast<double>(bin + 1);
-}
-
-double Histogram::cumulative_fraction(std::size_t bin) const {
-  check(bin < counts_.size(), "Histogram bin out of range");
-  if (total_ == 0) return 0.0;
-  std::size_t running = 0;
-  for (std::size_t i = 0; i <= bin; ++i) running += counts_[i];
-  return static_cast<double>(running) / static_cast<double>(total_);
 }
 
 }  // namespace qvliw

@@ -7,15 +7,13 @@
 
 namespace qvliw {
 
-/// Welford-style online accumulator for count/mean/variance/min/max.
+/// Welford-style online accumulator for count/mean/min/max/sum.
 class OnlineStats {
  public:
   void add(double value);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
@@ -23,7 +21,6 @@ class OnlineStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -38,9 +35,6 @@ class OnlineStats {
 /// p-th percentile (p in [0,100]) by linear interpolation on sorted copy.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
-/// Fraction of `values` satisfying value <= bound.
-[[nodiscard]] double fraction_at_most(const std::vector<int>& values, int bound);
-
 /// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.
 class Histogram {
  public:
@@ -52,8 +46,6 @@ class Histogram {
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] double bin_lo(std::size_t bin) const;
   [[nodiscard]] double bin_hi(std::size_t bin) const;
-  /// Cumulative fraction of samples in bins [0, bin].
-  [[nodiscard]] double cumulative_fraction(std::size_t bin) const;
 
  private:
   double lo_;

@@ -1,6 +1,5 @@
 #include "support/strings.h"
 
-#include <cctype>
 #include <iomanip>
 
 namespace qvliw {
@@ -17,20 +16,6 @@ std::vector<std::string> split(std::string_view text, char sep) {
     out.emplace_back(text.substr(start, pos - start));
     start = pos + 1;
   }
-}
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
 std::string fixed(double value, int digits) {

@@ -28,12 +28,6 @@ std::string cat(const Args&... args) {
 /// Splits `text` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view text, char sep);
 
-/// Strips ASCII whitespace from both ends.
-std::string_view trim(std::string_view text);
-
-/// True when `text` starts with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Formats `value` with `digits` digits after the decimal point.
 std::string fixed(double value, int digits);
 

@@ -16,11 +16,15 @@ void TextTable::add_row(std::vector<Cell> cells) {
   rows_.push_back(std::move(cells));
 }
 
-std::string TextTable::cell_text(const Cell& cell) const {
+namespace {
+
+std::string cell_text(const Cell& cell) {
   if (const auto* text = std::get_if<std::string>(&cell)) return *text;
   if (const auto* integer = std::get_if<std::int64_t>(&cell)) return std::to_string(*integer);
-  return fixed(std::get<double>(cell), real_digits_);
+  return fixed(std::get<double>(cell), 2);
 }
+
+}  // namespace
 
 void TextTable::render(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
@@ -61,34 +65,6 @@ void TextTable::render(std::ostream& os) const {
     os << '\n';
   }
   rule();
-}
-
-void TextTable::render_csv(std::ostream& os) const {
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c != 0) os << ',';
-    os << csv_escape(headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      os << csv_escape(cell_text(row[c]));
-    }
-    os << '\n';
-  }
-}
-
-std::string csv_escape(const std::string& field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n") != std::string::npos;
-  if (!needs_quotes) return field;
-  std::string out = "\"";
-  for (char ch : field) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace qvliw

@@ -1,7 +1,5 @@
-// ASCII and CSV table rendering for the benchmark harness.
-//
-// Benches print paper-figure-shaped tables with `TextTable`; raw data can
-// additionally be dumped as CSV for external plotting.
+// ASCII table rendering for the benchmark harness: benches print
+// paper-figure-shaped tables with `TextTable`.
 #pragma once
 
 #include <cstdint>
@@ -12,15 +10,12 @@
 
 namespace qvliw {
 
-/// One table cell: text, integer, or real (formatted with `real_digits`).
+/// One table cell: text, integer, or real (printed with two decimals).
 using Cell = std::variant<std::string, std::int64_t, double>;
 
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Number of digits used for double cells (default 2).
-  void set_real_digits(int digits) { real_digits_ = digits; }
 
   /// Appends one row; must match the header count.
   void add_row(std::vector<Cell> cells);
@@ -28,21 +23,12 @@ class TextTable {
   /// Renders with column alignment (numbers right, text left).
   void render(std::ostream& os) const;
 
-  /// Renders in RFC-4180-ish CSV (quotes fields containing , " or newline).
-  void render_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const { return headers_.size(); }
 
  private:
-  [[nodiscard]] std::string cell_text(const Cell& cell) const;
-
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
-  int real_digits_ = 2;
 };
-
-/// Escapes one CSV field per RFC 4180.
-[[nodiscard]] std::string csv_escape(const std::string& field);
 
 }  // namespace qvliw

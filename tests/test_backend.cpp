@@ -221,7 +221,7 @@ TEST(BackendKeys, ContributionsNeverAlias) {
   // The II window changes reachable schedules and is folded; the budget
   // is the ladder axis and is not.
   ImsOptions limited = ims;
-  limited.ii_limit = 7;
+  limited.max_ii = 7;
   EXPECT_NE(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
             clustered.cache_key(ClusterHeuristic::kAffinity, limited));
   ImsOptions budgeted = ims;

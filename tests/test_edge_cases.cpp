@@ -2,8 +2,6 @@
 // configurations, and formatting corners not exercised elsewhere.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "ir/graph_algos.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -11,7 +9,6 @@
 #include "sched/ims.h"
 #include "sim/codegen.h"
 #include "support/diagnostics.h"
-#include "support/table.h"
 #include "workload/kernels.h"
 #include "xform/copy_insert.h"
 #include "xform/unroll.h"
@@ -21,7 +18,6 @@ namespace {
 
 TEST(GraphEdges, EmptyGraphAlgorithms) {
   const Ddg graph(0);
-  EXPECT_EQ(scc_count(graph), 0);
   EXPECT_FALSE(has_positive_cycle(graph, 1));
   EXPECT_TRUE(elementary_circuits(graph).empty());
   std::vector<int> height{7};
@@ -122,15 +118,6 @@ TEST(UnrollEdges, UnrollSingleStoreLoop) {
 TEST(CopyEdges, StoreOnlyLoopUntouched) {
   const Loop loop = parse_loop("loop t { store X[i], 1; }");
   EXPECT_EQ(insert_copies(loop).copies_added, 0);
-}
-
-TEST(TableEdges, RealDigitsControl) {
-  TextTable table({"v"});
-  table.set_real_digits(4);
-  table.add_row({3.14159265});
-  std::ostringstream os;
-  table.render(os);
-  EXPECT_NE(os.str().find("3.1416"), std::string::npos);
 }
 
 TEST(MachineEdges, ThreeFuMachineIsPaperCluster) {

@@ -15,43 +15,6 @@ Ddg chain(int n, int latency = 1) {
   return graph;
 }
 
-TEST(Scc, ChainIsAllSingletons) {
-  const Ddg graph = chain(5);
-  EXPECT_EQ(scc_count(graph), 5);
-  const auto ids = scc_ids(graph);
-  std::vector<int> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
-}
-
-TEST(Scc, CycleIsOneComponent) {
-  Ddg graph = chain(4);
-  graph.add_edge({3, 0, 1, 1, DepKind::kFlow, -1});
-  EXPECT_EQ(scc_count(graph), 1);
-  const auto ids = scc_ids(graph);
-  EXPECT_EQ(ids[0], ids[3]);
-}
-
-TEST(Scc, TwoCyclesPlusIsolated) {
-  Ddg graph(5);
-  graph.add_edge({0, 1, 1, 0, DepKind::kFlow, -1});
-  graph.add_edge({1, 0, 1, 1, DepKind::kFlow, -1});
-  graph.add_edge({2, 3, 1, 0, DepKind::kFlow, -1});
-  graph.add_edge({3, 2, 1, 1, DepKind::kFlow, -1});
-  EXPECT_EQ(scc_count(graph), 3);
-  const auto ids = scc_ids(graph);
-  EXPECT_EQ(ids[0], ids[1]);
-  EXPECT_EQ(ids[2], ids[3]);
-  EXPECT_NE(ids[0], ids[2]);
-  EXPECT_NE(ids[4], ids[0]);
-}
-
-TEST(Scc, SelfLoop) {
-  Ddg graph(2);
-  graph.add_edge({0, 0, 2, 1, DepKind::kFlow, -1});
-  EXPECT_EQ(scc_count(graph), 2);
-}
-
 TEST(PositiveCycle, AcyclicNeverPositive) {
   const Ddg graph = chain(6, 10);
   for (int ii = 1; ii <= 4; ++ii) EXPECT_FALSE(has_positive_cycle(graph, ii));

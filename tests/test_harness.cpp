@@ -72,7 +72,7 @@ TEST(Pipeline, MovesPathCounted) {
 
 TEST(Pipeline, FailureIsReportedNotThrown) {
   PipelineOptions options;
-  options.ims.ii_limit = 1;
+  options.ims.max_ii = 1;
   const LoopResult r = run_pipeline(kernel_by_name("geo_decay"),
                                     MachineConfig::single_cluster_machine(6), options);
   EXPECT_FALSE(r.ok);

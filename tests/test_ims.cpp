@@ -72,12 +72,12 @@ TEST(Ims, CorpusMostlyAchievesMii) {
   EXPECT_LE(above_mii, total / 10) << "IMS missed MII on too many kernels";
 }
 
-TEST(Ims, IiLimitForcesFailure) {
+TEST(Ims, MaxIiBelowMiiForcesFailure) {
   const Loop loop = kernel_by_name("stencil3");  // MII 4 on 3 FUs
   const MachineConfig machine = MachineConfig::single_cluster_machine(3);
   const Ddg graph = Ddg::build(loop, machine.latency);
   ImsOptions options;
-  options.ii_limit = 2;
+  options.max_ii = 2;
   const ImsResult r = ims_schedule(loop, graph, machine, options);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("below MII"), std::string::npos);

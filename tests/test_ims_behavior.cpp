@@ -39,7 +39,7 @@ TEST(ImsBehavior, StarvedBudgetFailsThenGenerousSucceeds) {
   ImsOptions starved;
   starved.budget_ratio = 1;
   starved.max_ii_attempts = 1;
-  starved.ii_limit = 7;  // at the resource bound, ratio 1 cannot converge
+  starved.max_ii = 7;  // at the resource bound, ratio 1 cannot converge
   const ImsResult fail = ims_schedule(loop, graph, machine, starved);
 
   ImsOptions generous;

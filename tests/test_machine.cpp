@@ -21,8 +21,6 @@ TEST(Fu, OpcodeMapping) {
 TEST(Fu, Names) {
   EXPECT_EQ(fu_kind_name(FuKind::kLS), "L/S");
   EXPECT_EQ(fu_kind_name(FuKind::kCopy), "COPY");
-  EXPECT_TRUE(is_compute_fu(FuKind::kMul));
-  EXPECT_FALSE(is_compute_fu(FuKind::kCopy));
 }
 
 TEST(Cluster, PaperCluster) {

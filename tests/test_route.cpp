@@ -62,11 +62,11 @@ TEST(Route, SyntheticSweepOnSixClusters) {
 }
 
 TEST(Route, ReportsFailureGracefully) {
-  // An impossible II limit forces clean failure.
+  // An impossible II cap forces clean failure.
   const Loop loop = insert_copies(kernel_by_name("fir8")).loop;
   const MachineConfig machine = MachineConfig::clustered_machine(6);
   PartitionOptions options;
-  options.ims.ii_limit = 1;  // below MII
+  options.ims.max_ii = 1;  // below MII
   const RouteResult r = partition_with_moves(loop, machine, options);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.failure.empty());

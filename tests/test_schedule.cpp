@@ -162,7 +162,6 @@ TEST(Reservation, PlaceFindRemove) {
   EXPECT_EQ(table.find_free(0, FuKind::kLS, 1), 1);
   table.place(0, FuKind::kLS, 1, 1, 8);
   EXPECT_EQ(table.find_free(0, FuKind::kLS, 7), -1);  // slot 1 full
-  EXPECT_EQ(table.used_slots(0, FuKind::kLS), 2);
   table.remove(0, FuKind::kLS, 0, 4, 7);
   EXPECT_EQ(table.find_free(0, FuKind::kLS, 1), 0);
 }

@@ -32,7 +32,7 @@ TEST(StageGraph, StageSecondsRecordedPerStage) {
 
 TEST(StageGraph, ScheduleFailureProvenance) {
   PipelineOptions options;
-  options.ims.ii_limit = 1;  // geo_decay's recurrence cannot fit II=1
+  options.ims.max_ii = 1;  // geo_decay's recurrence cannot fit II=1
   const LoopResult r = run_pipeline(kernel_by_name("geo_decay"),
                                     MachineConfig::single_cluster_machine(6), options);
   ASSERT_FALSE(r.ok);

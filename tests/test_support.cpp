@@ -57,17 +57,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, TrimStripsBothEnds) {
-  EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("prefix-rest", "prefix"));
-  EXPECT_FALSE(starts_with("pre", "prefix"));
-}
-
 TEST(Strings, FixedAndPercent) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(percent(0.952, 1), "95.2%");
@@ -149,7 +138,7 @@ TEST(Rng, WeightedRoughProportions) {
   EXPECT_NEAR(static_cast<double>(hits) / draws, 0.75, 0.05);
 }
 
-TEST(Rng, PickAndShuffle) {
+TEST(Rng, Pick) {
   Rng rng(19);
   std::vector<int> items = {1, 2, 3, 4, 5};
   for (int i = 0; i < 20; ++i) {
@@ -157,11 +146,6 @@ TEST(Rng, PickAndShuffle) {
     EXPECT_GE(v, 1);
     EXPECT_LE(v, 5);
   }
-  std::vector<int> shuffled = items;
-  rng.shuffle(shuffled);
-  std::multiset<int> a(items.begin(), items.end());
-  std::multiset<int> b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
 }
 
 TEST(Rng, ForkIsIndependent) {
@@ -190,8 +174,6 @@ TEST(Stats, OnlineBasics) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 6.0);
   EXPECT_DOUBLE_EQ(s.sum(), 12.0);
-  EXPECT_NEAR(s.variance(), 4.0, 1e-12);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
 }
 
 TEST(Stats, MeanAndGeomean) {
@@ -208,22 +190,13 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(values, 50), 25.0);
 }
 
-TEST(Stats, FractionAtMost) {
-  const std::vector<int> values = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(fraction_at_most(values, 2), 0.5);
-  EXPECT_DOUBLE_EQ(fraction_at_most(values, 0), 0.0);
-  EXPECT_DOUBLE_EQ(fraction_at_most(values, 9), 1.0);
-}
-
-TEST(Stats, HistogramBinsAndCumulative) {
+TEST(Stats, HistogramBins) {
   Histogram h(0.0, 10.0, 5);
   for (double v : {0.5, 1.5, 3.0, 9.9, 11.0, -1.0}) h.add(v);  // clamped edges
   EXPECT_EQ(h.total(), 6u);
   EXPECT_EQ(h.bin_count(0), 3u);  // 0.5, 1.5, -1.0
   EXPECT_EQ(h.bin_count(1), 1u);  // 3.0
   EXPECT_EQ(h.bin_count(4), 2u);  // 9.9, 11.0
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(4), 1.0);
-  EXPECT_NEAR(h.cumulative_fraction(0), 0.5, 1e-12);
   EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
@@ -247,20 +220,6 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, RowWidthMismatchThrows) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({std::string("only-one")}), Error);
-}
-
-TEST(Table, CsvEscaping) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Table, CsvRendering) {
-  TextTable t({"k", "v"});
-  t.add_row({std::string("x,y"), std::int64_t{1}});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_EQ(os.str(), "k,v\n\"x,y\",1\n");
 }
 
 // --- parallel ---------------------------------------------------------------------
