@@ -1,14 +1,44 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "ir/ddg.h"
 #include "ir/parser.h"
 #include "support/diagnostics.h"
+#include "support/rng.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
+#include "xform/copy_insert.h"
 
 namespace qvliw {
 namespace {
+
+Suite suite_120() {
+  SynthConfig config;
+  config.loops = 120;
+  return full_suite(config);
+}
+
+/// Asserts that out_edges(n) and in_edges(n) list exactly the ids of the
+/// edges with source / destination n, in ascending order.
+void expect_adjacency_lists_edges(const Ddg& graph, const std::string& name) {
+  const auto n = static_cast<std::size_t>(graph.node_count());
+  std::vector<std::vector<int>> out(n);
+  std::vector<std::vector<int>> in(n);
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    out[static_cast<std::size_t>(graph.edge(e).src)].push_back(e);
+    in[static_cast<std::size_t>(graph.edge(e).dst)].push_back(e);
+  }
+  for (int v = 0; v < graph.node_count(); ++v) {
+    const std::span<const int> got_out = graph.out_edges(v);
+    const std::span<const int> got_in = graph.in_edges(v);
+    ASSERT_EQ(std::vector<int>(got_out.begin(), got_out.end()), out[static_cast<std::size_t>(v)])
+        << name << " node " << v;
+    ASSERT_EQ(std::vector<int>(got_in.begin(), got_in.end()), in[static_cast<std::size_t>(v)])
+        << name << " node " << v;
+  }
+}
 
 TEST(Ddg, FlowEdgesFromOperands) {
   const Loop loop = parse_loop("loop t { x = load X[i]; s = fadd x, x; store Y[i], s; }");
@@ -77,16 +107,49 @@ TEST(Ddg, MemoryEdgesIncluded) {
   EXPECT_TRUE(found_mem_flow);
 }
 
-TEST(Ddg, AdjacencyConsistent) {
-  const Loop loop = kernel_by_name("fir4");
-  const Ddg graph = Ddg::build(loop, LatencyModel::classic());
-  for (int v = 0; v < graph.node_count(); ++v) {
-    for (int e : graph.out_edges(v)) EXPECT_EQ(graph.edge(e).src, v);
-    for (int e : graph.in_edges(v)) EXPECT_EQ(graph.edge(e).dst, v);
+TEST(Ddg, AdjacencyListsEveryEdgeAscendingOnSuite) {
+  for (const Loop& loop : suite_120().loops) {
+    expect_adjacency_lists_edges(Ddg::build(loop, LatencyModel::classic()), loop.name);
   }
-  int from_out = 0;
-  for (int v = 0; v < graph.node_count(); ++v) from_out += static_cast<int>(graph.out_edges(v).size());
-  EXPECT_EQ(from_out, graph.edge_count());
+}
+
+TEST(Ddg, AdjacencyListsEveryEdgeAscendingAfterCopyInsertion) {
+  for (const Loop& loop : suite_120().loops) {
+    const Loop rewritten = insert_copies(loop).loop;
+    expect_adjacency_lists_edges(Ddg::build(rewritten, LatencyModel::classic()), loop.name);
+  }
+}
+
+TEST(Ddg, AdjacencyListsEveryEdgeAscendingUnderRandomLatencies) {
+  Rng rng(0x5eedULL);
+  const Suite suite = suite_120();
+  for (int trial = 0; trial < 8; ++trial) {
+    LatencyModel lat = LatencyModel::classic();
+    for (int& l : lat.latency) l = rng.uniform_int(0, 9);
+    for (std::size_t i = static_cast<std::size_t>(trial) % 7; i < suite.loops.size(); i += 7) {
+      expect_adjacency_lists_edges(Ddg::build(suite.loops[i], lat), suite.loops[i].name);
+    }
+  }
+}
+
+TEST(Ddg, AddEdgeKeepsAdjacencyCompleteAndAscending) {
+  // Sources and destinations out of order, a self-loop and parallel edges.
+  Ddg graph(4);
+  const std::vector<DepEdge> edges = {
+      {3, 0, 1, 1, DepKind::kFlow, 0},     {0, 3, 2, 0, DepKind::kFlow, 0},
+      {2, 2, 1, 1, DepKind::kFlow, 0},     {0, 1, 1, 0, DepKind::kMemFlow, -1},
+      {3, 0, 4, 2, DepKind::kMemAnti, -1}, {1, 2, 0, 0, DepKind::kFlow, 1},
+  };
+  for (const DepEdge& edge : edges) {
+    graph.add_edge(edge);
+    expect_adjacency_lists_edges(graph, "hand-built");
+  }
+  EXPECT_EQ(std::vector<int>(graph.out_edges(3).begin(), graph.out_edges(3).end()),
+            (std::vector<int>{0, 4}));
+  EXPECT_EQ(std::vector<int>(graph.in_edges(2).begin(), graph.in_edges(2).end()),
+            (std::vector<int>{2, 5}));
+  EXPECT_THROW((void)graph.out_edges(4), Error);
+  EXPECT_THROW((void)graph.in_edges(-1), Error);
 }
 
 TEST(Ddg, EmptyGraph) {
