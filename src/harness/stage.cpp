@@ -80,9 +80,9 @@ ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
   request.machine = ctx.machine;
   request.ims = ctx.options->ims;
   request.ims.start_ii = std::max(request.ims.start_ii, start_ii);
-  if (backend.consumes_cached_mii()) request.ims.known_mii = ctx.known_mii;
+  request.ims.known_mii = ctx.known_mii;
   request.heuristic = ctx.options->heuristic;
-  if (backend.supports_warm_start()) request.seed = ctx.seed;
+  request.seed = ctx.seed;
 
   ScheduleOutcome outcome = backend.schedule(request);
   ctx.result.backend = backend.name();

@@ -38,6 +38,8 @@ struct PipelineContext {
   // --- artifacts, populated stage by stage --------------------------------
   Loop loop;                         // working loop (post the latest transform)
   std::shared_ptr<const Ddg> graph;  // built by the copy_insert stage (or injected)
+  // The next two are passed to the backend as they are: the sweep runner
+  // injects them only where its plan allows (SweepPlan::mii, ::ladder).
   MiiInfo known_mii;                 // injected by the sweep cache; feasible
                                      // == false means "compute it"
   const WarmStartSeed* seed = nullptr;  // injected by the sweep runner's

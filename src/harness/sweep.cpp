@@ -1,15 +1,13 @@
 #include "harness/sweep.h"
 
 #include <chrono>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "harness/stage.h"
 #include "sched/mii.h"
 #include "support/parallel.h"
-#include "support/rng.h"
 #include "support/strings.h"
 
 namespace qvliw {
@@ -74,42 +72,35 @@ void add(StageSeconds& into, const StageSeconds& seconds) {
   for (std::size_t s = 0; s < kStageCount; ++s) into[s] += seconds[s];
 }
 
-// --- prefix keys -----------------------------------------------------------
-//
-// A sweep point's front-end artifacts are a pure function of the options
-// *prefix* (plus the machine where the prefix consults it), hashed level
-// by level (invariants, unroll, copies) into one front key.
-//
-// Every branch hashes its tag and its parameters as *separate* combine
-// steps.  Additive salts (e.g. 0x3300 + factor vs 0x4400 + max_unroll)
-// let one branch's parameter walk into another branch's tag range, so two
-// structurally different prefixes could share one cache slot; a
-// regression test drives the old aliasing pair through these keys.
+// --- the plan -------------------------------------------------------------
 
-std::uint64_t invariant_key(const PipelineOptions& options) {
-  return hash_combine(hash64(0x11u), hash64(static_cast<std::uint64_t>(options.invariants)));
-}
-
-std::uint64_t unroll_key(std::uint64_t k1, const PipelineOptions& options,
-                         const MachineConfig& machine) {
-  if (!options.unroll) return hash_combine(k1, hash64(0x22u));
-  if (options.forced_unroll >= 1) {
-    return hash_combine(hash_combine(k1, hash64(0x33u)),
-                        hash64(static_cast<std::uint64_t>(options.forced_unroll)));
+/// Whether two points' front ends produce the same artifacts.  Only the
+/// unroll policy and the DDG read the machine: the policy factor
+/// (probe_unroll_factor) all of it, the DDG its latencies.
+bool same_front(const SweepPoint& a, const SweepPoint& b, bool same_machine) {
+  const PipelineOptions& x = a.options;
+  const PipelineOptions& y = b.options;
+  if (x.invariants != y.invariants || x.unroll != y.unroll) return false;
+  if (x.unroll) {
+    const bool forced = x.forced_unroll >= 1;
+    if (forced != (y.forced_unroll >= 1)) return false;
+    if (forced ? x.forced_unroll != y.forced_unroll
+               : x.max_unroll != y.max_unroll || !same_machine) {
+      return false;
+    }
   }
-  // The policy factor (select_unroll_factor) consults the machine.
-  return hash_combine(hash_combine(hash_combine(k1, hash64(0x44u)),
-                                   hash64(static_cast<std::uint64_t>(options.max_unroll))),
-                      machine.signature());
+  if (x.insert_copies != y.insert_copies) return false;
+  if (x.insert_copies && x.copy_shape != y.copy_shape) return false;
+  return a.machine.latency.latency == b.machine.latency.latency;
 }
 
-std::uint64_t front_key(std::uint64_t k2, const PipelineOptions& options,
-                        const MachineConfig& machine) {
-  const std::uint64_t copies =
-      options.insert_copies ? 1 + static_cast<std::uint64_t>(options.copy_shape) : 0;
-  // The DDG (built with the copy-inserted loop) depends on latencies only.
-  return hash_combine(hash_combine(hash_combine(k2, hash64(0x55u)), hash64(copies)),
-                      latency_signature(machine.latency));
+/// Whether two points on one front end and machine, with the same
+/// backend, search the same schedules: everything the scheduler reads
+/// except the placement budget, the effort axis a ladder spans.
+bool same_search(const PipelineOptions& x, const PipelineOptions& y) {
+  ImsOptions ims = x.ims;
+  ims.budget_ratio = y.ims.budget_ratio;
+  return x.heuristic == y.heuristic && ims == y.ims;
 }
 
 // --- per-task caches ------------------------------------------------------
@@ -121,12 +112,10 @@ struct FrontEntry {
   LoopResult result;  // the front end's result; when !ok, the canonical
                       // failing LoopResult replayed for every point
                       // (stage_seconds zeroed; its cost is charged once)
-  std::map<std::uint64_t, MiiInfo> mii;  // machine signature -> bounds
 };
 
-/// A schedule a sibling budget-ladder point accepted at II == MII, keyed
-/// by (front prefix, machine signature, backend key *excluding* the budget
-/// axis).  An MII schedule cannot be beaten, so any same-key point whose
+/// A schedule a point of a budget ladder accepted at II == MII.  An MII
+/// schedule cannot be beaten, so any later point of the ladder whose
 /// budget is at least the publisher's installs it outright instead of
 /// re-searching — the cold attempt at MII is deterministic and completes
 /// within the publisher's (smaller) budget, so the installed schedule is
@@ -136,66 +125,69 @@ struct SchedEntry {
   int budget_ratio = 0;  // smallest budget that proved the MII schedule
 };
 
-/// The two caches one sweep task (one loop, every point) keeps.
+/// The two caches one sweep task (one loop, every point) keeps, each
+/// indexed by the plan's slots.
 struct TaskCache {
-  std::map<std::uint64_t, FrontEntry> front;
-  std::unordered_map<std::uint64_t, SchedEntry> sched;  // MII-optimality memo
+  explicit TaskCache(std::size_t points) : front(points), mii(points), sched(points) {}
+
+  std::vector<std::optional<FrontEntry>> front;
+  std::vector<std::optional<MiiInfo>> mii;
+  std::vector<std::optional<SchedEntry>> sched;  // MII-optimality memo
 };
 
-/// The front end of one (loop, prefix): run once, its time charged to the
-/// task's `seconds`, then replayed — artifacts or canonical failure — for
-/// every point sharing the prefix.
-FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPrefixKeys& keys,
-                      TaskCache& cache, SweepCacheStats& stats, StageSeconds& seconds) {
+/// The front end of one (loop, front slot): run once by the slot's first
+/// point, its time charged to the task's `seconds`, then replayed —
+/// artifacts or canonical failure — for every point sharing the slot.
+const FrontEntry& front_for(const Loop& source, const SweepPoint& point,
+                            std::optional<FrontEntry>& slot, SweepCacheStats& stats,
+                            StageSeconds& seconds) {
   ++stats.front_probes;
-  if (auto it = cache.front.find(keys.front); it != cache.front.end()) {
+  if (slot) {
     ++stats.front_hits;
-    return it->second;
+    return *slot;
   }
 
   PipelineContext ctx(source, point.machine, point.options);
   const bool ok = run_front_end(ctx);
   add(seconds, ctx.result.stage_seconds);
   ctx.result.stage_seconds = {};
-  FrontEntry entry{std::move(ctx.loop), std::move(ctx.graph), ok, std::move(ctx.result), {}};
-  return cache.front.emplace(keys.front, std::move(entry)).first->second;
+  return slot.emplace(FrontEntry{std::move(ctx.loop), std::move(ctx.graph), ok,
+                                 std::move(ctx.result)});
 }
 
-MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKeys& keys,
-                SweepCacheStats& stats, StageSeconds& seconds) {
+MiiInfo mii_for(const FrontEntry& front, const MachineConfig& machine,
+                std::optional<MiiInfo>& slot, SweepCacheStats& stats, StageSeconds& seconds) {
   ++stats.mii_probes;
-  if (auto it = front.mii.find(keys.machine); it != front.mii.end()) {
+  if (slot) {
     ++stats.mii_hits;
-    return it->second;
+    return *slot;
   }
   const Clock::time_point start = Clock::now();
-  const MiiInfo mii = compute_mii(front.loop, *front.graph, point.machine);
+  slot = compute_mii(front.loop, *front.graph, machine);
   seconds[static_cast<std::size_t>(Stage::kMii)] += seconds_since(start);
-  front.mii.emplace(keys.machine, mii);
-  return mii;
+  return *slot;
 }
 
-/// Runs the back end of one (loop, point) cell on a cached front entry,
-/// installing a sibling ladder point's MII-optimal schedule when the
-/// task's MII-optimality memo holds one this point's budget may use.
+/// Runs the back end of one (loop, point) cell on a cached front entry.
+/// `mii` and `ladder` are the point's slots in the task's caches, null
+/// where the plan gives it none; from the ladder slot the cell installs a
+/// sibling's MII-optimal schedule when its budget may use it, and
+/// publishes its own.
 LoopResult run_cell(const Loop& source, const SweepPoint& point, const PipelineOptions& options,
-                    const SweepPrefixKeys& keys, FrontEntry& front, TaskCache& cache,
-                    SweepCacheStats& stats, StageSeconds& seconds) {
+                    const FrontEntry& front, std::optional<MiiInfo>* mii,
+                    std::optional<SchedEntry>* ladder, SweepCacheStats& stats,
+                    StageSeconds& seconds) {
   PipelineContext ctx(source, point.machine, options);
   ctx.loop = front.loop;
   ctx.graph = front.graph;
   ctx.result.unroll_factor = front.result.unroll_factor;
   ctx.result.copies = front.result.copies;
-  if (keys.consumes_cached_mii) ctx.known_mii = mii_for(front, point, keys, stats, seconds);
+  if (mii != nullptr) ctx.known_mii = mii_for(front, point.machine, *mii, stats, seconds);
 
   const int budget = point.options.ims.budget_ratio;
-  const std::uint64_t sched_key = hash_combine(keys.front, hash_combine(keys.machine, keys.backend));
-  if (keys.supports_warm_start) {
+  if (ladder != nullptr) {
     ++stats.sched_memo_probes;
-    if (auto it = cache.sched.find(sched_key);
-        it != cache.sched.end() && budget >= it->second.budget_ratio) {
-      ctx.seed = &it->second.seed;
-    }
+    if (*ladder && budget >= (*ladder)->budget_ratio) ctx.seed = &(*ladder)->seed;
   }
   run_back_end(ctx);
   if (ctx.result.warm_started) ++stats.sched_memo_hits;
@@ -203,36 +195,56 @@ LoopResult run_cell(const Loop& source, const SweepPoint& point, const PipelineO
   // Publish a proven-optimal accepted schedule (II == MII, post queue-fit
   // escalation) for this task's later ladder siblings, keeping the
   // smallest budget that proved it.
-  if (keys.supports_warm_start && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
-    auto [entry, added] = cache.sched.try_emplace(sched_key);
-    if (added || budget < entry->second.budget_ratio) {
-      entry->second.seed = WarmStartSeed{ctx.sched.schedule, ctx.sched.ii};
-      entry->second.budget_ratio = budget;
-    }
+  if (ladder != nullptr && ctx.sched.ok && ctx.sched.stats.mii_optimal &&
+      (!*ladder || budget < (*ladder)->budget_ratio)) {
+    *ladder = SchedEntry{WarmStartSeed{ctx.sched.schedule, ctx.sched.ii}, budget};
   }
   return std::move(ctx.result);
 }
 
 }  // namespace
 
-SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point) {
-  SweepPrefixKeys keys;
-  keys.front = front_key(unroll_key(invariant_key(point.options), point.options, point.machine),
-                         point.options, point.machine);
-  keys.machine = point.machine.signature();
-  const SchedulerBackend* backend =
-      find_scheduler_backend(point.options.scheduler, point.options.backend);
-  if (backend != nullptr) {
-    keys.backend = backend->cache_key(point.options.heuristic, point.options.ims);
-    keys.consumes_cached_mii = backend->consumes_cached_mii();
-    keys.supports_warm_start = backend->supports_warm_start();
-  } else {
-    // Unknown backend override: the point fails in the schedule stage;
-    // hash the name so distinct unknown names still occupy distinct slots.
-    keys.backend = hash_combine(hash64(0xbadbac0deull), hash_bytes(point.options.backend));
-    keys.consumes_cached_mii = false;
+SweepPlan plan_sweep(const std::vector<SweepPoint>& points) {
+  const std::size_t n = points.size();
+  std::vector<std::uint64_t> machine(n);
+  std::vector<const SchedulerBackend*> backend(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    machine[p] = points[p].machine.signature();
+    backend[p] = find_scheduler_backend(points[p].options.scheduler, points[p].options.backend);
   }
-  return keys;
+
+  SweepPlan plan{std::vector<std::size_t>(n), std::vector<std::size_t>(n, SweepPlan::kNone),
+                 std::vector<std::size_t>(n, SweepPlan::kNone)};
+  for (std::size_t p = 0; p < n; ++p) {
+    // Each sharing relation is an equivalence, so the first earlier point
+    // it holds for is that point's own slot.
+    const auto first_sharing = [p](const auto& shares) {
+      std::size_t q = 0;
+      while (q < p && !shares(q)) ++q;
+      return q;
+    };
+    plan.front[p] = first_sharing([&](std::size_t q) {
+      return same_front(points[q], points[p], machine[q] == machine[p]);
+    });
+    // An unknown backend name shares nothing more; the point fails in its
+    // schedule stage.
+    if (backend[p] == nullptr) continue;
+    const auto same_front_and_machine = [&](std::size_t q) {
+      return plan.front[q] == plan.front[p] && machine[q] == machine[p];
+    };
+    if (backend[p]->consumes_cached_mii()) {
+      plan.mii[p] = first_sharing([&](std::size_t q) {
+        return plan.mii[q] != SweepPlan::kNone && same_front_and_machine(q);
+      });
+    }
+    if (backend[p]->supports_warm_start()) {
+      plan.ladder[p] = first_sharing([&](std::size_t q) {
+        return plan.ladder[q] != SweepPlan::kNone && backend[q] == backend[p] &&
+               same_front_and_machine(q) && same_search(points[q].options, points[p].options);
+      });
+    }
+  }
+  return plan;
 }
 
 int resolved_sweep_workers(const SweepOptions& options) {
@@ -251,8 +263,7 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   sweep.by_point.assign(points.size(), std::vector<LoopResult>(loops.size()));
   sweep.pipelines = loops.size() * points.size();
 
-  std::vector<SweepPrefixKeys> keys(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) keys[p] = sweep_prefix_keys(points[p]);
+  const SweepPlan plan = plan_sweep(points);
 
   // Effective per-point options: strict sweep verification overrides each
   // point's own (weaker or equal) verify policy.
@@ -270,15 +281,20 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   std::vector<StageSeconds> task_seconds(loops.size());
 
   auto run_task = [&](std::size_t i) {
-    TaskCache cache;
+    TaskCache cache(points.size());
     SweepCacheStats stats;
     StageSeconds seconds{};
+    const auto slot = [](auto& cache_slots, std::size_t index) {
+      return index == SweepPlan::kNone ? nullptr : &cache_slots[index];
+    };
     for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
       LoopResult& out = sweep.by_point[p][i];
-      FrontEntry& front = front_for(loops[i], point, keys[p], cache, stats, seconds);
-      out = front.ok ? run_cell(loops[i], point, cell_options[p], keys[p], front, cache, stats,
-                                seconds)
+      const FrontEntry& front =
+          front_for(loops[i], point, cache.front[plan.front[p]], stats, seconds);
+      out = front.ok ? run_cell(loops[i], point, cell_options[p], front,
+                                slot(cache.mii, plan.mii[p]), slot(cache.sched, plan.ladder[p]),
+                                stats, seconds)
                      : front.result;
     }
     task_stats[i] = stats;

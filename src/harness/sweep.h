@@ -8,7 +8,8 @@
 // same unroll choice, same copy insertion — reuse the cached
 // post-transform loop, its DDG, and the MII bounds instead of recomputing
 // them, and only the back end (schedule, queue allocation, simulation,
-// verification) runs per point.
+// verification) runs per point.  Which points share what is planned once
+// per sweep (plan_sweep), by comparing points, before any loop runs.
 //
 // One task per loop: a task owns the loop's two caches (the front-prefix
 // cache with its MII bounds, and the MII-optimality schedule memo),
@@ -19,6 +20,7 @@
 // (golden tests enforce both).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,7 +45,7 @@ struct SweepCacheStats {
   std::uint64_t mii_probes = 0, mii_hits = 0;      // MII bounds per front entry and machine
 
   /// MII-optimality short-circuit: per warm-capable point, one probe of
-  /// the task-local map of schedules a sibling budget-ladder point already
+  /// the task-local memo of schedules a sibling budget-ladder point already
   /// accepted at II == MII; a hit means the point installed that
   /// proven-optimal schedule instead of re-searching.
   std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
@@ -93,31 +95,37 @@ struct SweepOptions {
 /// concurrency otherwise.
 [[nodiscard]] int resolved_sweep_workers(const SweepOptions& options);
 
-/// Option-prefix hashes of one sweep point.  Derived once per point by
-/// the runner; exposed so tests can assert key-domain separation
-/// (distinct option prefixes must never share a key).
-struct SweepPrefixKeys {
-  std::uint64_t front = 0;    // invariants, unroll and copy options (front-cache key)
-  std::uint64_t machine = 0;  // machine signature (MII cache key)
+/// Which earlier point each point of a sweep shares work with, worked out
+/// once per sweep by comparing the points' options and machines (machines
+/// are equal when their MachineConfig::signature is).  Entry p of each
+/// vector is the first point q <= p whose artifact point p reuses (q == p
+/// when p is the first of its kind), or kNone where p shares nothing of
+/// that kind.
+struct SweepPlan {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  /// The resolved scheduler backend's cache-key contribution
-  /// (SchedulerBackend::cache_key): folded into the MII-optimality memo
-  /// key so backends with different contributions never alias.  For an
-  /// unknown backend name the contribution hashes the name itself (the
-  /// point fails in the schedule stage either way).
-  std::uint64_t backend = 0;
+  /// Front-end artifacts (post-transform loop and DDG, or the canonical
+  /// front-end failure): the same invariant strategy, unroll choice (the
+  /// policy's on an equal machine) and copy insertion, and equal latency
+  /// models.  Never kNone.
+  std::vector<std::size_t> front;
 
-  /// Whether precomputed MII bounds may be injected into the point's
-  /// scheduler (SchedulerBackend::consumes_cached_mii).
-  bool consumes_cached_mii = false;
+  /// MII bounds: the same front slot on an equal machine.  kNone for
+  /// backends that do not consume cached bounds
+  /// (SchedulerBackend::consumes_cached_mii) and unknown backend names.
+  std::vector<std::size_t> mii;
 
-  /// Whether the backend accepts WarmStartSeed injection
-  /// (SchedulerBackend::supports_warm_start).  Gates the task-local
-  /// MII-optimality short-circuit.
-  bool supports_warm_start = false;
+  /// Budget ladder, whose MII-optimal schedules the task-local memo
+  /// shares: the same front slot, an equal machine, the same resolved
+  /// backend and heuristic, and ImsOptions equal apart from budget_ratio.
+  /// Options read only after scheduling (queue limits, simulation,
+  /// verification, seed) do not separate ladders.  kNone for backends
+  /// without warm starts (SchedulerBackend::supports_warm_start) and
+  /// unknown backend names.
+  std::vector<std::size_t> ladder;
 };
 
-[[nodiscard]] SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point);
+[[nodiscard]] SweepPlan plan_sweep(const std::vector<SweepPoint>& points);
 
 struct SweepResult {
   /// results[point][loop], index-aligned with the inputs.

@@ -152,11 +152,15 @@ MachineConfig MachineConfig::topology_machine(TopologyKind kind, int n_clusters)
   QVLIW_ASSERT(false, "bad TopologyKind");
 }
 
+namespace {
+
 std::uint64_t latency_signature(const LatencyModel& latency) {
   std::uint64_t sig = hash64(0x1a7e9cULL);
   for (int l : latency.latency) sig = hash_combine(sig, hash64(static_cast<std::uint64_t>(l)));
   return sig;
 }
+
+}  // namespace
 
 std::uint64_t MachineConfig::signature() const {
   std::uint64_t sig = latency_signature(latency);

@@ -140,10 +140,6 @@ class MachineConfig {
   [[nodiscard]] std::uint64_t signature() const;
 };
 
-/// Hash of a latency model alone — the only machine input Ddg::build
-/// consumes, so DDGs are shareable across machines with equal values.
-[[nodiscard]] std::uint64_t latency_signature(const LatencyModel& latency);
-
 class BlobReader;
 class BlobWriter;
 

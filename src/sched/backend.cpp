@@ -4,7 +4,6 @@
 
 #include "cluster/route.h"
 #include "support/diagnostics.h"
-#include "support/rng.h"
 #include "support/strings.h"
 
 namespace qvliw {
@@ -21,27 +20,11 @@ std::string_view scheduler_kind_name(SchedulerKind kind) {
   QVLIW_ASSERT(false, "bad SchedulerKind");
 }
 
-std::uint64_t SchedulerBackend::cache_key(ClusterHeuristic, const ImsOptions&) const {
-  return hash_bytes(name());
-}
-
-std::uint64_t SchedulerBackend::fold_ims(std::uint64_t key, const ImsOptions& ims) {
-  key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.start_ii)));
-  key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii)));
-  return hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii_attempts)));
-}
-
 namespace {
 
 class SingleClusterBackend final : public SchedulerBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "single-cluster"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic, const ImsOptions& ims) const override {
-    // The heuristic steers cluster choice only; a one-cluster schedule is
-    // independent of it, so points differing only there share slots.
-    return fold_ims(hash_bytes(name()), ims);
-  }
 
   [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
     ScheduleOutcome outcome;
@@ -55,13 +38,6 @@ class SingleClusterBackend final : public SchedulerBackend {
 class ClusteredBackend final : public SchedulerBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "clustered"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                        const ImsOptions& ims) const override {
-    return fold_ims(hash_combine(hash_bytes(name()),
-                                 hash64(static_cast<std::uint64_t>(heuristic))),
-                    ims);
-  }
 
   [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
     PartitionOptions options;
@@ -77,13 +53,6 @@ class ClusteredBackend final : public SchedulerBackend {
 class ClusteredMovesBackend final : public SchedulerBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "clustered-moves"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                        const ImsOptions& ims) const override {
-    return fold_ims(hash_combine(hash_bytes(name()),
-                                 hash64(static_cast<std::uint64_t>(heuristic))),
-                    ims);
-  }
 
   /// The router reschedules rewritten loops internally; cached MII bounds
   /// for the pre-routing loop must not leak into those runs.

@@ -11,30 +11,24 @@
 // golden-equivalence harness by registering under a new name and being
 // selected per point via `PipelineOptions::backend`.
 //
-// Two declarations replace ad-hoc special cases in the sweep runner:
+// Two declarations tell the sweep runner's plan (harness/sweep.h) what a
+// backend may share with other sweep points:
 //
 //  - `consumes_cached_mii()`: whether precomputed MII bounds for the
 //    request's loop may be injected via ImsOptions::known_mii (the moves
 //    router reschedules rewritten loops internally, so bounds for the
-//    pre-routing loop must not leak into it — previously the `wants_mii`
-//    flag hard-coded in sweep_prefix_keys).
-//  - `cache_key(heuristic, ims)`: the backend's contribution to any
-//    cache slot holding one of its schedules.  It folds the backend's
-//    identity plus every option that changes which schedules are
-//    *reachable* — but not `budget_ratio`, the effort axis a warm-start
-//    ladder deliberately spans.  Slots derived from different
-//    contributions never alias (a regression test enforces this).
+//    pre-routing loop must not leak into it).
+//  - `supports_warm_start()`: whether the backend honours a warm start.
+//    A request may carry the MII-optimal schedule a neighbouring sweep
+//    point (same loop/DDG/machine and backend, smaller budget) accepted,
+//    as a `WarmStartSeed`; IMS verifies the seed and installs it — never
+//    changing the final II relative to a cold run on an ascending-budget
+//    ladder, only skipping the search that would rediscover it.
 //
-// Warm starts: a request may carry the MII-optimal schedule a
-// neighbouring sweep point (same loop/DDG/machine, smaller budget)
-// accepted, as a `WarmStartSeed`.  Backends that return true from
-// `supports_warm_start()` forward it to IMS, which verifies the seed and
-// installs it — never changing the final II relative to a cold run on an
-// ascending-budget ladder, only skipping the search that would
-// rediscover it.
+// The sweep decides which points share by comparing their options, so a
+// backend declares nothing about its options.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -97,27 +91,14 @@ class SchedulerBackend {
   /// Unique registry name (also the per-point label in bench reports).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Contribution to cache slots holding this backend's schedules (the
-  /// sweep runner's MII-optimality memo).  The base implementation hashes
-  /// the name; backends fold in every option that changes their output
-  /// schedule, EXCEPT the placement budget — that is the ladder axis the
-  /// memo spans.
-  [[nodiscard]] virtual std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                                const ImsOptions& ims) const;
-
   /// Whether ImsOptions::known_mii bounds computed for the request's loop
-  /// may be injected (replaces the sweep runner's `wants_mii` flag).
+  /// may be injected.
   [[nodiscard]] virtual bool consumes_cached_mii() const { return true; }
 
   /// Whether the backend honours ScheduleRequest::seed.
   [[nodiscard]] virtual bool supports_warm_start() const { return true; }
 
   [[nodiscard]] virtual ScheduleOutcome schedule(const ScheduleRequest& request) const = 0;
-
- protected:
-  /// Folds the outcome-relevant ImsOptions fields (II window and attempt
-  /// cap; NOT budget_ratio or known_mii) into `key`.
-  [[nodiscard]] static std::uint64_t fold_ims(std::uint64_t key, const ImsOptions& ims);
 };
 
 /// Process-wide backend registry.  Registration is append-only (backend

@@ -1,7 +1,7 @@
 // Scheduler-backend registry: round-trip and diagnostics, golden
 // equivalence of registry dispatch against the legacy SchedulerKind
-// switch, cache-key contribution separation, and warm-start properties
-// (final II never worse than cold, seeds verified before adoption).
+// switch, and warm-start properties (final II never worse than cold,
+// seeds verified before adoption).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,16 +92,13 @@ TEST(BackendRegistry, DuplicateNameRejected) {
   EXPECT_THROW(SchedulerRegistry::instance().add(std::make_unique<Dup>()), Error);
 }
 
-/// A registrable external backend: classic IMS under a new name, with a
-/// distinctive cache-key contribution.  Stands in for the SMT-style
-/// reference scheduler the registry seam is built for.
+/// A registrable external backend: classic IMS under a new name.  Stands
+/// in for the SMT-style reference scheduler the registry seam is built
+/// for.
 class EchoBackend final : public SchedulerBackend {
  public:
-  explicit EchoBackend(std::string name, std::uint64_t salt) : name_(std::move(name)), salt_(salt) {}
+  explicit EchoBackend(std::string name) : name_(std::move(name)) {}
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic, const ImsOptions&) const override {
-    return salt_;
-  }
   [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
     ScheduleOutcome outcome;
     outcome.ims = ims_schedule(*request.loop, *request.graph, *request.machine, request.ims,
@@ -111,11 +108,10 @@ class EchoBackend final : public SchedulerBackend {
 
  private:
   std::string name_;
-  std::uint64_t salt_;
 };
 
 TEST(BackendRegistry, CustomBackendRunsThroughThePipeline) {
-  SchedulerRegistry::instance().add(std::make_unique<EchoBackend>("test-echo", 0x71u));
+  SchedulerRegistry::instance().add(std::make_unique<EchoBackend>("test-echo"));
 
   const Loop loop = kernel_by_name("dot");
   const MachineConfig machine = MachineConfig::single_cluster_machine(6);
@@ -195,39 +191,6 @@ TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
       }
     }
   }
-}
-
-TEST(BackendKeys, ContributionsNeverAlias) {
-  const ImsOptions ims;
-  const auto& single = scheduler_backend(SchedulerKind::kSingleCluster);
-  const auto& clustered = scheduler_backend(SchedulerKind::kClustered);
-  const auto& moves = scheduler_backend(SchedulerKind::kClusteredMoves);
-
-  // Distinct backends never share a slot.
-  const std::uint64_t s = single.cache_key(ClusterHeuristic::kAffinity, ims);
-  const std::uint64_t c = clustered.cache_key(ClusterHeuristic::kAffinity, ims);
-  const std::uint64_t m = moves.cache_key(ClusterHeuristic::kAffinity, ims);
-  EXPECT_NE(s, c);
-  EXPECT_NE(s, m);
-  EXPECT_NE(c, m);
-
-  // The partitioned backends fold the heuristic (it changes the
-  // schedule); the single-cluster backend ignores it (it does not).
-  EXPECT_NE(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kLoadBalance, ims));
-  EXPECT_EQ(single.cache_key(ClusterHeuristic::kAffinity, ims),
-            single.cache_key(ClusterHeuristic::kLoadBalance, ims));
-
-  // The II window changes reachable schedules and is folded; the budget
-  // is the ladder axis and is not.
-  ImsOptions limited = ims;
-  limited.max_ii = 7;
-  EXPECT_NE(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kAffinity, limited));
-  ImsOptions budgeted = ims;
-  budgeted.budget_ratio = 12;
-  EXPECT_EQ(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kAffinity, budgeted));
 }
 
 // Warm-start property over randomized loops and machines: offering the

@@ -212,11 +212,10 @@ TEST(Sweep, StageTotalsCoverBackEnd) {
   EXPECT_GT(sweep.pipelines_per_second(), 0.0);
 }
 
-TEST(Sweep, PrefixKeyDomainsAreDisjoint) {
-  // Regression for the additive-salt aliasing: a forced factor of
-  // 0x1100 + m used to land in the policy branch's salt range for
-  // max_unroll m, letting two structurally different prefixes share one
-  // cache slot.
+// Regression for the additive-salt aliasing of the hashed prefix keys
+// the plan replaced: a forced factor of 0x1100 + m once landed in the
+// policy branch's salt range for max_unroll m.
+TEST(SweepPlan, ForcedFactorAndPolicyNeverShareAFront) {
   const MachineConfig machine = MachineConfig::clustered_machine(4);
   for (const int m : {1, 4, 8, 16}) {
     SweepPoint forced{"forced", machine, {}};
@@ -225,22 +224,116 @@ TEST(Sweep, PrefixKeyDomainsAreDisjoint) {
     SweepPoint policy{"policy", machine, {}};
     policy.options.unroll = true;
     policy.options.max_unroll = m;
-    EXPECT_NE(sweep_prefix_keys(forced).front, sweep_prefix_keys(policy).front) << m;
+    EXPECT_EQ(plan_sweep({forced, policy}).front, (std::vector<std::size_t>{0, 1})) << m;
+  }
+}
+
+TEST(SweepPlan, UnrollOffForcedAndPolicyAreThreeFronts) {
+  const MachineConfig machine = MachineConfig::clustered_machine(4);
+  SweepPoint off{"off", machine, {}};
+  SweepPoint forced{"forced", machine, {}};
+  forced.options.unroll = true;
+  forced.options.forced_unroll = 2;
+  SweepPoint policy{"policy", machine, {}};
+  policy.options.unroll = true;
+  const std::vector<SweepPoint> points = {off, forced, policy, off, forced, policy};
+  EXPECT_EQ(plan_sweep(points).front, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
+}
+
+TEST(SweepPlan, MachineSeparatesFrontsOnlyUnderThePolicyOrThroughLatencies) {
+  const MachineConfig ring4 = MachineConfig::clustered_machine(4);
+  const MachineConfig ring5 = MachineConfig::clustered_machine(5);
+  MachineConfig slow_loads = ring4;
+  slow_loads.latency.latency[static_cast<std::size_t>(Opcode::kLoad)] = 5;
+
+  PipelineOptions forced;
+  forced.unroll = true;
+  forced.forced_unroll = 2;
+  PipelineOptions policy;
+  policy.unroll = true;
+
+  for (const PipelineOptions& options : {PipelineOptions{}, forced}) {
+    const SweepPlan plan =
+        plan_sweep({{"ring4", ring4, options}, {"ring5", ring5, options},
+                    {"slow-loads", slow_loads, options}});
+    EXPECT_EQ(plan.front, (std::vector<std::size_t>{0, 0, 2}));
+    // The MII bounds read the whole machine.
+    EXPECT_EQ(plan.mii, (std::vector<std::size_t>{0, 1, 2}));
+  }
+  const SweepPlan plan = plan_sweep({{"ring4", ring4, policy}, {"ring5", ring5, policy}});
+  EXPECT_EQ(plan.front, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(SweepPlan, SearchOptionsSeparateLaddersAndBudgetsDoNot) {
+  const MachineConfig machine = MachineConfig::clustered_machine(4);
+  SweepPoint base{"base", machine, {}};
+  base.options.scheduler = SchedulerKind::kClustered;
+
+  std::vector<SweepPoint> apart(5, base);
+  apart[0].options.scheduler = SchedulerKind::kSingleCluster;
+  apart[1].options.heuristic = ClusterHeuristic::kLoadBalance;
+  apart[2].options.ims.max_ii = 7;
+  apart[3].options.ims.start_ii = 3;
+  apart[4].options.ims.max_ii_attempts = 4;
+  for (std::size_t v = 0; v < apart.size(); ++v) {
+    const SweepPlan plan = plan_sweep({base, apart[v]});
+    EXPECT_EQ(plan.front[1], 0u) << v;
+    EXPECT_EQ(plan.mii[1], 0u) << v;  // bounds do not depend on the search
+    EXPECT_EQ(plan.ladder[1], 1u) << v;
   }
 
-  // The three unroll branches are pairwise distinct for ordinary options.
-  SweepPoint off{"off", machine, {}};
-  SweepPoint forced2{"forced2", machine, {}};
-  forced2.options.unroll = true;
-  forced2.options.forced_unroll = 2;
-  SweepPoint policy8{"policy8", machine, {}};
-  policy8.options.unroll = true;
-  const SweepPrefixKeys off_keys = sweep_prefix_keys(off);
-  const SweepPrefixKeys forced_keys = sweep_prefix_keys(forced2);
-  const SweepPrefixKeys policy_keys = sweep_prefix_keys(policy8);
-  EXPECT_NE(off_keys.front, forced_keys.front);
-  EXPECT_NE(off_keys.front, policy_keys.front);
-  EXPECT_NE(forced_keys.front, policy_keys.front);
+  // Options read only after scheduling stay on the ladder with the budget.
+  std::vector<SweepPoint> together(6, base);
+  together[0].options.ims.budget_ratio = 12;
+  together[1].options.enforce_queue_limits = true;
+  together[2].options.queue_fit_attempts = 3;
+  together[3].options.verify = VerifyPolicy::kStrict;
+  together[4].options.simulate = true;
+  together[4].options.sim_trip = 8;
+  together[5].options.seed = 7;
+  for (std::size_t v = 0; v < together.size(); ++v) {
+    const SweepPlan plan = plan_sweep({base, together[v]});
+    EXPECT_EQ(plan.mii[1], 0u) << v;
+    EXPECT_EQ(plan.ladder[1], 0u) << v;
+  }
+}
+
+TEST(SweepPlan, MovesAndUnknownBackendsGetNoMiiOrLadderSlot) {
+  const MachineConfig machine = MachineConfig::clustered_machine(4);
+  SweepPoint clustered{"clustered", machine, {}};
+  clustered.options.scheduler = SchedulerKind::kClustered;
+  SweepPoint moves = clustered;
+  moves.options.scheduler = SchedulerKind::kClusteredMoves;
+  SweepPoint unknown = clustered;
+  unknown.options.backend = "no-such-backend";
+
+  const SweepPlan plan = plan_sweep({clustered, moves, unknown, moves, unknown});
+  EXPECT_EQ(plan.front, (std::vector<std::size_t>(5, 0)));
+  const std::size_t none = SweepPlan::kNone;
+  EXPECT_EQ(plan.mii, (std::vector<std::size_t>{0, none, none, none, none}));
+  EXPECT_EQ(plan.ladder, (std::vector<std::size_t>{0, none, none, none, none}));
+}
+
+// Fig. 3's 6-fus and 6-fus-32q points share one machine and differ only in
+// queue-limit enforcement, which the back end reads after scheduling: they
+// form one ladder, and the memo's installs leave every cell as
+// run_pipeline computes it.
+TEST(Sweep, QueueLimitsDoNotSeparateALadder) {
+  const Suite suite = small_suite(8, 23);
+  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
+  SweepPoint limits{"6-fus-limits", machine, {}};
+  limits.options.enforce_queue_limits = true;
+  const std::vector<SweepPoint> points = {{"6-fus", machine, {}}, limits};
+
+  const SweepResult sweep = SweepRunner().run(suite.loops, points);
+  EXPECT_GT(sweep.cache.sched_memo_hits, 0u);
+  const SweepResult direct = run_pipeline_sweep(suite.loops, points);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
+      expect_identical(sweep.by_point[p][i], direct.by_point[p][i],
+                       points[p].label + " / " + suite.loops[i].name);
+    }
+  }
 }
 
 TEST(Sweep, FailingPrefixComputedOnceWithExactParity) {
@@ -304,49 +397,6 @@ TEST(Sweep, FailingPrefixComputedOnceWithExactParity) {
   for (const StageTotal& total : serial.stage_totals) stage_sum += total.seconds;
   EXPECT_GT(stage_sum, 0.0);
   EXPECT_LE(stage_sum, serial.wall_seconds);
-}
-
-// Regression: backends with different cache-key contributions must never
-// share a schedule memo slot, even when every other key component agrees.
-TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
-  const MachineConfig machine = MachineConfig::clustered_machine(4);
-
-  SweepPoint clustered{"clustered", machine, {}};
-  clustered.options.scheduler = SchedulerKind::kClustered;
-  SweepPoint single = clustered;
-  single.label = "single";
-  single.options.scheduler = SchedulerKind::kSingleCluster;
-  SweepPoint moves = clustered;
-  moves.label = "moves";
-  moves.options.scheduler = SchedulerKind::kClusteredMoves;
-  SweepPoint balance = clustered;
-  balance.label = "balance";
-  balance.options.heuristic = ClusterHeuristic::kLoadBalance;
-
-  const SweepPrefixKeys ck = sweep_prefix_keys(clustered);
-  const SweepPrefixKeys sk = sweep_prefix_keys(single);
-  const SweepPrefixKeys mk = sweep_prefix_keys(moves);
-  const SweepPrefixKeys bk = sweep_prefix_keys(balance);
-
-  // Identical front/machine keys (the points differ only in back end)...
-  EXPECT_EQ(ck.front, sk.front);
-  EXPECT_EQ(ck.front, mk.front);
-  EXPECT_EQ(ck.machine, sk.machine);
-  // ...but pairwise-distinct backend contributions.
-  EXPECT_NE(ck.backend, sk.backend);
-  EXPECT_NE(ck.backend, mk.backend);
-  EXPECT_NE(sk.backend, mk.backend);
-  EXPECT_NE(ck.backend, bk.backend);  // heuristic is part of the contribution
-
-  // The declared MII-consumption replaces the old wants_mii special case.
-  EXPECT_TRUE(ck.consumes_cached_mii);
-  EXPECT_TRUE(sk.consumes_cached_mii);
-  EXPECT_FALSE(mk.consumes_cached_mii);
-
-  // Budget is the ladder axis: same memo slot by design.
-  SweepPoint bigger = clustered;
-  bigger.options.ims.budget_ratio = 12;
-  EXPECT_EQ(sweep_prefix_keys(bigger).backend, ck.backend);
 }
 
 // A point that requests strict verification itself, run under a sweep
