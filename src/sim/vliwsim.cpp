@@ -151,42 +151,57 @@ class Simulator {
     }
   }
 
+  /// Port use of the cycle being stepped, per queue.
+  struct CyclePorts {
+    std::map<int, int> pushes;
+    std::map<int, int> pops;
+  };
+
+  /// Lands one push in cycle t.  A pop issued earlier in the cycle still
+  /// holds its entry until the cycle ends, so it counts toward occupancy.
+  void land(const PushEvent& event, long long t, CyclePorts& ports) {
+    if (!event.live_in && ++ports.pushes[event.queue] > 1) {
+      fail_sim(cat("two pushes into queue ", event.queue, " at cycle ", t));
+      return;
+    }
+    auto& fifo = queues_[static_cast<std::size_t>(event.queue)];
+    fifo.push_back(event.entry);
+    ++result_.pushes;
+    const auto popped = ports.pops.find(event.queue);
+    const int occupancy =
+        static_cast<int>(fifo.size()) + (popped != ports.pops.end() ? popped->second : 0);
+    result_.max_queue_occupancy = std::max(result_.max_queue_occupancy, occupancy);
+    if (options_.enforce_depth &&
+        occupancy > depth_limit_[static_cast<std::size_t>(event.queue)]) {
+      fail_sim(cat("queue ", event.queue, " exceeded depth ",
+                   depth_limit_[static_cast<std::size_t>(event.queue)], " at cycle ", t));
+    }
+  }
+
   void step(long long t) {
+    CyclePorts ports;
     // Pushes land at the start of the cycle.
     if (auto it = pending_pushes_.find(t); it != pending_pushes_.end()) {
-      std::map<int, int> port_use;
       for (const PushEvent& event : it->second) {
-        if (!event.live_in && ++port_use[event.queue] > 1) {
-          fail_sim(cat("two pushes into queue ", event.queue, " at cycle ", t));
-          return;
-        }
-        queues_[static_cast<std::size_t>(event.queue)].push_back(event.entry);
-        ++result_.pushes;
-        const int occupancy =
-            static_cast<int>(queues_[static_cast<std::size_t>(event.queue)].size());
-        result_.max_queue_occupancy = std::max(result_.max_queue_occupancy, occupancy);
-        if (options_.enforce_depth &&
-            occupancy > depth_limit_[static_cast<std::size_t>(event.queue)]) {
-          fail_sim(cat("queue ", event.queue, " exceeded depth ",
-                       depth_limit_[static_cast<std::size_t>(event.queue)], " at cycle ", t));
-          return;
-        }
+        land(event, t, ports);
+        if (!failure_.empty()) return;
       }
       pending_pushes_.erase(it);
     }
 
-    // Issues pop operands at the end of the cycle and compute.
-    std::map<int, int> pop_port_use;
+    // Issues pop operands at the end of the cycle and compute; a latency-0
+    // result lands in the cycle it issues.  Issue order (iteration, then
+    // op index) puts every producer before its consumers in one cycle.
     if (const auto issue_it = issues_.find(t); issue_it != issues_.end()) {
       for (const auto& [v, j] : issue_it->second) {
-        issue(v, j, t, pop_port_use);
+        issue(v, j, t, ports);
         if (!failure_.empty()) return;
       }
     }
     // Epilogue drain reads share the cycle's pop ports.
     if (const auto drain_it = drain_pops_.find(t); drain_it != drain_pops_.end()) {
       for (const auto& [queue, producer, iteration] : drain_it->second) {
-        if (++pop_port_use[queue] > 1) {
+        if (++ports.pops[queue] > 1) {
           fail_sim(cat("two pops from queue ", queue, " at cycle ", t, " (drain)"));
           return;
         }
@@ -208,7 +223,7 @@ class Simulator {
     }
   }
 
-  void issue(int v, long long j, long long t, std::map<int, int>& pop_port_use) {
+  void issue(int v, long long j, long long t, CyclePorts& ports) {
     const Op& op = loop_.ops[static_cast<std::size_t>(v)];
 
     std::int64_t in[2] = {0, 0};
@@ -219,7 +234,7 @@ class Simulator {
           const int e = edge_of_arg_[static_cast<std::size_t>(v)][a];
           QVLIW_ASSERT(e >= 0, "value operand without a flow edge");
           const int q = queue_of_edge_[static_cast<std::size_t>(e)];
-          if (++pop_port_use[q] > 1) {
+          if (++ports.pops[q] > 1) {
             fail_sim(cat("two pops from queue ", q, " at cycle ", t));
             return;
           }
@@ -282,7 +297,12 @@ class Simulator {
       PushEvent event;
       event.queue = queue_of_edge_[static_cast<std::size_t>(e)];
       event.entry = {v, j, value};
-      pending_pushes_[t + lat].push_back(event);
+      if (lat == 0) {
+        land(event, t, ports);
+        if (!failure_.empty()) return;
+      } else {
+        pending_pushes_[t + lat].push_back(event);
+      }
     }
   }
 

@@ -5,9 +5,10 @@
 // op v issues at sigma(v) + j*II, pops one queue per value operand (FIFO,
 // tag-checked), computes with the shared eval semantics, and pushes its
 // result into the queue of each consuming flow edge `latency` cycles
-// later.  Port discipline is enforced: at most one push and one pop per
-// queue per cycle (pushes land at the start of a cycle, pops read at the
-// end, so zero-residency bypass works).
+// later (a latency-0 result lands in its issue cycle).  Port discipline
+// is enforced: at most one push and one pop per queue per cycle (pushes
+// land at the start of a cycle, pops read at the end, so zero-residency
+// bypass works).
 //
 // Loop-carried live-ins (operand distance d > iteration) are injected at
 // the cycle the steady-state pattern implies ("as-if-warm" prologue),

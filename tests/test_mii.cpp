@@ -90,8 +90,10 @@ TEST(RecMii, ZeroLatencyMemoryOpsStillBoundTheSearch) {
     PipelineOptions options;
     options.unroll = unroll;
     options.verify = VerifyPolicy::kStrict;
+    options.simulate = true;  // a latency-0 value is popped in its push cycle
     const LoopResult result = run_pipeline(loop, machine, options);
     ASSERT_TRUE(result.ok) << "unroll " << unroll << ": " << result.failure;
+    EXPECT_TRUE(result.sim_ok);
     EXPECT_TRUE(result.verify_checked);
     EXPECT_EQ(result.verify_violations, 0);
     if (!unroll) {

@@ -3,17 +3,22 @@
 //
 // Two directions, over synthesized loops x randomized machines:
 //
-//   1. Completeness: artifacts the pipeline produced — and the simulator
-//      already proved correct in SimStage — must be verifier-clean.  A
-//      violation here is a verifier false positive.
+//   1. Completeness: artifacts the pipeline produced must be
+//      verifier-clean and must simulate bit-identically to the reference
+//      interpreter.  A violation is a verifier false positive; a failed
+//      simulation of a verifier-clean artifact means the two oracles
+//      disagree.
 //   2. Soundness: a *mutated* schedule the verifier accepts (with queues
 //      reallocated for it) must still simulate bit-identically to the
 //      reference interpreter.  A divergence here means the verifier
 //      missed a legality rule the hardware model enforces.
 //
-// Pair count defaults to 500 (QVLIW_FUZZ_PAIRS overrides).  Divergences
-// are reported as repros: the loop in parseable DSL text, the machine
-// shape, the mutation, and the smallest failing trip count.
+// Both run twice: on machines with the classic or unit latency model,
+// and on machines where each opcode's latency is 0 with probability 1/2
+// (a value pushed and popped in one cycle).  Pair count defaults to 500
+// per run (QVLIW_FUZZ_PAIRS overrides).  Divergences are reported as
+// repros: the loop in parseable DSL text, the machine shape, the
+// mutation, and the smallest failing trip count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,8 +50,9 @@ int fuzz_pairs() {
 
 /// A machine the generators never hand the pipeline: random cluster
 /// count, FU mix, queue counts/depths and latency model, structurally
-/// valid by construction.
-MachineConfig random_machine(Rng& rng) {
+/// valid by construction.  With `zero_latencies`, each opcode's latency
+/// is then set to 0 with probability 1/2.
+MachineConfig random_machine(Rng& rng, bool zero_latencies) {
   const int clusters = rng.uniform_int(1, 4);
   MachineConfig machine;
   if (clusters == 1) {
@@ -65,6 +71,11 @@ MachineConfig random_machine(Rng& rng) {
     cluster.queue_depth = 8 << rng.uniform_int(0, 1);
   }
   if (rng.chance(0.25)) machine.latency = LatencyModel::unit();
+  if (zero_latencies) {
+    for (int& latency : machine.latency.latency) {
+      if (rng.chance(0.5)) latency = 0;
+    }
+  }
   machine.name = cat("fuzz-", clusters, "c");
   machine.validate();
   return machine;
@@ -78,7 +89,10 @@ std::string describe_machine(const MachineConfig& machine) {
                "A ", cluster.fus(FuKind::kMul), "M ", cluster.fus(FuKind::kCopy), "C q",
                cluster.private_queues, "x", cluster.queue_depth);
   }
-  return out + cat("] ring q", machine.segment.queues_per_segment, "x", machine.segment.queue_depth);
+  out += cat("] ring q", machine.segment.queues_per_segment, "x", machine.segment.queue_depth,
+             ", latencies");
+  for (const int latency : machine.latency.latency) out += cat(" ", latency);
+  return out;
 }
 
 /// Smallest trip count (from a short ladder) still failing the checked
@@ -117,13 +131,16 @@ void mutate_schedule(Rng& rng, Schedule& schedule, const MachineConfig& machine)
   schedule.set(op, placement);
 }
 
-TEST(VerifyFuzz, ValidatorVerdictsMatchTheSimulator) {
+/// Runs both directions over fuzz_pairs() (loop, random machine) pairs
+/// whose machines and mutations are drawn from a generator seeded with
+/// `rng_seed`, and checks that the oracles agree.
+void expect_oracles_agree(std::uint64_t rng_seed, bool zero_latencies) {
   const int pairs = fuzz_pairs();
   SynthConfig config;
   config.loops = std::min(pairs, 200);
   config.seed = 0xF122;
   const std::vector<Loop> pool = synthesize_suite(config);
-  Rng rng(0xFE57);
+  Rng rng(rng_seed);
 
   int compiled = 0;
   int mutants = 0;
@@ -132,7 +149,7 @@ TEST(VerifyFuzz, ValidatorVerdictsMatchTheSimulator) {
 
   for (int p = 0; p < pairs && divergences.size() < 5; ++p) {
     const Loop& source = pool[static_cast<std::size_t>(p) % pool.size()];
-    const MachineConfig machine = random_machine(rng);
+    const MachineConfig machine = random_machine(rng, zero_latencies);
     PipelineOptions options;
     if (machine.cluster_count() > 1) options.scheduler = SchedulerKind::kClustered;
 
@@ -141,14 +158,24 @@ TEST(VerifyFuzz, ValidatorVerdictsMatchTheSimulator) {
     if (!ctx.result.ok) continue;  // many pairs are simply unschedulable
     ++compiled;
 
-    // Direction 1: sim-proven pipeline artifacts must verify clean.
+    // Direction 1: pipeline artifacts must verify clean and simulate.
     const VerifyReport clean =
         verify_artifacts(ctx.loop, *ctx.graph, machine, ctx.sched.schedule, &ctx.allocation,
                          /*check_fanout=*/true, ctx.result.fits_machine_queues);
     if (!clean.ok()) {
       divergences.push_back(repro("false-positive", ctx.loop, machine, ctx.sched.schedule,
-                                  cat("verifier rejects a sim-correct artifact: ",
+                                  cat("verifier rejects a pipeline artifact: ",
                                       clean.summary())));
+      continue;
+    }
+    const CheckedSim proven = simulate_and_check(ctx.loop, *ctx.graph, machine,
+                                                 ctx.sched.schedule, ctx.allocation, 12);
+    if (!proven.ok) {
+      const long long trip = minimize_failing_trip(ctx.loop, *ctx.graph, machine,
+                                                   ctx.sched.schedule, ctx.allocation);
+      divergences.push_back(repro("sim-rejects-clean", ctx.loop, machine, ctx.sched.schedule,
+                                  cat("verifier-clean pipeline artifact fails simulation at trip ",
+                                      trip, ": ", proven.failure)));
       continue;
     }
 
@@ -203,6 +230,18 @@ TEST(VerifyFuzz, ValidatorVerdictsMatchTheSimulator) {
   std::cout << "[fuzz] " << pairs << " pairs, " << compiled << " compiled, " << mutants
             << " mutants (" << mutants_legal << " verifier-legal)\n";
 }
+
+TEST(VerifyFuzz, ValidatorVerdictsMatchTheSimulator) {
+  expect_oracles_agree(0xFE57, /*zero_latencies=*/false);
+}
+
+// Latency-0 results are pushed and popped in one cycle; the verifier, the
+// schedulers and the queue model all accept that, and so must the
+// simulator.  A separate seed keeps the test above drawing as before.
+TEST(VerifyFuzz, ZeroLatencyVerdictsMatchTheSimulator) {
+  expect_oracles_agree(0x2E40, /*zero_latencies=*/true);
+}
+
 
 }  // namespace
 }  // namespace qvliw

@@ -4,6 +4,8 @@
 // bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/parser.h"
 #include "qrf/queue_alloc.h"
 #include "sched/ims.h"
@@ -111,6 +113,29 @@ TEST(VliwSim, DepthEnforcementTriggers) {
   // fir8's delay line needs >1 position; must be caught.
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("depth"), std::string::npos);
+}
+
+TEST(VliwSim, ZeroLatencyResultsLandInTheirIssueCycle) {
+  // With every latency 0 a value is popped in the cycle it is pushed, and
+  // a queue's pop early in a cycle still holds its entry while a later
+  // latency-0 push of that cycle lands: the simulator's deepest queue must
+  // be the allocator's.
+  MachineConfig machine = MachineConfig::single_cluster_machine(6);
+  machine.latency.latency.fill(0);
+  for (const Loop& source : kernel_corpus()) {
+    const Loop loop = insert_copies(source).loop;
+    const Ddg graph = Ddg::build(loop, machine.latency);
+    const ImsResult sched = ims_schedule(loop, graph, machine);
+    ASSERT_TRUE(sched.ok) << source.name << ": " << sched.failure;
+    const QueueAllocation allocation = allocate_queues(loop, graph, machine, sched.schedule);
+    const CheckedSim r = simulate_and_check(loop, graph, machine, sched.schedule, allocation, 40);
+    ASSERT_TRUE(r.ok) << source.name << ": " << r.failure;
+    int deepest = 0;
+    for (const AllocatedQueue& queue : allocation.queues) {
+      deepest = std::max(deepest, queue.max_occupancy);
+    }
+    EXPECT_EQ(r.sim.max_queue_occupancy, deepest) << source.name;
+  }
 }
 
 TEST(VliwSim, WrongQueueAssignmentIsCaught) {
