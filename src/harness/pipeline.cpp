@@ -4,18 +4,6 @@
 
 namespace qvliw {
 
-std::string_view verify_policy_name(VerifyPolicy policy) {
-  switch (policy) {
-    case VerifyPolicy::kOff:
-      return "off";
-    case VerifyPolicy::kAudit:
-      return "audit";
-    case VerifyPolicy::kStrict:
-      return "strict";
-  }
-  return "unknown";
-}
-
 std::string_view stage_name(Stage stage) {
   static constexpr std::string_view kNames[kStageCount] = {
       "invariants", "unroll", "copy_insert", "mii", "schedule", "queue_alloc", "sim", "verify"};

@@ -29,13 +29,10 @@
 
 namespace qvliw {
 
-/// How the pipeline's verify stage treats the independent legality checker
-/// (src/verify): off, audit (record violation counts, keep the result), or
-/// strict (a violation fails the loop like any other stage failure).
-/// Ordered so std::max picks the stronger of two policies.
-enum class VerifyPolicy : std::uint8_t { kOff = 0, kAudit = 1, kStrict = 2 };
-
-[[nodiscard]] std::string_view verify_policy_name(VerifyPolicy policy);
+/// Whether the pipeline's verify stage runs the independent legality
+/// checker (src/verify); under kStrict a violation fails the loop like any
+/// other stage failure.
+enum class VerifyPolicy : std::uint8_t { kOff, kStrict };
 
 struct PipelineOptions {
   InvariantStrategy invariants = InvariantStrategy::kImmediate;

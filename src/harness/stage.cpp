@@ -187,7 +187,7 @@ bool verify_stage(PipelineContext& ctx) {
   const int violations = report.violations();
   ctx.result.verify_checked = true;
   ctx.result.verify_violations = violations;
-  if (violations > 0 && ctx.options->verify == VerifyPolicy::kStrict) {
+  if (violations > 0) {
     ctx.result.failure = cat("legality verification failed: ", report.summary());
     return false;
   }

@@ -493,13 +493,6 @@ TEST(VerifyStage, PolicyControlsChecking) {
   EXPECT_FALSE(none.verify_checked);
   EXPECT_EQ(none.verify_violations, 0);
 
-  PipelineOptions audit;
-  audit.verify = VerifyPolicy::kAudit;
-  const LoopResult audited = run_pipeline(loop, machine, audit);
-  ASSERT_TRUE(audited.ok) << audited.failure;
-  EXPECT_TRUE(audited.verify_checked);
-  EXPECT_EQ(audited.verify_violations, 0);
-
   PipelineOptions strict;
   strict.verify = VerifyPolicy::kStrict;
   const LoopResult strict_result = run_pipeline(loop, machine, strict);
