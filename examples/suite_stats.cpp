@@ -9,9 +9,9 @@
 // generator.
 //
 //   QVLIW_LOOPS=200 ./build/examples/suite_stats
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_common.h"
 #include "harness/sweep.h"
 #include "ir/ddg.h"
 #include "support/stats.h"
@@ -22,12 +22,8 @@
 using namespace qvliw;
 
 int main() {
-  int loops = 1258;
-  if (const char* env = std::getenv("QVLIW_LOOPS")) {
-    if (const int n = std::atoi(env); n > 0) loops = n;
-  }
   SynthConfig config;
-  config.loops = loops;
+  config.loops = bench::suite_size();
   const Suite suite = full_suite(config);
   std::cout << "suite: " << suite.loops.size() << " loops (" << suite.kernel_count
             << " kernels + synthetic, seed " << config.seed << ")\n\n";
