@@ -118,6 +118,17 @@ bool queue_alloc_stage(PipelineContext& ctx) {
     // Escalate the II until the allocation fits the machine's queues.
     while (!result.fits_machine_queues &&
            result.queue_fit_retries < ctx.options->queue_fit_attempts) {
+      if (ctx.sched.ii_invariant && ctx.sched.ii < ctx.options->ims.max_ii) {
+        // Every larger II repeats these placements and so this allocation
+        // (ImsResult::ii_invariant): no escalation up to the II cap can
+        // fit, so count them instead of rescheduling each one.  Past the
+        // cap, IMS runs and reports its own failure.
+        const int steps = std::min(ctx.options->queue_fit_attempts - result.queue_fit_retries,
+                                   ctx.options->ims.max_ii - ctx.sched.ii);
+        result.queue_fit_retries += steps;
+        ctx.sched = reschedule_invariant(ctx.sched, ctx.sched.ii + steps);
+        continue;
+      }
       ++result.queue_fit_retries;
       ImsResult retry = schedule_attempt(ctx, ctx.sched.ii + 1);
       if (!retry.ok) {

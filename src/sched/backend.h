@@ -74,7 +74,10 @@ struct ScheduleRequest {
 /// What a backend hands back.  Backends that rewrite the loop on the way
 /// (the moves router inserts relay ops) return the rewritten loop and its
 /// DDG so the caller can adopt them; `rewrote` is false for backends that
-/// schedule the request's loop as-is.
+/// schedule the request's loop as-is.  Queue-fit escalation trusts
+/// `ims.ii_invariant`: a backend returning it set (by passing
+/// ims_schedule's result through) must answer the same request with a
+/// larger `ims.start_ii` with these same placements.
 struct ScheduleOutcome {
   ImsResult ims;
 

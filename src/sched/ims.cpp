@@ -71,6 +71,24 @@ class ImsSearcher {
     return true;
   }
 
+  /// The schedule part of ImsResult::ii_invariant for the complete
+  /// schedule of the last attempt: every op issues, and every edge's
+  /// value lands, before cycle II, and no loop-carried edge lifts a
+  /// height.  Call before take_schedule.
+  [[nodiscard]] bool within_one_period() const {
+    for (int op = 0; op < n_; ++op) {
+      if (schedule_.cycle(op) >= ii_) return false;
+    }
+    for (const DepEdge& edge : graph_.edges()) {
+      if (schedule_.cycle(edge.src) + edge.latency >= ii_) return false;
+      if (edge.distance > 0 &&
+          height_[static_cast<std::size_t>(edge.dst)] + edge.latency - ii_ * edge.distance > 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   [[nodiscard]] Schedule take_schedule() { return std::move(schedule_); }
 
  private:
@@ -315,7 +333,14 @@ ImsResult ims_schedule(const Loop& loop, const Ddg& graph, const MachineConfig& 
       result.stats.mii_optimal = ii == result.mii.mii;
       return result;
     }
+    const ImsStats before = result.stats;
     if (!searcher.attempt(ii, options.budget_ratio, result.stats)) continue;
+    // ImsStats sums over attempts, so the accepted attempt's forced
+    // placements and evictions are deltas.
+    result.ii_invariant = assigner == nullptr && (seed == nullptr || seed->ii <= ii) &&
+                          result.stats.forced == before.forced &&
+                          result.stats.evictions == before.evictions &&
+                          searcher.within_one_period();
     result.schedule = searcher.take_schedule();
     result.ii = ii;
     result.ok = true;
@@ -328,6 +353,23 @@ ImsResult ims_schedule(const Loop& loop, const Ddg& graph, const MachineConfig& 
 
   result.failure = cat("no schedule found up to II=", last_ii);
   return result;
+}
+
+ImsResult reschedule_invariant(const ImsResult& result, int ii) {
+  QVLIW_ASSERT(result.ok && result.ii_invariant && ii > result.ii,
+               "reschedule_invariant needs an ii_invariant result and a larger II");
+  const int n = result.schedule.op_count();
+  ImsResult raised;
+  raised.ok = true;
+  raised.schedule = Schedule(n, ii);
+  for (int op = 0; op < n; ++op) raised.schedule.set(op, result.schedule.place(op));
+  raised.ii = ii;
+  raised.mii = result.mii;
+  raised.stats.placements = n;
+  raised.stats.ii_attempts = 1;
+  raised.stats.budget_spent = n;
+  raised.ii_invariant = true;
+  return raised;
 }
 
 }  // namespace qvliw

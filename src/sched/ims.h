@@ -123,6 +123,17 @@ struct ImsResult {
   /// comparisons (like stage timings, it records how the schedule was
   /// obtained, not what it is).
   bool warm_started = false;
+  /// True when the same ims_schedule call with any start_ii in
+  /// (ii, options.max_ii] returns that II with these same placements
+  /// (reschedule_invariant builds that result).  Set when the accepted
+  /// attempt searched with the default single-cluster assigner and no
+  /// seed above ii, made no forced placement and no eviction, issued every
+  /// op and landed every edge's sigma(src) + latency before cycle ii, and
+  /// gave every loop-carried edge height[dst] + latency - ii * distance
+  /// <= 0.  Heights, the ready order and every slot scan then repeat at a
+  /// larger II; and since every push and pop lies within one period,
+  /// allocate_queues returns the same queues there too.
+  bool ii_invariant = false;
 };
 
 /// Schedules `loop`'s DDG onto `machine`.  The result schedule is fully
@@ -143,5 +154,12 @@ struct ImsResult {
                                      const MachineConfig& machine, const ImsOptions& options = {},
                                      ClusterAssigner* assigner = nullptr,
                                      const WarmStartSeed* seed = nullptr);
+
+/// What ims_schedule returns when the call that produced `result` (with
+/// ii_invariant set) is repeated with start_ii = `ii`, for result.ii < ii
+/// <= options.max_ii: the same placements at `ii`, from one attempt that
+/// placed each op once.  Queue-fit escalation uses it instead of the
+/// search whose outcome it already knows.
+[[nodiscard]] ImsResult reschedule_invariant(const ImsResult& result, int ii);
 
 }  // namespace qvliw

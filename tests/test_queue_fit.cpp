@@ -2,13 +2,139 @@
 // until the allocation fits the machine's configured queue counts/depths.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "harness/pipeline.h"
+#include "harness/shard.h"
+#include "harness/stage.h"
+#include "harness/sweep.h"
 #include "qrf/queue_alloc.h"
+#include "support/strings.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
 #include "workload/synth.h"
 
 namespace qvliw {
 namespace {
+
+/// A cell whose queue_alloc stage failed: the front end's and the schedule
+/// stage's fields of `first`, nothing of a later stage.
+LoopResult failed_escalation(const LoopResult& first, int retries, std::string failure) {
+  LoopResult r;
+  r.name = first.name;
+  r.failure = std::move(failure);
+  r.failed_stage = "queue_alloc";
+  r.src_ops = first.src_ops;
+  r.sched_ops = first.sched_ops;
+  r.copies = first.copies;
+  r.moves = first.moves;
+  r.unroll_factor = first.unroll_factor;
+  r.res_mii = first.res_mii;
+  r.rec_mii = first.rec_mii;
+  r.mii = first.mii;
+  r.queue_fit_retries = retries;
+  r.sched_stats = first.sched_stats;
+  r.backend = first.backend;
+  return r;
+}
+
+/// Queue-fit escalation as a full walk: every step reschedules from
+/// scratch one II above the last step and reallocates.  A step is a
+/// run_pipeline call without enforcement whose search starts at that II.
+LoopResult full_walk(const Loop& loop, const MachineConfig& machine, PipelineOptions options) {
+  const int attempts = options.queue_fit_attempts;
+  options.enforce_queue_limits = false;
+  const LoopResult first = run_pipeline(loop, machine, options);
+  if (first.failed_stage == "schedule") return first;
+  LoopResult step = first;
+  int retries = 0;
+  while (!step.fits_machine_queues && retries < attempts) {
+    ++retries;
+    options.ims.start_ii = step.ii + 1;
+    LoopResult next = run_pipeline(loop, machine, options);
+    if (next.failed_stage == "schedule") {
+      return failed_escalation(first, retries, "queue-fit retry failed: " + next.failure);
+    }
+    step = std::move(next);
+  }
+  if (!step.fits_machine_queues) {
+    return failed_escalation(
+        first, retries,
+        cat("allocation does not fit machine queues after ", retries, " II escalations"));
+  }
+  step.queue_fit_retries = retries;
+  return step;
+}
+
+std::string fingerprint(const std::vector<LoopResult>& cells) {
+  SweepResult sweep;
+  sweep.by_point.push_back(cells);
+  return sweep_result_fingerprint(sweep);
+}
+
+void expect_same_cell(const LoopResult& got, const LoopResult& want, const std::string& where) {
+  EXPECT_EQ(got.ok, want.ok) << where;
+  EXPECT_EQ(got.failure, want.failure) << where;
+  EXPECT_EQ(got.queue_fit_retries, want.queue_fit_retries) << where;
+  EXPECT_EQ(got.ii, want.ii) << where;
+  EXPECT_EQ(got.total_queues, want.total_queues) << where;
+  EXPECT_EQ(got.sched_stats.placements, want.sched_stats.placements) << where;
+  EXPECT_EQ(got.sched_stats.ii_attempts, want.sched_stats.ii_attempts) << where;
+  EXPECT_EQ(fingerprint({got}), fingerprint({want})) << where;
+}
+
+TEST(QueueFit, EscalationMatchesTheFullWalk) {
+  // Fig. 3's finite-queue points, where most escalations go to cells
+  // that never fit: on those the pipeline counts the retries an
+  // ii_invariant schedule cannot win instead of rescheduling them.
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+  PipelineOptions options;
+  options.enforce_queue_limits = true;
+  int exhausted = 0;
+  for (const int queues : {4, 8, 16}) {
+    const MachineConfig machine = MachineConfig::single_cluster_machine(6, queues);
+    std::vector<LoopResult> got;
+    std::vector<LoopResult> want;
+    for (const Loop& loop : suite.loops) {
+      got.push_back(run_pipeline(loop, machine, options));
+      want.push_back(full_walk(loop, machine, options));
+      expect_same_cell(got.back(), want.back(), cat(loop.name, " at ", queues, " queues"));
+      if (got.back().queue_fit_retries == options.queue_fit_attempts && !got.back().ok) {
+        ++exhausted;
+      }
+    }
+    EXPECT_EQ(fingerprint(got), fingerprint(want)) << queues << " queues";
+  }
+  EXPECT_GT(exhausted, 0);
+}
+
+TEST(QueueFit, EscalationPastTheIiCapEndsInImsFailure) {
+  // fir8 never fits 4 queues.  Searched from II 32, its schedule lands in
+  // the first period and repeats at every larger II.  With the II cap one
+  // above it, one escalation is counted and the next runs IMS past the cap.
+  const Loop loop = kernel_by_name("fir8");
+  const MachineConfig machine = MachineConfig::single_cluster_machine(6, 4);
+  PipelineOptions options;
+  options.enforce_queue_limits = true;
+  options.ims.start_ii = 32;
+  PipelineContext ctx(loop, machine, options);
+  ASSERT_TRUE(run_front_end(ctx));
+  const ImsResult first = ims_schedule(ctx.loop, *ctx.graph, machine, options.ims);
+  ASSERT_TRUE(first.ok && first.ii_invariant);  // the premise of the test
+  ASSERT_FALSE(allocate_queues(ctx.loop, *ctx.graph, machine, first.schedule)
+                   .capacity_violations(machine)
+                   .empty());
+
+  options.ims.max_ii = first.ii + 1;
+  const LoopResult got = run_pipeline(loop, machine, options);
+  EXPECT_EQ(got.failure, cat("queue-fit retry failed: II limit ", first.ii + 1, " below MII ",
+                             first.mii.mii));
+  EXPECT_EQ(got.queue_fit_retries, 2);
+  expect_same_cell(got, full_walk(loop, machine, options), "fir8");
+}
 
 TEST(QueueFit, GenerousMachineNeedsNoRetries) {
   MachineConfig machine = MachineConfig::single_cluster_machine(6, 32);
