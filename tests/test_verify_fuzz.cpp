@@ -16,14 +16,19 @@
 // Both run twice: on machines with the classic or unit latency model,
 // and on machines where each opcode's latency is 0 with probability 1/2
 // (a value pushed and popped in one cycle).  Pair count defaults to 500
-// per run (QVLIW_FUZZ_PAIRS overrides).  Divergences are reported as
+// per run; QVLIW_FUZZ_PAIRS=<n> overrides it, and a value that is not a
+// positive int as a whole exits with status 2.  Divergences are reported as
 // repros: the loop in parseable DSL text, the machine shape, the
 // mutation, and the smallest failing trip count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "harness/stage.h"
@@ -40,12 +45,20 @@
 namespace qvliw {
 namespace {
 
+/// QVLIW_FUZZ_PAIRS as a whole positive int, or 500 when unset.  Any
+/// other value exits with status 2, so a typo such as `10k` cannot shrink
+/// a deep run to a few pairs.
 int fuzz_pairs() {
-  if (const char* env = std::getenv("QVLIW_FUZZ_PAIRS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+  const char* env = std::getenv("QVLIW_FUZZ_PAIRS");
+  if (env == nullptr) return 500;
+  const std::string_view text(env);
+  int n = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (error != std::errc{} || end != text.data() + text.size() || n <= 0) {
+    std::cerr << "QVLIW_FUZZ_PAIRS must be a positive integer, got '" << text << "'\n";
+    std::exit(2);
   }
-  return 500;
+  return n;
 }
 
 /// A machine the generators never hand the pipeline: random cluster
