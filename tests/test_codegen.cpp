@@ -4,6 +4,7 @@
 #include "ir/parser.h"
 #include "qrf/queue_alloc.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 #include "sched/ims.h"
 #include "sim/codegen.h"
 #include "workload/kernels.h"
@@ -157,7 +158,7 @@ TEST(Codegen, ClusteredProgramNamesClusters) {
   const std::string listing = format_program(program, machine);
   bool beyond_cluster0 = false;
   for (int c = 1; c < 4; ++c) {
-    if (listing.find("c" + std::to_string(c) + ".") != std::string::npos) beyond_cluster0 = true;
+    if (listing.find(cat("c", c, ".")) != std::string::npos) beyond_cluster0 = true;
   }
   EXPECT_TRUE(beyond_cluster0);
 }
