@@ -172,9 +172,9 @@ std::uint64_t MachineConfig::signature() const {
   }
   sig = hash_combine(sig, hash64(static_cast<std::uint64_t>(segment.queues_per_segment)));
   sig = hash_combine(sig, hash64(static_cast<std::uint64_t>(segment.queue_depth)));
-  // Rings fold nothing further, keeping their pre-topology hash bytes (and
-  // with them every cached ring artifact); other topologies salt in their
-  // shape so a mesh-9 and a ring-9 can never collide.
+  // Rings fold nothing further (their hash bytes feed the benchmark's
+  // inputs line, so they stay as they are); other topologies salt in
+  // their shape so a mesh-9 and a ring-9 can never collide.
   if (topology_kind != TopologyKind::kRing) {
     sig = hash_combine(sig, hash64(0x70b0106fULL));
     sig = hash_combine(sig, hash64(static_cast<std::uint64_t>(topology_kind)));

@@ -134,9 +134,10 @@ class MachineConfig {
   /// Structural hash of everything that affects compilation results:
   /// cluster FU mix, queue counts/depths, interconnect topology, segment
   /// config and latency model (the `name` is ignored).  Equal signatures
-  /// mean interchangeable machines for the sweep runner's artifact cache.
-  /// Ring machines hash exactly as they did before the topology became
-  /// configurable, so cached ring artifacts stay valid.
+  /// stand for equal machines where points are compared: plan_sweep
+  /// shares work between them and merge_points merges them.  Rings fold
+  /// in no topology fields; those hash bytes are kept as they are
+  /// because the benchmark's inputs line hashes them.
   [[nodiscard]] std::uint64_t signature() const;
 };
 
