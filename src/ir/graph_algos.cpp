@@ -1,27 +1,118 @@
 #include "ir/graph_algos.h"
 
 #include <algorithm>
+#include <span>
 
 #include "support/diagnostics.h"
 
 namespace qvliw {
 
-bool has_positive_cycle(const Ddg& graph, int ii, int latency_scale) {
+RecurrenceCore::RecurrenceCore(const Ddg& graph) {
+  const int n = graph.node_count();
+  if (graph.edge_count() == 0) return;
+  // One scratch block in six slices of n: Tarjan's per-node DFS order, low
+  // link and component (-1 while the node is on the stack), the node
+  // stack, and the explicit call stack of (node, next out-edge position).
+  std::vector<int> scratch(6 * static_cast<std::size_t>(n));
+  int* const order = scratch.data();
+  int* const low = order + n;
+  int* const comp = low + n;
+  int* const stack = comp + n;
+  int* const frame_node = stack + n;
+  int* const frame_pos = frame_node + n;
+
+  std::fill(order, order + n, -1);
+  int visited = 0;
+  int components = 0;
+  int top = 0;
+  for (int root = 0; root < n; ++root) {
+    if (order[root] >= 0) continue;
+    int depth = 0;
+    const auto enter = [&](int v) {
+      order[v] = low[v] = visited++;
+      comp[v] = -1;
+      stack[top++] = v;
+      frame_node[depth] = v;
+      frame_pos[depth] = 0;
+      ++depth;
+    };
+    enter(root);
+    while (depth > 0) {
+      const int v = frame_node[depth - 1];
+      const std::span<const int> out = graph.out_edges(v);
+      if (static_cast<std::size_t>(frame_pos[depth - 1]) < out.size()) {
+        const int w = graph.edge(out[static_cast<std::size_t>(frame_pos[depth - 1]++)]).dst;
+        if (order[w] < 0) {
+          enter(w);
+        } else if (comp[w] < 0) {
+          low[v] = std::min(low[v], order[w]);
+        }
+        continue;
+      }
+      --depth;
+      if (low[v] == order[v]) {
+        int w = -1;
+        while (w != v) {
+          w = stack[--top];
+          comp[w] = components;
+        }
+        ++components;
+      }
+      if (depth > 0) low[frame_node[depth - 1]] = std::min(low[frame_node[depth - 1]], low[v]);
+    }
+  }
+
+  // Keep the edges inside one component and number the nodes they touch.
+  // The walk's slices are free again: order becomes the core number, low
+  // the largest in-core out-edge latency, stack the component sizes and
+  // frame_node the components' latency sums.
+  std::size_t kept = 0;
+  for (const DepEdge& e : graph.edges()) kept += comp[e.src] == comp[e.dst] ? 1 : 0;
+  if (kept == 0) return;
+  int* const local = order;
+  int* const longest = low;
+  int* const size = stack;
+  int* const latency_sum = frame_node;
+  std::fill(local, local + n, -1);
+  std::fill(longest, longest + n, 0);
+  std::fill(size, size + n, 0);
+  std::fill(latency_sum, latency_sum + n, 0);
+  for (int v = 0; v < n; ++v) ++size[comp[v]];
+  arcs_.reserve(kept);
+  int nodes = 0;
+  for (const DepEdge& e : graph.edges()) {
+    if (comp[e.src] != comp[e.dst]) continue;
+    if (local[e.src] < 0) local[e.src] = nodes++;
+    if (local[e.dst] < 0) local[e.dst] = nodes++;
+    arcs_.push_back(Arc{local[e.src], local[e.dst], e.latency, e.distance});
+    longest[e.src] = std::max(longest[e.src], e.latency);
+    largest_component_ = std::max(largest_component_, size[comp[e.src]]);
+  }
+  for (int v = 0; v < n; ++v) {
+    if (local[v] < 0) continue;
+    latency_sum[comp[v]] += longest[v];
+    latency_bound_ = std::max(latency_bound_, latency_sum[comp[v]]);
+  }
+  potential_.resize(static_cast<std::size_t>(nodes));
+}
+
+bool RecurrenceCore::has_positive_cycle(int ii, int latency_scale) {
   check(ii >= 1, "has_positive_cycle: ii must be >= 1");
   check(latency_scale >= 1, "has_positive_cycle: latency_scale must be >= 1");
-  const auto n = static_cast<std::size_t>(graph.node_count());
-  if (n == 0) return false;
-  // Longest-path potentials from a virtual source connected to every node
-  // with weight 0.  A positive cycle keeps relaxing past round n-1.
-  std::vector<long long> pot(n, 0);
-  for (std::size_t round = 0; round <= n; ++round) {
+  // Longest-path potentials from a virtual source joined to every node by
+  // weight 0.  Without a positive cycle a longest path stays in one
+  // component of at most largest_component_ nodes, so relaxation settles
+  // within that many rounds; a positive cycle keeps it changing.
+  std::fill(potential_.begin(), potential_.end(), 0);
+  for (int round = 0; round <= largest_component_; ++round) {
     bool changed = false;
-    for (const DepEdge& e : graph.edges()) {
-      const long long w = static_cast<long long>(latency_scale) * e.latency -
-                          static_cast<long long>(ii) * static_cast<long long>(e.distance);
-      const long long candidate = pot[static_cast<std::size_t>(e.src)] + w;
-      if (candidate > pot[static_cast<std::size_t>(e.dst)]) {
-        pot[static_cast<std::size_t>(e.dst)] = candidate;
+    for (const Arc& arc : arcs_) {
+      const long long w = static_cast<long long>(latency_scale) * arc.latency -
+                          static_cast<long long>(ii) * arc.distance;
+      const long long candidate = potential_[static_cast<std::size_t>(arc.src)] + w;
+      long long& target = potential_[static_cast<std::size_t>(arc.dst)];
+      if (candidate > target) {
+        target = candidate;
         changed = true;
       }
     }

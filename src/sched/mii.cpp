@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/graph_algos.h"
 #include "support/diagnostics.h"
 
 namespace qvliw {
@@ -24,48 +23,73 @@ int res_mii(const Loop& loop, const MachineConfig& machine, int factor) {
   return bound;
 }
 
-int rec_mii(const Ddg& graph, int factor, int rec_floor) {
+RecMii::RecMii(const Ddg& graph) : core_(graph) {
+  if (core_.acyclic()) return;
+  // With distance >= 1 on every circuit (a valid DDG), lambda is at most
+  // the core's circuit latency bound, so II = that bound is feasible at
+  // factor 1; only a zero-distance circuit of positive latency fails it.
+  hi_num_ = std::max(1, core_.circuit_latency_bound());
+  QVLIW_ASSERT(!core_.has_positive_cycle(static_cast<int>(hi_num_)),
+               "DDG has a zero-distance cycle");
+}
+
+int RecMii::at(int factor) {
   check(factor >= 1, "rec_mii: factor must be >= 1");
-  check(rec_floor >= 1, "rec_mii: rec_floor must be >= 1");
+  if (core_.acyclic()) return 1;
   // Feasibility is monotone in II: raising II only lowers the weight of
-  // distance-carrying edges.  An elementary circuit leaves each node on
-  // it by one edge, so the sum over nodes of the largest out-edge latency
-  // bounds its latency, and with distance >= 1 (a valid DDG) II = that
-  // sum is feasible; each of the factor replicas adds the same sum.  The
-  // sum of op latencies is no bound: a memory-order edge has latency 1
-  // even from a latency-0 op.
-  int circuit_latency = 0;
-  for (int v = 0; v < graph.node_count(); ++v) {
-    int longest = 0;
-    for (const int e : graph.out_edges(v)) longest = std::max(longest, graph.edge(e).latency);
-    circuit_latency += longest;
-  }
-  int lo = rec_floor;
-  int hi = std::max(lo, factor * std::max(1, circuit_latency));
-  QVLIW_ASSERT(!has_positive_cycle(graph, hi, factor), "DDG has a zero-distance cycle");
+  // distance-carrying edges.  lo < lambda <= hi puts the answer in
+  // [floor(U*lo) + 1, ceil(U*hi)], and the top of that range is feasible.
+  const long long u = factor;
+  const long long bottom = u * lo_num_ / lo_den_ + 1;
+  long long lo = bottom;
+  long long hi = (u * hi_num_ + hi_den_ - 1) / hi_den_;
+  QVLIW_ASSERT(lo <= hi, "rec_mii: empty circuit-ratio bracket");
   while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (has_positive_cycle(graph, mid, factor)) {
+    const long long mid = lo + (hi - lo) / 2;
+    if (core_.has_positive_cycle(static_cast<int>(mid), factor)) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo;
+  // lambda <= lo/U; and lambda > (lo - 1)/U when the search rejected lo - 1,
+  // which it did whenever it rose above the bottom of its range.
+  if (lo * hi_den_ < hi_num_ * u) {
+    hi_num_ = lo;
+    hi_den_ = u;
+  }
+  if (lo > bottom && (lo - 1) * lo_den_ > lo_num_ * u) {
+    lo_num_ = lo - 1;
+    lo_den_ = u;
+  }
+  return static_cast<int>(lo);
 }
 
-MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine, int factor,
-                    int rec_floor) {
+int rec_mii(const Ddg& graph, int factor) { return RecMii(graph).at(factor); }
+
+namespace {
+
+/// MII bounds from ResMII `res` (0: infeasible), asking `rec` for RecMII
+/// only on a feasible machine.
+template <typename RecOf>
+MiiInfo bounds(int res, RecOf rec) {
   MiiInfo info;
-  info.res_mii = res_mii(loop, machine, factor);
-  if (info.res_mii == 0) {
-    info.feasible = false;
-    return info;
-  }
-  info.rec_mii = rec_mii(graph, factor, rec_floor);
+  info.res_mii = res;
+  if (res == 0) return info;
+  info.rec_mii = rec();
   info.mii = std::max(info.res_mii, info.rec_mii);
   info.feasible = true;
   return info;
+}
+
+}  // namespace
+
+MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine, int factor) {
+  return bounds(res_mii(loop, machine, factor), [&] { return rec_mii(graph, factor); });
+}
+
+MiiInfo compute_mii(const Loop& loop, RecMii& rec, const MachineConfig& machine, int factor) {
+  return bounds(res_mii(loop, machine, factor), [&] { return rec.at(factor); });
 }
 
 }  // namespace qvliw

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "ir/ddg.h"
+#include "ir/graph_algos.h"
 #include "ir/loop.h"
 #include "machine/machine.h"
 
@@ -28,14 +29,37 @@ struct MiiInfo {
 /// used FU kind has no instance at all (infeasible marker).
 [[nodiscard]] int res_mii(const Loop& loop, const MachineConfig& machine, int factor = 1);
 
-/// RecMII of `graph` unrolled by `factor`, computed on `graph` itself:
-/// the smallest II admitting no positive cycle under weights
-/// (factor*latency - II*distance), found by binary search.  That equals
-/// RecMII of the replica-lifted (unrolled) DDG exactly; see
-/// has_positive_cycle.  `rec_floor` (>= 1) is a known lower bound on the
-/// answer (RecMII is nondecreasing in the factor, so the previous
-/// factor's value is a valid floor for an incremental sweep).
-[[nodiscard]] int rec_mii(const Ddg& graph, int factor = 1, int rec_floor = 1);
+/// RecMII of one DDG at any unroll factor, asked of its recurrence core.
+///
+/// RecMII(U) = max(1, ceil(U * lambda)), where lambda is the graph's
+/// largest circuit ratio latency/distance; RecurrenceCore decides
+/// "II >= RecMII(U)" as "no positive cycle under weights
+/// U*latency - II*distance".  Every answer narrows a bracket
+/// lo < lambda <= hi: lambda <= r/U after an answer r, and lambda >
+/// (r - 1)/U once r - 1 was tested and rejected.  So factor U searches only
+/// [floor(U*lo) + 1, ceil(U*hi)], in any order of factors.  An acyclic
+/// graph answers 1 with no test, and the zero-distance-cycle assertion
+/// runs once, when the object is built.
+class RecMii {
+ public:
+  explicit RecMii(const Ddg& graph);
+
+  /// RecMII of the graph unrolled by `factor` (>= 1), computed on the
+  /// graph itself.  That equals RecMII of the replica-lifted (unrolled)
+  /// DDG exactly; see RecurrenceCore::has_positive_cycle.
+  [[nodiscard]] int at(int factor);
+
+ private:
+  RecurrenceCore core_;
+  // lo_ = lo_num_/lo_den_ < lambda <= hi_num_/hi_den_ = hi_.
+  long long lo_num_ = 0;
+  long long lo_den_ = 1;
+  long long hi_num_ = 1;
+  long long hi_den_ = 1;
+};
+
+/// RecMII of `graph` unrolled by `factor`: RecMii(graph).at(factor).
+[[nodiscard]] int rec_mii(const Ddg& graph, int factor = 1);
 
 /// MII bounds of unroll(loop, factor) from the *base* loop and DDG,
 /// without materialising the unrolled loop; factor 1 bounds `loop`
@@ -44,6 +68,11 @@ struct MiiInfo {
 /// unroll_probe_is_exact (xform/unroll.h) decides that precondition.
 /// Infeasible when the machine lacks an FU kind the loop uses.
 [[nodiscard]] MiiInfo compute_mii(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
-                                  int factor = 1, int rec_floor = 1);
+                                  int factor = 1);
+
+/// compute_mii with RecMII asked of `rec`, built from `loop`'s DDG: the
+/// unroll prober asks one RecMii for every factor.
+[[nodiscard]] MiiInfo compute_mii(const Loop& loop, RecMii& rec, const MachineConfig& machine,
+                                  int factor);
 
 }  // namespace qvliw

@@ -146,16 +146,11 @@ UnrollProbe probe_unroll_factor(const Loop& loop, const MachineConfig& machine, 
   check(max_factor >= 1, "select_unroll_factor: max_factor must be >= 1");
   if (!unroll_probe_is_exact(loop)) return probe_unroll_factor_naive(loop, machine, max_factor, max_ops);
 
-  const Ddg base_graph = Ddg::build(loop, machine.latency);
-  int rec_floor = 1;
+  // One recurrence core answers RecMII for every factor.
+  RecMii rec(Ddg::build(loop, machine.latency));
   UnrollProbe probe = probe_with(
       loop, max_factor, max_ops,
-      [&](int factor) {
-        const MiiInfo mii = compute_mii(loop, base_graph, machine, factor, rec_floor);
-        if (mii.feasible) rec_floor = std::max(rec_floor, mii.rec_mii);
-        return mii;
-      },
-      [] {});
+      [&](int factor) { return compute_mii(loop, rec, machine, factor); }, [] {});
   probe.incremental = true;
   if (probe.choice.factor > 1) {
     // The one materialisation of the winner; callers reuse it directly.

@@ -18,7 +18,9 @@ namespace {
 
 TEST(GraphEdges, EmptyGraphAlgorithms) {
   const Ddg graph(0);
-  EXPECT_FALSE(has_positive_cycle(graph, 1));
+  RecurrenceCore core(graph);
+  EXPECT_TRUE(core.acyclic());
+  EXPECT_FALSE(core.has_positive_cycle(1));
   EXPECT_TRUE(elementary_circuits(graph).empty());
   std::vector<int> height{7};
   height_priority(graph, 1, height);
@@ -38,8 +40,9 @@ TEST(GraphEdges, ParallelEdgesBetweenSameNodes) {
   graph.add_edge({1, 0, 1, 1, DepKind::kFlow, -1});
   graph.add_edge({1, 0, 9, 2, DepKind::kFlow, -1});
   // Circuit A: 5+1 over distance 1 -> 6; circuit B: 5+9 over 2 -> 7.
-  EXPECT_TRUE(has_positive_cycle(graph, 6));
-  EXPECT_FALSE(has_positive_cycle(graph, 7));
+  RecurrenceCore core(graph);
+  EXPECT_TRUE(core.has_positive_cycle(6));
+  EXPECT_FALSE(core.has_positive_cycle(7));
 }
 
 TEST(ParserEdges, NegativeImmediateFirstOperand) {

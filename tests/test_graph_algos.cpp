@@ -16,17 +16,19 @@ Ddg chain(int n, int latency = 1) {
 }
 
 TEST(PositiveCycle, AcyclicNeverPositive) {
-  const Ddg graph = chain(6, 10);
-  for (int ii = 1; ii <= 4; ++ii) EXPECT_FALSE(has_positive_cycle(graph, ii));
+  RecurrenceCore core(chain(6, 10));
+  EXPECT_TRUE(core.acyclic());
+  for (int ii = 1; ii <= 4; ++ii) EXPECT_FALSE(core.has_positive_cycle(ii));
 }
 
 TEST(PositiveCycle, SelfLoopThreshold) {
   Ddg graph(1);
   graph.add_edge({0, 0, 5, 2, DepKind::kFlow, -1});  // needs II >= ceil(5/2) = 3
-  EXPECT_TRUE(has_positive_cycle(graph, 1));
-  EXPECT_TRUE(has_positive_cycle(graph, 2));
-  EXPECT_FALSE(has_positive_cycle(graph, 3));
-  EXPECT_FALSE(has_positive_cycle(graph, 10));
+  RecurrenceCore core(graph);
+  EXPECT_TRUE(core.has_positive_cycle(1));
+  EXPECT_TRUE(core.has_positive_cycle(2));
+  EXPECT_FALSE(core.has_positive_cycle(3));
+  EXPECT_FALSE(core.has_positive_cycle(10));
 }
 
 TEST(PositiveCycle, LongCycleThreshold) {
@@ -35,8 +37,9 @@ TEST(PositiveCycle, LongCycleThreshold) {
   graph.add_edge({0, 1, 3, 0, DepKind::kFlow, -1});
   graph.add_edge({1, 2, 3, 1, DepKind::kFlow, -1});
   graph.add_edge({2, 0, 1, 1, DepKind::kFlow, -1});
-  EXPECT_TRUE(has_positive_cycle(graph, 3));
-  EXPECT_FALSE(has_positive_cycle(graph, 4));
+  RecurrenceCore core(graph);
+  EXPECT_TRUE(core.has_positive_cycle(3));
+  EXPECT_FALSE(core.has_positive_cycle(4));
 }
 
 TEST(Circuits, FindsSelfLoop) {
@@ -81,8 +84,9 @@ TEST(Circuits, RecMiiMatchesCircuitMax) {
     ASSERT_FALSE(circuits.empty()) << name;
     int bound = 1;
     for (const Circuit& c : circuits) bound = std::max(bound, c.min_ii());
-    EXPECT_TRUE(has_positive_cycle(graph, bound - 1) || bound == 1) << name;
-    EXPECT_FALSE(has_positive_cycle(graph, bound)) << name;
+    RecurrenceCore core(graph);
+    EXPECT_TRUE(bound == 1 || core.has_positive_cycle(bound - 1)) << name;
+    EXPECT_FALSE(core.has_positive_cycle(bound)) << name;
   }
 }
 

@@ -240,19 +240,17 @@ TEST(SelectUnroll, PerFactorBoundsMatchNaive) {
   const MachineConfig machine = MachineConfig::single_cluster_machine(12);
   for (const Loop& loop : kernel_corpus()) {
     ASSERT_TRUE(unroll_probe_is_exact(loop)) << loop.name;
-    const Ddg base = Ddg::build(loop, machine.latency);
-    int rec_floor = 1;
+    RecMii base(Ddg::build(loop, machine.latency));
     for (int factor = 1; factor <= 6; ++factor) {
       const Loop materialized = unroll(loop, factor);
       const Ddg graph = Ddg::build(materialized, machine.latency);
       const MiiInfo oracle = compute_mii(materialized, graph, machine);
-      const MiiInfo fast = compute_mii(loop, base, machine, factor, rec_floor);
+      const MiiInfo fast = compute_mii(loop, base, machine, factor);
       const std::string where = cat(loop.name, " x", factor);
       EXPECT_EQ(fast.feasible, oracle.feasible) << where;
       EXPECT_EQ(fast.res_mii, oracle.res_mii) << where;
       EXPECT_EQ(fast.rec_mii, oracle.rec_mii) << where;
       EXPECT_EQ(fast.mii, oracle.mii) << where;
-      rec_floor = fast.rec_mii;
     }
   }
 }
