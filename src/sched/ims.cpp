@@ -296,7 +296,11 @@ ImsResult ims_schedule(const Loop& loop, const Ddg& graph, const MachineConfig& 
   const int first_ii = std::max(result.mii.mii, options.start_ii);
   const int last_ii = options.max_ii;
   if (first_ii > last_ii) {
-    result.failure = cat("II limit ", last_ii, " below MII ", result.mii.mii);
+    // Name whichever bound crossed the limit: MII, or else a queue-fit
+    // escalation's start II.
+    result.failure = result.mii.mii > last_ii
+                         ? cat("II limit ", last_ii, " below MII ", result.mii.mii)
+                         : cat("start II ", options.start_ii, " above II limit ", last_ii);
     return result;
   }
 

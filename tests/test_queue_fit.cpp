@@ -126,8 +126,8 @@ TEST(QueueFit, EscalationPastTheIiCapEndsInImsFailure) {
 
   options.ims.max_ii = first.ii + 1;
   const LoopResult got = run_pipeline(loop, machine, options);
-  EXPECT_EQ(got.failure, cat("queue-fit retry failed: II limit ", first.ii + 1, " below MII ",
-                             first.mii.mii));
+  EXPECT_EQ(got.failure, cat("queue-fit retry failed: start II ", first.ii + 2,
+                             " above II limit ", first.ii + 1));
   EXPECT_EQ(got.queue_fit_retries, 2);
   expect_same_cell(got, full_walk(loop, machine, options), "fir8");
 }
