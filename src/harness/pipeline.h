@@ -142,6 +142,12 @@ struct LoopResult {
   bool verify_checked = false;  // the verify stage ran the legality passes
   int verify_violations = 0;    // diagnostics found (0 on a legal artifact set)
 
+  /// Scheduling effort: placements, evictions, forced placements and II
+  /// attempts summed over the first schedule and every queue-fit
+  /// escalation, a failing one included (an escalation settled by
+  /// reschedule_invariant counts as the one attempt placing every op once
+  /// that it stands for); budget_spent and mii_optimal are the accepted
+  /// schedule's.
   ImsStats sched_stats;
 
   /// Registry name of the backend that scheduled this loop (empty when

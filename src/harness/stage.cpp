@@ -64,15 +64,18 @@ bool copy_insert_stage(PipelineContext& ctx) {
   return true;
 }
 
+/// The point's scheduler backend.  Unknown backend names throw Error
+/// here; run_stage converts that into the canonical "pipeline error: ..."
+/// failure with the registry's known-names diagnostic.
+const SchedulerBackend& backend_of(const PipelineContext& ctx) {
+  return ctx.options->backend.empty() ? scheduler_backend(ctx.options->scheduler)
+                                      : SchedulerRegistry::instance().require(ctx.options->backend);
+}
+
 /// One scheduling attempt starting at `start_ii` (0 = from MII): shared by
 /// the schedule stage and the queue-fit escalation of queue_alloc.
 ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
-  // Unknown backend names throw Error here; run_stage converts that into
-  // the canonical "pipeline error: ..." failure with the registry's
-  // known-names diagnostic.
-  const SchedulerBackend& backend =
-      ctx.options->backend.empty() ? scheduler_backend(ctx.options->scheduler)
-                                   : SchedulerRegistry::instance().require(ctx.options->backend);
+  const SchedulerBackend& backend = backend_of(ctx);
 
   ScheduleRequest request;
   request.loop = &ctx.loop;
@@ -110,32 +113,56 @@ bool schedule_stage(PipelineContext& ctx) {
   return true;
 }
 
+/// Adds `times` escalations that each cost `step` to a cell's scheduling
+/// effort, which sums over the first schedule and every escalation.
+void add_effort(ImsStats& effort, const ImsStats& step, int times = 1) {
+  effort.placements += times * step.placements;
+  effort.evictions += times * step.evictions;
+  effort.forced += times * step.forced;
+  effort.ii_attempts += times * step.ii_attempts;
+}
+
 bool queue_alloc_stage(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
   ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
   result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
   if (ctx.options->enforce_queue_limits) {
+    // Every escalation schedules the same loop and graph, so a backend
+    // that takes cached bounds reuses the accepted schedule's.
+    if (!result.fits_machine_queues && backend_of(ctx).consumes_cached_mii()) {
+      ctx.known_mii = ctx.sched.mii;
+    }
     // Escalate the II until the allocation fits the machine's queues.
+    // result.sched_stats sums the effort; its budget_spent and mii_optimal
+    // stay the accepted schedule's.
+    ImsStats& effort = result.sched_stats;
     while (!result.fits_machine_queues &&
            result.queue_fit_retries < ctx.options->queue_fit_attempts) {
       if (ctx.sched.ii_invariant && ctx.sched.ii < ctx.options->ims.max_ii) {
         // Every larger II repeats these placements and so this allocation
         // (ImsResult::ii_invariant): no escalation up to the II cap can
-        // fit, so count them instead of rescheduling each one.  Past the
-        // cap, IMS runs and reports its own failure.
+        // fit, so count them instead of rescheduling each one, each as the
+        // one attempt that places every op once.  Past the cap, IMS runs
+        // and reports its own failure.
         const int steps = std::min(ctx.options->queue_fit_attempts - result.queue_fit_retries,
                                    ctx.options->ims.max_ii - ctx.sched.ii);
         result.queue_fit_retries += steps;
         ctx.sched = reschedule_invariant(ctx.sched, ctx.sched.ii + steps);
+        add_effort(effort, ctx.sched.stats, steps);
+        effort.budget_spent = ctx.sched.stats.budget_spent;
+        effort.mii_optimal = ctx.sched.stats.mii_optimal;
         continue;
       }
       ++result.queue_fit_retries;
       ImsResult retry = schedule_attempt(ctx, ctx.sched.ii + 1);
+      add_effort(effort, retry.stats);
       if (!retry.ok) {
         result.failure = cat("queue-fit retry failed: ", retry.failure);
         return false;
       }
       ctx.sched = std::move(retry);
+      effort.budget_spent = ctx.sched.stats.budget_spent;
+      effort.mii_optimal = ctx.sched.stats.mii_optimal;
       // Provenance tracks the accepted schedule: a retry that searched
       // replaces a warm install (and vice versa).
       ctx.result.warm_started = ctx.sched.warm_started;
@@ -147,7 +174,6 @@ bool queue_alloc_stage(PipelineContext& ctx) {
                            result.queue_fit_retries, " II escalations");
       return false;
     }
-    result.sched_stats = ctx.sched.stats;
   }
 
   result.sched_ops = ctx.loop.op_count();  // retries may have added moves

@@ -19,8 +19,10 @@ namespace qvliw {
 namespace {
 
 /// A cell whose queue_alloc stage failed: the front end's and the schedule
-/// stage's fields of `first`, nothing of a later stage.
-LoopResult failed_escalation(const LoopResult& first, int retries, std::string failure) {
+/// stage's fields of `first`, the walk's summed `effort`, nothing of a
+/// later stage.
+LoopResult failed_escalation(const LoopResult& first, int retries, const ImsStats& effort,
+                             std::string failure) {
   LoopResult r;
   r.name = first.name;
   r.failure = std::move(failure);
@@ -34,7 +36,7 @@ LoopResult failed_escalation(const LoopResult& first, int retries, std::string f
   r.rec_mii = first.rec_mii;
   r.mii = first.mii;
   r.queue_fit_retries = retries;
-  r.sched_stats = first.sched_stats;
+  r.sched_stats = effort;
   r.backend = first.backend;
   return r;
 }
@@ -42,28 +44,38 @@ LoopResult failed_escalation(const LoopResult& first, int retries, std::string f
 /// Queue-fit escalation as a full walk: every step reschedules from
 /// scratch one II above the last step and reallocates.  A step is a
 /// run_pipeline call without enforcement whose search starts at that II.
+/// The effort sums over the first call and every step, a failing one
+/// included; budget_spent and mii_optimal are the last accepted step's.
 LoopResult full_walk(const Loop& loop, const MachineConfig& machine, PipelineOptions options) {
   const int attempts = options.queue_fit_attempts;
   options.enforce_queue_limits = false;
   const LoopResult first = run_pipeline(loop, machine, options);
   if (first.failed_stage == "schedule") return first;
   LoopResult step = first;
+  ImsStats effort = first.sched_stats;
   int retries = 0;
   while (!step.fits_machine_queues && retries < attempts) {
     ++retries;
     options.ims.start_ii = step.ii + 1;
     LoopResult next = run_pipeline(loop, machine, options);
+    effort.placements += next.sched_stats.placements;
+    effort.evictions += next.sched_stats.evictions;
+    effort.forced += next.sched_stats.forced;
+    effort.ii_attempts += next.sched_stats.ii_attempts;
     if (next.failed_stage == "schedule") {
-      return failed_escalation(first, retries, "queue-fit retry failed: " + next.failure);
+      return failed_escalation(first, retries, effort, "queue-fit retry failed: " + next.failure);
     }
+    effort.budget_spent = next.sched_stats.budget_spent;
+    effort.mii_optimal = next.sched_stats.mii_optimal;
     step = std::move(next);
   }
   if (!step.fits_machine_queues) {
     return failed_escalation(
-        first, retries,
+        first, retries, effort,
         cat("allocation does not fit machine queues after ", retries, " II escalations"));
   }
   step.queue_fit_retries = retries;
+  step.sched_stats = effort;
   return step;
 }
 
@@ -81,7 +93,11 @@ void expect_same_cell(const LoopResult& got, const LoopResult& want, const std::
   EXPECT_EQ(got.ii, want.ii) << where;
   EXPECT_EQ(got.total_queues, want.total_queues) << where;
   EXPECT_EQ(got.sched_stats.placements, want.sched_stats.placements) << where;
+  EXPECT_EQ(got.sched_stats.evictions, want.sched_stats.evictions) << where;
+  EXPECT_EQ(got.sched_stats.forced, want.sched_stats.forced) << where;
   EXPECT_EQ(got.sched_stats.ii_attempts, want.sched_stats.ii_attempts) << where;
+  EXPECT_EQ(got.sched_stats.budget_spent, want.sched_stats.budget_spent) << where;
+  EXPECT_EQ(got.sched_stats.mii_optimal, want.sched_stats.mii_optimal) << where;
   EXPECT_EQ(fingerprint(got), fingerprint(want)) << where;
 }
 
@@ -99,9 +115,13 @@ TEST(QueueFit, EscalationMatchesTheFullWalk) {
     const MachineConfig machine = MachineConfig::single_cluster_machine(6, queues);
     for (const Loop& loop : suite.loops) {
       const LoopResult got = run_pipeline(loop, machine, options);
-      expect_same_cell(got, full_walk(loop, machine, options),
-                       cat(loop.name, " at ", queues, " queues"));
-      if (!got.ok && got.queue_fit_retries == options.queue_fit_attempts) ++exhausted;
+      const std::string where = cat(loop.name, " at ", queues, " queues");
+      expect_same_cell(got, full_walk(loop, machine, options), where);
+      if (!got.ok && got.queue_fit_retries == options.queue_fit_attempts) {
+        ++exhausted;
+        // The first schedule and every escalation each made an attempt.
+        EXPECT_GE(got.sched_stats.ii_attempts, 1 + got.queue_fit_retries) << where;
+      }
     }
   }
   EXPECT_GT(exhausted, 0);
