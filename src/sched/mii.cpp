@@ -40,8 +40,7 @@ int RecMii::at(int factor) {
   // distance-carrying edges.  lo < lambda <= hi puts the answer in
   // [floor(U*lo) + 1, ceil(U*hi)], and the top of that range is feasible.
   const long long u = factor;
-  const long long bottom = u * lo_num_ / lo_den_ + 1;
-  long long lo = bottom;
+  long long lo = u * lo_num_ / lo_den_ + 1;
   long long hi = (u * hi_num_ + hi_den_ - 1) / hi_den_;
   QVLIW_ASSERT(lo <= hi, "rec_mii: empty circuit-ratio bracket");
   while (lo < hi) {
@@ -52,13 +51,13 @@ int RecMii::at(int factor) {
       hi = mid;
     }
   }
-  // lambda <= lo/U; and lambda > (lo - 1)/U when the search rejected lo - 1,
-  // which it did whenever it rose above the bottom of its range.
+  // lambda <= lo/U, and lambda > (lo - 1)/U: the search rejected lo - 1
+  // unless lo is the bottom of its range, where (lo - 1)/U <= lo_ already.
   if (lo * hi_den_ < hi_num_ * u) {
     hi_num_ = lo;
     hi_den_ = u;
   }
-  if (lo > bottom && (lo - 1) * lo_den_ > lo_num_ * u) {
+  if ((lo - 1) * lo_den_ > lo_num_ * u) {
     lo_num_ = lo - 1;
     lo_den_ = u;
   }
