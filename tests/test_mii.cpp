@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/pipeline.h"
 #include "ir/graph_algos.h"
 #include "ir/parser.h"
 #include "sched/mii.h"
+#include "support/diagnostics.h"
+#include "support/rng.h"
 #include "workload/kernels.h"
 #include "workload/synth.h"
 
@@ -115,6 +121,146 @@ TEST(RecMii, MatchesCircuitEnumerationOnSyntheticLoops) {
     for (const Circuit& c : circuits) bound = std::max(bound, c.min_ii());
     EXPECT_EQ(rec_mii(graph), bound) << loop.name;
   }
+}
+
+// --- the recurrence core against an independent oracle ---------------------
+
+/// A seeded random DDG in which every circuit carries distance.  Each node
+/// has a rank, and a distance-0 edge only climbs the ranks, so a circuit
+/// must take a distance-carrying edge to close.  Circuits climb through a
+/// rank window, mostly by distance-0 chains, and close with a
+/// distance-carrying edge (a window of one rank is a self-loop).  Random
+/// edges add further circuits, parallel edges repeat an edge with other
+/// weights, latencies are 0 a quarter of the time, and acyclic tails
+/// (nodes ranked below or above every other, with edges only up the ranks)
+/// feed into and leave the circuits.  Node numbers are a random
+/// permutation of the ranks, so Tarjan's walk may start anywhere.
+Ddg random_recurrence_graph(Rng& rng) {
+  const int body = rng.uniform_int(1, 7);
+  const int feeders = rng.uniform_int(0, 2);
+  const int sinks = rng.uniform_int(0, 2);
+  const int n = feeders + body + sinks;
+  // node_at[r]: the node of rank r.  Ranks [0, feeders) feed the body,
+  // [feeders, feeders + body) hold the circuits, the rest are sinks.
+  std::vector<int> node_at(static_cast<std::size_t>(n));
+  std::iota(node_at.begin(), node_at.end(), 0);
+  for (int r = n - 1; r > 0; --r) {
+    std::swap(node_at[static_cast<std::size_t>(r)],
+              node_at[static_cast<std::size_t>(rng.uniform_int(0, r))]);
+  }
+  const auto node = [&](int rank) { return node_at[static_cast<std::size_t>(rank)]; };
+
+  Ddg graph(n);
+  const auto add = [&](int from_rank, int to_rank, int distance) {
+    const int latency = rng.chance(0.25) ? 0 : rng.uniform_int(1, 6);
+    graph.add_edge({node(from_rank), node(to_rank), latency, distance, DepKind::kFlow, -1});
+  };
+  for (int circuits = rng.uniform_int(1, 3); circuits > 0; --circuits) {
+    const int lo = feeders + rng.uniform_int(0, body - 1);
+    const int hi = rng.uniform_int(lo, feeders + body - 1);
+    for (int r = lo; r < hi; ++r) add(r, r + 1, rng.chance(0.75) ? 0 : rng.uniform_int(1, 2));
+    add(hi, lo, rng.uniform_int(1, 3));
+  }
+  for (int extra = rng.uniform_int(0, body); extra > 0; --extra) {
+    const int a = feeders + rng.uniform_int(0, body - 1);
+    const int b = feeders + rng.uniform_int(0, body - 1);
+    add(a, b, a < b && rng.chance(0.5) ? 0 : rng.uniform_int(1, 3));
+  }
+  for (int parallel = rng.uniform_int(0, 2); parallel > 0; --parallel) {
+    const DepEdge& e = graph.edge(rng.uniform_int(0, graph.edge_count() - 1));
+    graph.add_edge({e.src, e.dst, rng.uniform_int(0, 6), e.distance == 0 ? 0 : rng.uniform_int(1, 3),
+                    DepKind::kFlow, -1});
+  }
+  for (int r = 0; r < feeders; ++r) add(r, rng.uniform_int(r + 1, feeders + body - 1), 0);
+  for (int r = feeders + body; r < n; ++r) add(rng.uniform_int(feeders, r - 1), r, rng.uniform_int(0, 2));
+  return graph;
+}
+
+/// max(1, max over circuits of ceil(U * latency_sum / distance_sum)).
+int circuit_rec_mii(const std::vector<Circuit>& circuits, int factor) {
+  int bound = 1;
+  for (const Circuit& c : circuits) {
+    bound = std::max(bound, (factor * c.latency_sum + c.distance_sum - 1) / c.distance_sum);
+  }
+  return bound;
+}
+
+TEST(RecMii, EveryFactorMatchesCircuitEnumerationInAnyOrder) {
+  Rng rng(0x5eedc0deULL);
+  std::vector<int> factors(12);
+  std::iota(factors.begin(), factors.end(), 1);
+  int with_circuits = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Ddg graph = random_recurrence_graph(rng);
+    const std::vector<Circuit> circuits = elementary_circuits(graph, 100000);
+    ASSERT_LT(circuits.size(), 100000u) << "trial " << trial;
+    for (const Circuit& c : circuits) ASSERT_GT(c.distance_sum, 0) << "trial " << trial;
+    if (!circuits.empty()) ++with_circuits;
+
+    RecMii increasing(graph);
+    for (const int factor : factors) {
+      EXPECT_EQ(increasing.at(factor), circuit_rec_mii(circuits, factor))
+          << "trial " << trial << " x" << factor << " increasing";
+    }
+    std::vector<int> shuffled = factors;
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      std::swap(shuffled[i], shuffled[static_cast<std::size_t>(
+                                 rng.uniform_int(0, static_cast<int>(i)))]);
+    }
+    RecMii fresh(graph);
+    for (const int factor : shuffled) {
+      EXPECT_EQ(fresh.at(factor), circuit_rec_mii(circuits, factor))
+          << "trial " << trial << " x" << factor << " shuffled";
+      EXPECT_EQ(increasing.at(factor), circuit_rec_mii(circuits, factor))
+          << "trial " << trial << " x" << factor << " asked again";
+    }
+  }
+  EXPECT_EQ(with_circuits, 400);
+}
+
+// --- the zero-distance-cycle assertion ---------------------------------------
+
+void expect_zero_distance_cycle_error(const Ddg& graph) {
+  try {
+    (void)rec_mii(graph);
+    FAIL() << "rec_mii accepted a zero-distance cycle";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("DDG has a zero-distance cycle"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(RecMii, ZeroDistanceCycleOfPositiveLatencyThrows) {
+  Ddg graph(2);
+  graph.add_edge({0, 1, 1, 0, DepKind::kFlow, -1});
+  graph.add_edge({1, 0, 0, 0, DepKind::kFlow, -1});
+  expect_zero_distance_cycle_error(graph);
+}
+
+TEST(RecMii, ZeroDistanceCycleBehindAnAcyclicPartThrows) {
+  // A legal recurrence 0 <-> 1, an acyclic chain 1 -> 2 -> 3, and the
+  // zero-distance cycle 3 <-> 4 in a second component.
+  Ddg graph(5);
+  graph.add_edge({0, 1, 2, 0, DepKind::kFlow, -1});
+  graph.add_edge({1, 0, 1, 1, DepKind::kFlow, -1});
+  graph.add_edge({1, 2, 1, 0, DepKind::kFlow, -1});
+  graph.add_edge({2, 3, 1, 0, DepKind::kFlow, -1});
+  graph.add_edge({3, 4, 2, 0, DepKind::kFlow, -1});
+  graph.add_edge({4, 3, 0, 0, DepKind::kFlow, -1});
+  expect_zero_distance_cycle_error(graph);
+}
+
+TEST(RecMii, ZeroLatencyZeroDistanceCycleIsLegal) {
+  // Weight 0 at every II: the cycle constrains nothing, and the self-loop
+  // beside it (latency 4, distance 1) sets RecMII.
+  Ddg graph(3);
+  graph.add_edge({0, 1, 0, 0, DepKind::kFlow, -1});
+  graph.add_edge({1, 0, 0, 0, DepKind::kFlow, -1});
+  EXPECT_EQ(rec_mii(graph), 1);
+  graph.add_edge({1, 2, 3, 0, DepKind::kFlow, -1});
+  graph.add_edge({2, 2, 4, 1, DepKind::kFlow, -1});
+  RecMii rec(graph);
+  for (int factor = 1; factor <= 4; ++factor) EXPECT_EQ(rec.at(factor), 4 * factor);
 }
 
 TEST(Mii, CombinesBounds) {
