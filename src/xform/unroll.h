@@ -17,12 +17,13 @@
 // any candidate: the DDG of the unrolled loop is the U-fold *replica lift*
 // of the base DDG (value edges by the operand rewrite above, memory edges
 // because affine dependences scale with the stride), so per-factor RecMII
-// is decidable on the base graph under scaled weights and per-factor
-// ResMII follows from FU-class counts.  The one place the lift argument
-// breaks is memdep's distance cutoff — loops carrying a same-array offset
-// pair further than kMemDepMaxDistance iterations apart fall back to the
-// naive materialise-and-measure probe so the chosen factor stays
-// bit-identical (the golden-equivalence tests enforce this).
+// is decidable on the base graph under scaled weights (one RecMii answers
+// every factor) and per-factor ResMII follows from FU-class counts.  The
+// one place the lift argument breaks is memdep's distance cutoff — loops
+// carrying a same-array offset pair further than kMemDepMaxDistance
+// iterations apart fall back to the naive materialise-and-measure probe so
+// the chosen factor stays bit-identical (the golden-equivalence tests
+// enforce this).
 #pragma once
 
 #include <memory>
