@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -291,7 +292,7 @@ std::uint64_t slots_per_cycle(const MachineConfig& machine) {
 
 /// The cycle up to which one queue's FIFO replay runs: past the members'
 /// latest pop by two IIs, long enough to reach steady state.
-long long replay_horizon(const QueueAllocation& allocation, const std::vector<int>& members,
+long long replay_horizon(const QueueAllocation& allocation, std::span<const int> members,
                          int ii) {
   long long horizon = 0;
   for (int l : members) {
@@ -324,6 +325,135 @@ std::uint64_t replay_event_count(const QueueAllocation& allocation, int ii, std:
   return events;
 }
 
+/// One member lifetime's pushes (or pops) in a queue's FIFO replay: an
+/// event every II cycles from its first.  Windows are II cycles long and
+/// counted from the queue's earliest push, so a stream that has started
+/// has exactly one event per window, `phase` cycles into it.
+struct ReplayStream {
+  long long first_window = 0;
+  int phase = 0;
+  bool is_pop = false;  // pushes replay before pops within a cycle
+  int lifetime = -1;
+};
+
+/// Buffers the FIFO replay reuses across the queues of one call.
+struct ReplayScratch {
+  std::vector<ReplayStream> streams;  // by (first_window, phase, is_pop, lifetime)
+  std::vector<ReplayStream> active;   // started streams, by (phase, is_pop, lifetime)
+  std::vector<ReplayStream> merged;
+  std::vector<std::pair<int, long long>> fifo;  // (lifetime, instance)
+};
+
+/// Replays queue `q`'s members' pushes and pops in (cycle, push before
+/// pop, lifetime, instance) order up to the replay horizon, enforcing the
+/// hardware's rules directly: pushes land at cycle start, pops retire at
+/// cycle end, one push and one pop per queue per cycle, and a pop must
+/// take the value at the front.  Stops at, and reports, the queue's first
+/// violation and then returns false.  `peak` is the largest live count
+/// the replay reached.
+///
+/// Within one window the started streams' events come in (phase, push
+/// before pop, lifetime) order, so the replay keeps those streams in that
+/// order, merging each new one in at its first window, and walks them once
+/// per window.  Every stream it walks has an event there (in the last
+/// window it stops at the horizon), and the earliest push's stream has one
+/// in every window, so the work is linear in the events plus one sort of
+/// the streams.
+bool replay_queue(const QueueAllocation& allocation, std::span<const int> members, int ii,
+                  int q, const AllocatedQueue& queue, const Topology& topology,
+                  ReplayScratch& scratch, VerifyReport& report, int& peak) {
+  peak = 0;
+  if (members.empty()) return true;
+  const long long horizon = replay_horizon(allocation, members, ii);
+  long long base = allocation.lifetimes[static_cast<std::size_t>(members[0])].push;
+  for (int l : members) {
+    base = std::min<long long>(base, allocation.lifetimes[static_cast<std::size_t>(l)].push);
+  }
+  // Every member pops no earlier than it pushes, so no stream starts before
+  // the base or after the horizon.
+  scratch.streams.clear();
+  std::size_t pushes = 0;
+  for (int l : members) {
+    const Lifetime& lt = allocation.lifetimes[static_cast<std::size_t>(l)];
+    for (const bool is_pop : {false, true}) {
+      const long long offset = (is_pop ? lt.pop : lt.push) - base;
+      scratch.streams.push_back({offset / ii, static_cast<int>(offset % ii), is_pop, l});
+    }
+    pushes += static_cast<std::size_t>((horizon - lt.push) / ii + 1);
+  }
+  const auto by_start = [](const ReplayStream& a, const ReplayStream& b) {
+    return std::tie(a.first_window, a.phase, a.is_pop, a.lifetime) <
+           std::tie(b.first_window, b.phase, b.is_pop, b.lifetime);
+  };
+  const auto by_phase = [](const ReplayStream& a, const ReplayStream& b) {
+    return std::tie(a.phase, a.is_pop, a.lifetime) < std::tie(b.phase, b.is_pop, b.lifetime);
+  };
+  std::sort(scratch.streams.begin(), scratch.streams.end(), by_start);
+
+  // The FIFO is an append-only buffer with a head cursor (values are
+  // never shifted; a pop just advances the head).
+  auto& fifo = scratch.fifo;
+  fifo.clear();
+  fifo.reserve(pushes);
+  scratch.active.clear();
+  std::size_t head = 0;
+  long long last_push_cycle = -1;
+  long long last_pop_cycle = -1;
+  auto next = scratch.streams.begin();
+  const long long last_window = (horizon - base) / ii;
+  for (long long window = 0; window <= last_window; ++window) {
+    if (next != scratch.streams.end() && next->first_window == window) {
+      const auto starting =
+          std::find_if(next, scratch.streams.end(),
+                       [&](const ReplayStream& s) { return s.first_window != window; });
+      scratch.merged.clear();
+      std::merge(scratch.active.begin(), scratch.active.end(), next, starting,
+                 std::back_inserter(scratch.merged), by_phase);
+      scratch.active.swap(scratch.merged);
+      next = starting;
+    }
+    const long long window_start = base + window * ii;
+    for (const ReplayStream& stream : scratch.active) {
+      const long long time = window_start + stream.phase;
+      if (time > horizon) break;
+      const long long instance = window - stream.first_window;
+      if (!stream.is_pop) {
+        if (time == last_push_cycle) {
+          report.add(VerifyRule::kQueuePort,
+                     cat("queue ", q, " (", safe_domain_name(topology, queue.domain),
+                         ") receives two pushes in cycle ", time));
+          return false;
+        }
+        last_push_cycle = time;
+        fifo.emplace_back(stream.lifetime, instance);
+        peak = std::max(peak, static_cast<int>(fifo.size() - head));
+      } else {
+        if (time == last_pop_cycle) {
+          report.add(VerifyRule::kQueuePort,
+                     cat("queue ", q, " services two pops in cycle ", time));
+          return false;
+        }
+        last_pop_cycle = time;
+        if (head == fifo.size()) {
+          report.add(VerifyRule::kQueueFifo,
+                     cat("queue ", q, ": pop of lifetime ", stream.lifetime, " instance ",
+                         instance, " at cycle ", time, " finds the queue empty"));
+          return false;
+        }
+        if (fifo[head] != std::make_pair(stream.lifetime, instance)) {
+          report.add(VerifyRule::kQueueFifo,
+                     cat("queue ", q, ": pop at cycle ", time, " expects lifetime ",
+                         stream.lifetime, " instance ", instance, " but lifetime ",
+                         fifo[head].first, " instance ", fifo[head].second, " is at the front"));
+          return false;
+        }
+        ++head;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 VerifyReport verify_ddg(const Loop& loop, const Ddg& graph, const LatencyModel& latency) {
@@ -341,24 +471,27 @@ VerifyReport verify_ddg(const Loop& loop, const Ddg& graph, const LatencyModel& 
   }
 
   // Expected register flow: one edge per value operand, carrying the
-  // producing opcode's latency and the operand's distance.
+  // producing opcode's latency and the operand's distance.  One flat array
+  // over every operand slot: op d's are [slot_begin[d], slot_begin[d + 1]).
   struct ExpectedFlow {
-    int src = -1;
+    int src = -1;  // -1: the slot is not a value operand
     int latency = 0;
     int distance = 0;
     bool seen = false;
   };
-  std::vector<std::vector<std::optional<ExpectedFlow>>> expected_flow(
-      static_cast<std::size_t>(loop.op_count()));
-  for (int d = 0; d < loop.op_count(); ++d) {
-    const Op& op = loop.ops[static_cast<std::size_t>(d)];
-    auto& slots = expected_flow[static_cast<std::size_t>(d)];
-    slots.resize(op.args.size());
+  std::vector<int> slot_begin(static_cast<std::size_t>(loop.op_count()) + 1, 0);
+  for (std::size_t d = 0; d < loop.ops.size(); ++d) {
+    slot_begin[d + 1] = slot_begin[d] + static_cast<int>(loop.ops[d].args.size());
+  }
+  std::vector<ExpectedFlow> expected_flow(static_cast<std::size_t>(slot_begin.back()));
+  for (std::size_t d = 0; d < loop.ops.size(); ++d) {
+    const Op& op = loop.ops[d];
     for (std::size_t a = 0; a < op.args.size(); ++a) {
       const Operand& arg = op.args[a];
       if (!arg.is_value()) continue;
       const Opcode producer = loop.ops[static_cast<std::size_t>(arg.value_op)].opcode;
-      slots[a] = ExpectedFlow{arg.value_op, latency.of(producer), arg.distance, false};
+      expected_flow[static_cast<std::size_t>(slot_begin[d]) + a] =
+          ExpectedFlow{arg.value_op, latency.of(producer), arg.distance, false};
     }
   }
 
@@ -367,15 +500,16 @@ VerifyReport verify_ddg(const Loop& loop, const Ddg& graph, const LatencyModel& 
   for (int e = 0; e < graph.edge_count(); ++e) {
     const DepEdge& edge = graph.edge(e);
     if (edge.kind == DepKind::kFlow) {
-      auto& slots = expected_flow[static_cast<std::size_t>(edge.dst)];
-      if (edge.dst_arg < 0 || edge.dst_arg >= static_cast<int>(slots.size()) ||
-          !slots[static_cast<std::size_t>(edge.dst_arg)].has_value()) {
+      const int first = slot_begin[static_cast<std::size_t>(edge.dst)];
+      const int slots = slot_begin[static_cast<std::size_t>(edge.dst) + 1] - first;
+      if (edge.dst_arg < 0 || edge.dst_arg >= slots ||
+          expected_flow[static_cast<std::size_t>(first + edge.dst_arg)].src < 0) {
         report.add(VerifyRule::kDdgFlow, cat("flow edge ", edge.src, "->", edge.dst,
                                              " targets non-value operand slot ", edge.dst_arg,
                                              " of ", op_label(loop, edge.dst)));
         continue;
       }
-      ExpectedFlow& want = *slots[static_cast<std::size_t>(edge.dst_arg)];
+      ExpectedFlow& want = expected_flow[static_cast<std::size_t>(first + edge.dst_arg)];
       if (want.seen) {
         report.add(VerifyRule::kDdgFlow, cat("duplicate flow edge into operand ", edge.dst_arg,
                                              " of ", op_label(loop, edge.dst)));
@@ -431,9 +565,10 @@ VerifyReport verify_ddg(const Loop& loop, const Ddg& graph, const LatencyModel& 
   }
 
   for (int d = 0; d < loop.op_count(); ++d) {
-    const auto& slots = expected_flow[static_cast<std::size_t>(d)];
-    for (std::size_t a = 0; a < slots.size(); ++a) {
-      if (slots[a].has_value() && !slots[a]->seen) {
+    const int first = slot_begin[static_cast<std::size_t>(d)];
+    for (int a = 0; first + a < slot_begin[static_cast<std::size_t>(d) + 1]; ++a) {
+      const ExpectedFlow& want = expected_flow[static_cast<std::size_t>(first + a)];
+      if (want.src >= 0 && !want.seen) {
         report.add(VerifyRule::kDdgFlow, cat("value operand ", a, " of ", op_label(loop, d),
                                              " has no flow edge"));
       }
@@ -658,7 +793,9 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
                    allocation.lifetimes.size()));
     return report;
   }
-  std::vector<std::vector<int>> members_of(static_cast<std::size_t>(queue_count));
+  // The members queue_of derives, as CSR: queue q's lifetimes, ascending,
+  // are member_ids[member_off[q], member_off[q + 1]).
+  std::vector<int> member_off(static_cast<std::size_t>(queue_count) + 1, 0);
   bool assignment_ok = true;
   for (std::size_t l = 0; l < allocation.queue_of.size(); ++l) {
     const int q = allocation.queue_of[l];
@@ -668,15 +805,28 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
       assignment_ok = false;
       continue;
     }
-    members_of[static_cast<std::size_t>(q)].push_back(static_cast<int>(l));
+    ++member_off[static_cast<std::size_t>(q)];
   }
+  for (std::size_t q = 1; q <= static_cast<std::size_t>(queue_count); ++q) {
+    member_off[q] += member_off[q - 1];
+  }
+  std::vector<int> member_ids(static_cast<std::size_t>(member_off.back()));
+  for (int l = static_cast<int>(allocation.queue_of.size()) - 1; l >= 0; --l) {
+    const int q = allocation.queue_of[static_cast<std::size_t>(l)];
+    if (q < 0 || q >= queue_count) continue;
+    member_ids[static_cast<std::size_t>(--member_off[static_cast<std::size_t>(q)])] = l;
+  }
+  const auto members_of = [&](int q) {
+    return std::span<const int>(member_ids.data() + member_off[static_cast<std::size_t>(q)],
+                                member_ids.data() + member_off[static_cast<std::size_t>(q) + 1]);
+  };
+  std::vector<int> recorded;  // one queue's member list, sorted; reused
   for (int q = 0; q < queue_count; ++q) {
     const AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
-    std::vector<int> recorded = queue.members;
-    std::vector<int> derived = members_of[static_cast<std::size_t>(q)];
+    const std::span<const int> derived = members_of(q);
+    recorded.assign(queue.members.begin(), queue.members.end());
     std::sort(recorded.begin(), recorded.end());
-    std::sort(derived.begin(), derived.end());
-    if (recorded != derived) {
+    if (!std::equal(recorded.begin(), recorded.end(), derived.begin(), derived.end())) {
       report.add(VerifyRule::kQueueAssignment,
                  cat("queue ", q, " member list disagrees with queue_of (", recorded.size(),
                      " recorded, ", derived.size(), " derived)"));
@@ -697,11 +847,7 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
     }
   }
 
-  // Joint FIFO simulation per queue: replay every member instance's push
-  // and pop over a horizon long enough to reach steady state, enforcing
-  // the hardware's rules directly — pushes land at cycle start, pops
-  // retire at cycle end, one push and one pop per queue per cycle, and a
-  // pop must take the value at the front.  This deliberately does not use
+  // Joint FIFO simulation per queue (replay_queue), deliberately not
   // qrf/qcompat.h's closed-form test.  A replay that finishes clean must
   // peak at the queue's recorded depth, which queue-fit escalation and
   // the results read: it starts from an empty queue, runs two IIs past
@@ -709,90 +855,22 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
   // a push, so its peak is the steady-state maximum.
   std::vector<int> sim_occupancy(static_cast<std::size_t>(queue_count), 0);
   if (assignment_ok) {
+    ReplayScratch scratch;
     for (int q = 0; q < queue_count; ++q) {
-      const std::vector<int>& members = members_of[static_cast<std::size_t>(q)];
+      const std::span<const int> members = members_of(q);
       const AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
       const bool all_usable =
           std::all_of(members.begin(), members.end(),
                       [&](int l) { return lifetime_usable[static_cast<std::size_t>(l)]; });
       if (!all_usable) continue;  // endpoint diagnostics already filed
-      const long long horizon = replay_horizon(allocation, members, ii);
-
-      struct Event {
-        long long time = 0;
-        bool is_pop = false;  // pushes sort before pops within a cycle
-        int lifetime = -1;
-        long long instance = 0;
-      };
-      std::vector<Event> events;
-      for (int l : members) {
-        const Lifetime& lt = allocation.lifetimes[static_cast<std::size_t>(l)];
-        for (long long k = 0; lt.push + k * ii <= horizon; ++k) {
-          events.push_back({lt.push + k * ii, false, l, k});
-          if (lt.pop + k * ii <= horizon) events.push_back({lt.pop + k * ii, true, l, k});
-        }
-      }
-      std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-        return std::tie(a.time, a.is_pop, a.lifetime, a.instance) <
-               std::tie(b.time, b.is_pop, b.lifetime, b.instance);
-      });
-
-      // The FIFO is an append-only buffer with a head cursor (values are
-      // never shifted; a pop just advances the head), so the whole replay
-      // is linear in the event count.
-      std::vector<std::pair<int, long long>> fifo;  // (lifetime, instance)
-      fifo.reserve(events.size() / 2 + 1);
-      std::size_t head = 0;
-      long long last_push_cycle = -1;
-      long long last_pop_cycle = -1;
-      bool queue_ok = true;
-      for (const Event& event : events) {
-        if (!queue_ok) break;
-        if (!event.is_pop) {
-          if (event.time == last_push_cycle) {
-            report.add(VerifyRule::kQueuePort,
-                       cat("queue ", q, " (", safe_domain_name(topology, queue.domain),
-                           ") receives two pushes in cycle ", event.time));
-            queue_ok = false;
-            break;
-          }
-          last_push_cycle = event.time;
-          fifo.emplace_back(event.lifetime, event.instance);
-          sim_occupancy[static_cast<std::size_t>(q)] =
-              std::max(sim_occupancy[static_cast<std::size_t>(q)],
-                       static_cast<int>(fifo.size() - head));
-        } else {
-          if (event.time == last_pop_cycle) {
-            report.add(VerifyRule::kQueuePort,
-                       cat("queue ", q, " services two pops in cycle ", event.time));
-            queue_ok = false;
-            break;
-          }
-          last_pop_cycle = event.time;
-          if (head == fifo.size()) {
-            report.add(VerifyRule::kQueueFifo,
-                       cat("queue ", q, ": pop of lifetime ", event.lifetime, " instance ",
-                           event.instance, " at cycle ", event.time, " finds the queue empty"));
-            queue_ok = false;
-            break;
-          }
-          if (fifo[head] != std::make_pair(event.lifetime, event.instance)) {
-            report.add(
-                VerifyRule::kQueueFifo,
-                cat("queue ", q, ": pop at cycle ", event.time, " expects lifetime ",
-                    event.lifetime, " instance ", event.instance, " but lifetime ",
-                    fifo[head].first, " instance ", fifo[head].second, " is at the front"));
-            queue_ok = false;
-            break;
-          }
-          ++head;
-        }
-      }
-      if (queue_ok && queue.max_occupancy != sim_occupancy[static_cast<std::size_t>(q)]) {
+      int& peak = sim_occupancy[static_cast<std::size_t>(q)];
+      const bool queue_ok =
+          replay_queue(allocation, members, ii, q, queue, topology, scratch, report, peak);
+      if (queue_ok && queue.max_occupancy != peak) {
         report.add(VerifyRule::kQueueDepth,
                    cat("queue ", q, " (", safe_domain_name(topology, queue.domain),
                        ") records depth ", queue.max_occupancy, ", its FIFO replay peaks at ",
-                       sim_occupancy[static_cast<std::size_t>(q)]));
+                       peak));
       }
     }
   }
@@ -801,11 +879,17 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
   // the allocation fits: per-domain queue counts and simulated occupancy
   // against configured depths.
   if (must_fit && assignment_ok) {
-    std::map<QueueDomain, int> queues_per_domain;
-    for (const AllocatedQueue& queue : allocation.queues) {
-      ++queues_per_domain[queue.domain];
-    }
-    for (const auto& [domain, used] : queues_per_domain) {
+    // Queues per domain, in domain order: one sorted run per domain.
+    std::vector<QueueDomain> domains;
+    domains.reserve(allocation.queues.size());
+    for (const AllocatedQueue& queue : allocation.queues) domains.push_back(queue.domain);
+    std::sort(domains.begin(), domains.end());
+    for (auto run = domains.begin(); run != domains.end();) {
+      const QueueDomain domain = *run;
+      const auto run_end = std::find_if(run, domains.end(),
+                                        [&](const QueueDomain& d) { return d != domain; });
+      const auto used = run_end - run;
+      run = run_end;
       if (!domain_in_range(topology, domain)) {
         report.add(VerifyRule::kQueueDomain, cat("domain ", safe_domain_name(topology, domain),
                                                  " names a cluster/segment out of range"));

@@ -5,14 +5,20 @@
 // verifier to reject it with a diagnostic naming the violated rule.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+
 #include "harness/stage.h"
 #include "ir/parser.h"
 #include "machine/fu.h"
 #include "support/blob.h"
 #include "support/diagnostics.h"
+#include "support/rng.h"
 #include "support/strings.h"
 #include "verify/verify.h"
+#include "verify_reference.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
 
 namespace qvliw {
 namespace {
@@ -447,6 +453,96 @@ TEST(VerifyCodec, BundleAskingForHugeFifoReplayIsRejected) {
   EXPECT_TRUE(report.has_rule(VerifyRule::kArtifactSize)) << report.summary(0);
 }
 
+// A queue the FIFO replay must walk without visiting every stream in
+// every window: at II 1 one lifetime spans about 10^6 windows, and 10^5
+// more members of its queue push near the horizon.  The replay stays
+// inside both caps, so it runs; it stops at the first cycle two members
+// push together, and must get there in milliseconds, where a walk of
+// windows x streams would visit 2 x 10^11 streams.
+TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
+  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
+  constexpr int kAdds = 50'000;     // two lifetimes each: both operands read c
+  constexpr int kSpan = 1'000'000;  // cycles a's lifetime spans at II 1
+  Loop loop;
+  loop.name = "wide";
+  Op load_a;
+  load_a.opcode = Opcode::kLoad;
+  load_a.name = "a";
+  load_a.array = loop.intern_array("X");
+  loop.add_op(load_a);
+  Op store;
+  store.opcode = Opcode::kStore;
+  store.array = loop.intern_array("Y");
+  store.args.push_back(Operand::value(0, 0));
+  loop.add_op(store);
+  Op load_c;
+  load_c.opcode = Opcode::kLoad;
+  load_c.name = "c";
+  load_c.array = loop.intern_array("Z");
+  loop.add_op(load_c);
+  for (int j = 0; j < kAdds; ++j) {
+    Op add;
+    add.opcode = Opcode::kAdd;
+    add.name = cat("d", j);
+    add.args = {Operand::value(2, 0), Operand::value(2, 0)};
+    loop.add_op(add);
+  }
+  const int load_latency = machine.latency.of(Opcode::kLoad);
+  VerifyBundle bundle;
+  bundle.loop = loop;
+  bundle.machine = machine;
+  bundle.check_fanout = false;
+  bundle.schedule = Schedule(loop.op_count(), 1);
+  bundle.schedule.set(0, {0, 0, 0});
+  bundle.schedule.set(1, {kSpan, 0, 0});
+  bundle.schedule.set(2, {kSpan - load_latency - 1, 0, 0});  // c pushes at kSpan - 1
+  for (int j = 0; j < kAdds; ++j) bundle.schedule.set(3 + j, {kSpan - 1 + j % 2, 0, 0});
+
+  // One queue holding every lifetime, each exactly what the schedule implies.
+  const Ddg graph = Ddg::build(loop, machine.latency);
+  bundle.has_allocation = true;
+  bundle.allocation.ii = 1;
+  AllocatedQueue queue;
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    const DepEdge& edge = graph.edge(e);
+    if (!edge.is_value_flow()) continue;
+    Lifetime lt;
+    lt.edge = e;
+    lt.producer = edge.src;
+    lt.consumer = edge.dst;
+    lt.push = bundle.schedule.cycle(edge.src) + load_latency;
+    lt.pop = bundle.schedule.cycle(edge.dst);
+    queue.members.push_back(static_cast<int>(bundle.allocation.lifetimes.size()));
+    bundle.allocation.queue_of.push_back(0);
+    bundle.allocation.lifetimes.push_back(lt);
+  }
+  ASSERT_EQ(bundle.allocation.lifetimes.size(), 1u + 2u * kAdds);
+  bundle.allocation.queues.push_back(queue);
+
+  const auto start = std::chrono::steady_clock::now();
+  const VerifyReport report = verify_bundle(bundle);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_FALSE(report.has_rule(VerifyRule::kArtifactSize)) << report.summary(3);
+  // Every add sits on one ALU instance at II 1, so the schedule pass
+  // reports each; the queue's verdict is the port rule at cycle kSpan - 1.
+  std::vector<std::string> queue_messages;
+  for (const VerifyDiagnostic& d : report.diagnostics) {
+    if (d.rule >= VerifyRule::kQueueIi) queue_messages.push_back(d.message);
+  }
+  ASSERT_EQ(queue_messages.size(), 1u) << report.summary(3);
+  EXPECT_EQ(queue_messages[0].rfind("queue-port: queue 0 (", 0), 0u) << queue_messages[0];
+  EXPECT_NE(queue_messages[0].find(cat("receives two pushes in cycle ", kSpan - 1)),
+            std::string::npos)
+      << queue_messages[0];
+  EXPECT_LT(seconds, 10.0) << "the replay walked far more than its events";
+
+  const VerifyReport reference = verify_queue_allocation_reference(
+      loop, graph, machine, bundle.schedule, bundle.allocation, bundle.must_fit);
+  ASSERT_EQ(reference.violations(), 1) << reference.summary(3);
+  EXPECT_EQ(reference.diagnostics[0].message, queue_messages[0]);
+}
+
 TEST(VerifyCodec, PreTopologyMagicIsRejected) {
   // Version 0001 bundles predate the machine's topology fields; their
   // decoder is gone, so the old magic is just a bad one.
@@ -479,6 +575,158 @@ TEST(VerifyCodec, TamperedBundleFailsVerification) {
   const VerifyBundle copy = decode_verify_bundle(encode_verify_bundle(bundle));
   const VerifyReport report = verify_bundle(copy);
   EXPECT_TRUE(report.has_rule(VerifyRule::kQueueLifetime)) << report.summary(0);
+}
+
+// --- against the frozen reference ----------------------------------------
+
+/// Lifetimes' push and pop re-derived from `schedule` the way the verifier
+/// derives them, so a schedule mutant keeps a consistent allocation and
+/// only the FIFO replay can object.
+void rederive_lifetimes(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+                        const Schedule& schedule, QueueAllocation& allocation) {
+  for (Lifetime& lt : allocation.lifetimes) {
+    const DepEdge& edge = graph.edge(lt.edge);
+    lt.push = schedule.cycle(edge.src) +
+              machine.latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
+    lt.pop = schedule.cycle(edge.dst) + schedule.ii() * edge.distance;
+  }
+}
+
+/// Moves every member of queue `from` into queue `to`, keeping queue_of
+/// and both member lists consistent.
+void merge_queues(QueueAllocation& allocation, int from, int to) {
+  auto& source = allocation.queues[static_cast<std::size_t>(from)].members;
+  auto& target = allocation.queues[static_cast<std::size_t>(to)].members;
+  for (int l : source) {
+    allocation.queue_of[static_cast<std::size_t>(l)] = to;
+    target.push_back(l);
+  }
+  source.clear();
+}
+
+/// A queue other than `q` in q's domain, or -1.
+int sibling_queue(const QueueAllocation& allocation, int q, Rng& rng) {
+  std::vector<int> siblings;
+  for (int other = 0; other < allocation.total_queues(); ++other) {
+    if (other != q && allocation.queues[static_cast<std::size_t>(other)].domain ==
+                          allocation.queues[static_cast<std::size_t>(q)].domain) {
+      siblings.push_back(other);
+    }
+  }
+  if (siblings.empty()) return -1;
+  return siblings[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(siblings.size()) - 1))];
+}
+
+// verify_queue_allocation must give exactly the frozen reference's
+// diagnostics (rule, text and order) over the 120-loop suite on six
+// machines, for the pipeline's artifacts and for seeded mutants of them:
+// a recorded push or pop shifted, an op moved with its lifetimes
+// following it, two queues of one domain merged (also on a moved op), a
+// queue_of entry moved, and a misstated depth — each checked with and
+// without the claim that the allocation fits.
+TEST(VerifyReference, QueueDiagnosticsMatchTheFrozenReplay) {
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+  struct Target {
+    MachineConfig machine;
+    SchedulerKind scheduler;
+  };
+  const Target targets[] = {
+      {MachineConfig::single_cluster_machine(6), SchedulerKind::kSingleCluster},
+      {MachineConfig::single_cluster_machine(6, 4), SchedulerKind::kSingleCluster},
+      {MachineConfig::clustered_machine(4), SchedulerKind::kClustered},
+      {MachineConfig::clustered_machine(6), SchedulerKind::kClustered},
+      {MachineConfig::mesh_machine(3, 3), SchedulerKind::kClustered},
+      {MachineConfig::crossbar_machine(4), SchedulerKind::kClustered},
+  };
+  Rng rng(1998);
+  std::map<VerifyRule, int> seen;
+  int artifact_sets = 0;
+  for (const Target& target : targets) {
+    PipelineOptions options;
+    options.scheduler = target.scheduler;
+    for (std::size_t index = 0; index < suite.loops.size(); ++index) {
+      PipelineContext ctx(suite.loops[index], target.machine, options);
+      if (!run_front_end(ctx) || !run_back_end(ctx)) continue;
+      const Loop& loop = ctx.loop;
+      const Ddg& graph = *ctx.graph;
+      const Schedule& schedule = ctx.sched.schedule;
+      const int ii = schedule.ii();
+      const auto check = [&](const Schedule& sched, const QueueAllocation& allocation,
+                             const char* mutant) {
+        for (const bool must_fit : {false, true}) {
+          const VerifyReport want = verify_queue_allocation_reference(
+              loop, graph, target.machine, sched, allocation, must_fit);
+          const VerifyReport got =
+              verify_queue_allocation(loop, graph, target.machine, sched, allocation, must_fit);
+          ++artifact_sets;
+          const std::string where = cat(target.machine.name, ", loop ", index, " (", loop.name,
+                                        "), ", mutant, ", must_fit ", must_fit);
+          ASSERT_EQ(got.violations(), want.violations())
+              << where << "\n got: " << got.summary(0) << "\nwant: " << want.summary(0);
+          for (std::size_t d = 0; d < want.diagnostics.size(); ++d) {
+            EXPECT_EQ(got.diagnostics[d].rule, want.diagnostics[d].rule) << where;
+            EXPECT_EQ(got.diagnostics[d].message, want.diagnostics[d].message) << where;
+            ++seen[want.diagnostics[d].rule];
+          }
+        }
+      };
+      check(schedule, ctx.allocation, "real");
+      const int lifetimes = static_cast<int>(ctx.allocation.lifetimes.size());
+      const int queues = ctx.allocation.total_queues();
+      if (lifetimes == 0) continue;
+      const int deltas[] = {-ii, -1, 1, ii};
+      for (int round = 0; round < 3; ++round) {
+        {
+          QueueAllocation shifted = ctx.allocation;
+          Lifetime& lt = shifted.lifetimes[static_cast<std::size_t>(
+              rng.uniform_int(0, lifetimes - 1))];
+          (rng.chance(0.5) ? lt.push : lt.pop) += deltas[rng.uniform_int(0, 3)];
+          check(schedule, shifted, "shifted push/pop");
+        }
+        Schedule moved = schedule;
+        {
+          const int op = rng.uniform_int(0, loop.op_count() - 1);
+          Placement at = moved.place(op);
+          at.cycle = std::max(0, at.cycle + deltas[rng.uniform_int(0, 3)]);
+          moved.set(op, at);
+          QueueAllocation followed = ctx.allocation;
+          rederive_lifetimes(loop, graph, target.machine, moved, followed);
+          check(moved, followed, "moved op");
+        }
+        if (queues >= 2) {
+          const int q = rng.uniform_int(0, queues - 1);
+          const int other = sibling_queue(ctx.allocation, q, rng);
+          if (other >= 0) {
+            QueueAllocation merged = ctx.allocation;
+            merge_queues(merged, other, q);
+            check(schedule, merged, "merged queues");
+            rederive_lifetimes(loop, graph, target.machine, moved, merged);
+            check(moved, merged, "merged queues, moved op");
+          }
+          QueueAllocation reassigned = ctx.allocation;
+          const int l = rng.uniform_int(0, lifetimes - 1);
+          reassigned.queue_of[static_cast<std::size_t>(l)] =
+              (reassigned.queue_of[static_cast<std::size_t>(l)] + rng.uniform_int(1, queues - 1)) %
+              queues;
+          check(schedule, reassigned, "moved queue_of entry");
+        }
+        QueueAllocation misstated = ctx.allocation;
+        misstated.queues[static_cast<std::size_t>(rng.uniform_int(0, queues - 1))]
+            .max_occupancy += rng.chance(0.5) ? 1 : -1;
+        check(schedule, misstated, "misstated depth");
+      }
+    }
+  }
+  EXPECT_GT(artifact_sets, 10'000);
+  for (const VerifyRule rule :
+       {VerifyRule::kQueueLifetime, VerifyRule::kQueueReadBeforeWrite,
+        VerifyRule::kQueueAssignment, VerifyRule::kQueueFifo, VerifyRule::kQueuePort,
+        VerifyRule::kQueueCapacity, VerifyRule::kQueueDepth}) {
+    EXPECT_GT(seen[rule], 0) << verify_rule_name(rule);
+  }
 }
 
 // --- pipeline wiring -------------------------------------------------------
