@@ -1,6 +1,10 @@
 #include "ir/loop.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <functional>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "support/blob.h"
 #include "support/diagnostics.h"
@@ -165,6 +169,43 @@ std::uint64_t Loop::content_hash() const {
   return hash_combine(hash64(0x100bULL), hash_bytes(out.take()));  // domain-tagged
 }
 
+namespace {
+
+/// The first op whose value name an earlier op already defines, or -1:
+/// one sort of the named value-defining ops by (name hash, name, index),
+/// so each run of equal names lists its ops in program order and the
+/// run's second op is its first duplicate.  O(n log n) whatever the
+/// names, colliding hashes included (the parser and verify bundles hand
+/// validate() outside input).
+int first_duplicate_name(const std::vector<Op>& ops) {
+  struct Named {
+    std::size_t hash;
+    std::string_view name;
+    int op;
+  };
+  std::vector<Named> named;
+  named.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    if (!op.defines_value() || op.name.empty()) continue;
+    named.push_back({std::hash<std::string_view>{}(op.name), op.name, static_cast<int>(i)});
+  }
+  std::sort(named.begin(), named.end(), [](const Named& a, const Named& b) {
+    return std::tie(a.hash, a.name, a.op) < std::tie(b.hash, b.name, b.op);
+  });
+  int first = -1;
+  for (std::size_t k = 1; k < named.size(); ++k) {
+    const Named& prev = named[k - 1];
+    const Named& cur = named[k];
+    if (cur.hash == prev.hash && cur.name == prev.name && (first < 0 || cur.op < first)) {
+      first = cur.op;
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
 void Loop::validate() const {
   // Hot path: validate() runs on every success of every transform, so the
   // diagnostic strings must only be materialised on the (cold) failure
@@ -172,8 +213,7 @@ void Loop::validate() const {
   if (stride < 1) fail(cat("loop '", name, "': stride must be >= 1"));
   if (trip_hint < 1) fail(cat("loop '", name, "': trip_hint must be >= 1"));
 
-  std::unordered_set<std::string_view> names;
-  names.reserve(ops.size());
+  const int duplicate = first_duplicate_name(ops);
   for (int i = 0; i < op_count(); ++i) {
     const Op& op = ops[static_cast<std::size_t>(i)];
     // Checked first: every other diagnostic names the opcode.
@@ -187,9 +227,7 @@ void Loop::validate() const {
 
     if (op.defines_value()) {
       if (op.name.empty()) fail(cat(where(), ": value-defining op needs a name"));
-      if (!names.insert(op.name).second) {
-        fail(cat(where(), ": duplicate value name '", op.name, "'"));
-      }
+      if (i == duplicate) fail(cat(where(), ": duplicate value name '", op.name, "'"));
     } else {
       if (!op.name.empty()) fail(cat(where(), ": store must not name a result"));
     }

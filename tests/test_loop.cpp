@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "ir/loop.h"
 #include "support/diagnostics.h"
 
@@ -133,6 +136,47 @@ TEST(LoopValidate, RejectsDuplicateNames) {
   dup.args.push_back(Operand::value(0, 0));
   loop.add_op(dup);
   EXPECT_THROW(loop.validate(), Error);
+}
+
+/// What validate() throws, or "" when the loop is valid.
+std::string validate_error(const Loop& loop) {
+  try {
+    loop.validate();
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// A loop of loads from X named `names`, in order.
+Loop named_loads(std::initializer_list<const char*> names) {
+  Loop loop;
+  loop.name = "t";
+  const int array = loop.intern_array("X");
+  for (const char* name : names) {
+    Op load;
+    load.opcode = Opcode::kLoad;
+    load.name = name;
+    load.array = array;
+    loop.add_op(load);
+  }
+  return loop;
+}
+
+TEST(LoopValidate, DuplicateNameNamesTheFirstRedefinition) {
+  // 'b' is defined again at op #3, before 'a' is at op #4.
+  EXPECT_EQ(validate_error(named_loads({"a", "b", "c", "b", "a"})),
+            "loop 't', op #3 (load): duplicate value name 'b'");
+}
+
+TEST(LoopValidate, EarlierViolationWinsOverALaterDuplicate) {
+  // Op #1 has one operand where add takes two; op #3 redefines 'a'.
+  Loop loop = named_loads({"a", "s", "c", "a"});
+  Op& add = loop.ops[1];
+  add.opcode = Opcode::kAdd;
+  add.array = -1;
+  add.args.push_back(Operand::value(0, 0));
+  EXPECT_EQ(validate_error(loop), "loop 't', op #1 (add): expected 2 operands, got 1");
 }
 
 TEST(LoopValidate, RejectsBadArity) {

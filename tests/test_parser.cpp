@@ -110,7 +110,12 @@ TEST(ParserErrors, UndefinedName) {
 }
 
 TEST(ParserErrors, DuplicateName) {
-  EXPECT_THROW((void)parse_loop("loop t { x = load X[i]; x = load Y[i]; store Z[i], x; }"), Error);
+  try {
+    (void)parse_loop("loop t { x = load X[i]; x = load Y[i]; store Z[i], x; }");
+    ADD_FAILURE() << "a duplicate value name parsed";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "parse error at line 1: duplicate value name 'x'");
+  }
 }
 
 TEST(ParserErrors, InvariantWithDistance) {
