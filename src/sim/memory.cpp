@@ -28,12 +28,16 @@ std::size_t MemoryImage::slot(int array, long long index) const {
   return static_cast<std::size_t>(index + kPad);
 }
 
+// slot() checks `array` before it indexes data_: in data_[array][slot(...)]
+// the outer subscript would be evaluated first.
 std::int64_t MemoryImage::load(int array, long long index) const {
-  return data_[static_cast<std::size_t>(array)][slot(array, index)];
+  const std::size_t at = slot(array, index);
+  return data_[static_cast<std::size_t>(array)][at];
 }
 
 void MemoryImage::store(int array, long long index, std::int64_t value) {
-  data_[static_cast<std::size_t>(array)][slot(array, index)] = value;
+  const std::size_t at = slot(array, index);
+  data_[static_cast<std::size_t>(array)][at] = value;
 }
 
 std::pair<int, long long> MemoryImage::first_difference(const MemoryImage& other) const {

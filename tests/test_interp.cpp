@@ -47,7 +47,11 @@ TEST(Memory, LoadStoreRoundTrip) {
   mem.store(0, 100 + 10, 8);
   EXPECT_EQ(mem.load(0, 110), 8);
   EXPECT_THROW((void)mem.load(0, -MemoryImage::kPad - 1), Error);
+  // An array out of range throws on both sides before anything is indexed.
   EXPECT_THROW((void)mem.load(2, 0), Error);
+  EXPECT_THROW((void)mem.load(-1, 0), Error);
+  EXPECT_THROW(mem.store(2, 0, 1), Error);
+  EXPECT_THROW(mem.store(-1, 0, 1), Error);
 }
 
 TEST(Memory, EqualityAndDifference) {
