@@ -2,8 +2,10 @@
 //
 // Every experiment of harness/experiment.h (Sec. 2, Figs. 3, 4 and 6-9,
 // ablations A1 and A2) is swept once, as the union of their points, and
-// printed under its own banner; one [sweep] footer follows.  Fig. 7's
-// per-topology resource curves also go to BENCH_fig7.json in the working
+// printed under its own banner; one [sweep] footer follows.  The sweep
+// runs the independent verifier on every scheduled cell, and the footer
+// counts the cells it checked and the violations it found.  Fig. 7's
+// ring resource curves also go to BENCH_fig7.json in the working
 // directory.
 //
 //   QVLIW_LOOPS=200 ./build/bench/paper     (default: the paper's 1258 loops)
@@ -19,14 +21,17 @@ namespace {
 
 constexpr const char* kFig7Json = "BENCH_fig7.json";
 
-/// What the one sweep executed, its wall time and cache effectiveness,
-/// and the per-stage time, which is CPU time summed over the workers.
+/// What the one sweep executed and verified, its wall time and cache
+/// effectiveness, and the per-stage time, which is CPU time summed over
+/// the workers.
 void print_sweep_footer(std::ostream& os, const ExperimentRun& run, int workers) {
   const SweepResult& sweep = run.sweep;
   os << "[sweep] " << run.merged.references << " point references, "
      << run.merged.points.size() << " distinct points, " << sweep.pipelines
-     << " cells swept\n[sweep] wall " << fixed(sweep.wall_seconds, 2) << " s ("
-     << fixed(sweep.pipelines_per_second(), 1) << " cells/s); artifact cache hit rate "
+     << " cells swept\n[sweep] verified " << sweep.verify_checked() << " cells, "
+     << sweep.verify_violations() << " violations\n[sweep] wall "
+     << fixed(sweep.wall_seconds, 2) << " s (" << fixed(sweep.pipelines_per_second(), 1)
+     << " cells/s); artifact cache hit rate "
      << percent(sweep.cache.hit_rate()) << " (" << sweep.cache.hits() << "/"
      << sweep.cache.probes() << " probes)\n[sweep] stage time summed over " << workers
      << " workers:";

@@ -2,11 +2,10 @@
 // bundles (src/verify).
 //
 //   qvliw_verify dump OUT.qvb [--index N] [--clusters K] [--budget R]
-//                [--topology ring|mesh|crossbar]
 //     Compiles one suite loop through the full pipeline on the K-cluster
-//     machine (K=1: the 6-FU single-cluster machine; default topology:
-//     ring) and writes the emitted artifacts — rewritten loop, machine,
-//     schedule, queue allocation — as a verify bundle.
+//     ring (K=1: the 6-FU single-cluster machine) and writes the emitted
+//     artifacts — rewritten loop, machine, schedule, queue allocation —
+//     as a verify bundle.
 //
 //   qvliw_verify check FILE...
 //     Decodes each bundle and re-derives its legality from first
@@ -29,8 +28,7 @@ namespace qvliw {
 namespace {
 
 int usage() {
-  std::cerr << "usage: qvliw_verify dump OUT.qvb [--index N] [--clusters K] [--budget R]"
-            << " [--topology ring|mesh|crossbar]\n"
+  std::cerr << "usage: qvliw_verify dump OUT.qvb [--index N] [--clusters K] [--budget R]\n"
             << "       qvliw_verify check FILE...\n";
   return 2;
 }
@@ -41,7 +39,6 @@ int dump(int argc, char** argv) {
   int index = 0;
   int clusters = 4;
   int budget = 6;
-  TopologyKind kind = TopologyKind::kRing;
   for (int a = 3; a < argc; ++a) {
     const std::string arg = argv[a];
     if (arg == "--index" && a + 1 < argc) {
@@ -50,10 +47,6 @@ int dump(int argc, char** argv) {
       clusters = std::atoi(argv[++a]);
     } else if (arg == "--budget" && a + 1 < argc) {
       budget = std::atoi(argv[++a]);
-    } else if (arg == "--topology" && a + 1 < argc) {
-      const auto parsed = parse_topology_kind(argv[++a]);
-      if (!parsed.has_value()) return usage();
-      kind = *parsed;
     } else {
       return usage();
     }
@@ -71,7 +64,7 @@ int dump(int argc, char** argv) {
   options.ims.budget_ratio = budget;
   MachineConfig machine = MachineConfig::single_cluster_machine(6);
   if (clusters > 1) {
-    machine = MachineConfig::topology_machine(kind, clusters);
+    machine = MachineConfig::clustered_machine(clusters);
     options.scheduler = SchedulerKind::kClustered;
   }
 

@@ -165,11 +165,10 @@ ImsResult partition_schedule(const Loop& loop, const Ddg& graph, const MachineCo
 std::vector<std::string> communication_violations(const Ddg& graph, const MachineConfig& machine,
                                                   const Schedule& schedule) {
   std::vector<std::string> violations;
-  const std::string_view kind = topology_kind_name(machine.topology_kind);
   for (const CommViolation& v : find_comm_violations(graph, machine, schedule)) {
     const DepEdge& edge = graph.edge(v.edge);
-    violations.push_back(cat("flow edge ", edge.src, "->", edge.dst, " spans ", v.hops, " ", kind,
-                             " hops (clusters ", schedule.cluster(edge.src), " -> ",
+    violations.push_back(cat("flow edge ", edge.src, "->", edge.dst, " spans ", v.hops,
+                             " ring hops (clusters ", schedule.cluster(edge.src), " -> ",
                              schedule.cluster(edge.dst), ")"));
   }
   return violations;

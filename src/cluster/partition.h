@@ -26,8 +26,7 @@ enum class ClusterHeuristic {
 
 [[nodiscard]] std::string_view cluster_heuristic_name(ClusterHeuristic heuristic);
 
-/// IMS ClusterAssigner for any interconnect topology (ring, mesh,
-/// crossbar — whatever the machine's Topology models).
+/// IMS ClusterAssigner for the machine's ring (its Topology).
 ///
 /// In strict mode (the paper's scheme) `legal` enforces topology adjacency
 /// of every scheduled flow neighbour.  In relaxed mode any cluster is legal

@@ -282,9 +282,7 @@ Experiment fig6() {
 // Paper: a cluster of {L/S, ADD, MUL, COPY} with 8 private queues plus a
 // ring of 8 queues per direction per segment suffices for (almost) every
 // loop of the benchmark on the machines analysed; a small fraction needs
-// more.  Beyond the paper, the same resource curves are swept per
-// interconnect topology (ring / mesh / crossbar) so the 8/8 budget can be
-// compared across interconnects.
+// more.
 
 /// One point's resource curve.
 struct ResourceCurve {
@@ -331,19 +329,10 @@ ResourceCurve resource_curve(const std::vector<LoopResult>& results) {
 
 Experiment fig7() {
   Experiment e{"fig7", "Fig. 7 — per-cluster queue resources (8 private + 8 per segment)",
-               "the 8/8 cluster covers nearly all loops on every interconnect", {}, {}};
-  // Meshes need composite cluster counts so the grid has two real
-  // dimensions; ring and crossbar reuse the paper's 4/5/6 ladder.
-  for (const TopologyKind kind :
-       {TopologyKind::kRing, TopologyKind::kMesh, TopologyKind::kCrossbar}) {
-    const std::vector<int> sizes =
-        kind == TopologyKind::kMesh ? std::vector<int>{4, 6, 9} : std::vector<int>{4, 5, 6};
-    for (const int clusters : sizes) {
-      const std::string_view name =
-          kind == TopologyKind::kCrossbar ? "xbar" : topology_kind_name(kind);
-      e.points.push_back({cat(name, "-", clusters), MachineConfig::topology_machine(kind, clusters),
-                          unrolled_clustered()});
-    }
+               "the 8/8 cluster covers nearly all loops", {}, {}};
+  for (const int clusters : {4, 5, 6}) {
+    e.points.push_back(
+        {cat("ring-", clusters), MachineConfig::clustered_machine(clusters), unrolled_clustered()});
   }
 
   e.render = [](const ExperimentCells& cells, std::ostream& os) {
@@ -611,7 +600,9 @@ ExperimentCells ExperimentRun::cells(std::size_t e) const {
 ExperimentRun run_experiments(const std::vector<Loop>& loops, std::vector<Experiment> experiments) {
   ExperimentRun run;
   run.merged = merge_points(experiments);
-  run.sweep = SweepRunner().run(loops, run.merged.points);
+  SweepOptions options;
+  options.verify_mode = SweepVerifyMode::kStrict;
+  run.sweep = SweepRunner(options).run(loops, run.merged.points);
   run.experiments = std::move(experiments);
   run.loops = &loops;
   return run;
@@ -623,10 +614,9 @@ void write_fig7_json(std::ostream& os, const ExperimentCells& fig7) {
   for (std::size_t c = 0; c < fig7.by_point.size(); ++c) {
     const SweepPoint& point = fig7.points[c];
     const ResourceCurve curve = resource_curve(fig7[c]);
-    os << (c == 0 ? "" : ",") << "\n    {\"topology\": \""
-       << topology_kind_name(point.machine.topology_kind)
-       << "\", \"clusters\": " << point.machine.cluster_count() << ", \"label\": \""
-       << point.label << "\", \"scheduled\": " << curve.scheduled
+    os << (c == 0 ? "" : ",") << "\n    {\"topology\": \"ring\", \"clusters\": "
+       << point.machine.cluster_count() << ", \"label\": \"" << point.label
+       << "\", \"scheduled\": " << curve.scheduled
        << ", \"pct_private_le8\": " << fixed(curve.pct_priv, 6)
        << ", \"pct_segment_le8\": " << fixed(curve.pct_segment, 6)
        << ", \"pct_both_le8\": " << fixed(curve.pct_both, 6)

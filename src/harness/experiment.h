@@ -65,11 +65,12 @@ struct ExperimentRun {
   [[nodiscard]] ExperimentCells cells(std::size_t e) const;
 };
 
-/// Merges the experiments' points and sweeps the union once over `loops`.
+/// Merges the experiments' points and sweeps the union once over `loops`,
+/// verifying every cell (SweepVerifyMode::kStrict).
 [[nodiscard]] ExperimentRun run_experiments(const std::vector<Loop>& loops,
                                             std::vector<Experiment> experiments);
 
-/// Fig. 7's per-topology resource curves as the BENCH_fig7.json document.
+/// Fig. 7's ring resource curves as the BENCH_fig7.json document.
 void write_fig7_json(std::ostream& os, const ExperimentCells& fig7);
 
 /// Cellwise II comparison of a variant point against a baseline point over

@@ -1,11 +1,11 @@
 // Machine configuration: clusters, queue register files, interconnect.
 //
-// A machine is a set of clusters on an interconnect topology (ring, mesh
-// or crossbar — see machine/topology.h).  Each cluster has a private QRF
-// (a set of queues usable only by its own FUs) and is connected to its
-// topology neighbours by directed *segments*, each implemented as a set
-// of queues (Fig. 5b / Fig. 7 of the paper): a producer in cluster c
-// writes a segment queue that a consumer in the adjacent cluster pops.
+// A machine is a set of clusters on a bidirectional ring (see
+// machine/topology.h).  Each cluster has a private QRF (a set of queues
+// usable only by its own FUs) and is connected to its ring neighbours by
+// directed *segments*, each implemented as a set of queues (Fig. 5b /
+// Fig. 7 of the paper): a producer in cluster c writes a segment queue
+// that a consumer in the adjacent cluster pops.
 // The base partitioning scheme permits communication only between
 // adjacent clusters; `move` operations (the paper's future-work
 // extension) relay values across several segments.
@@ -64,13 +64,6 @@ class MachineConfig {
   SegmentConfig segment;
   LatencyModel latency = LatencyModel::classic();
 
-  /// Interconnect shape; mesh additionally needs mesh_rows x mesh_cols ==
-  /// cluster count.  Defaults to the paper's ring so existing
-  /// configurations keep their meaning.
-  TopologyKind topology_kind = TopologyKind::kRing;
-  int mesh_rows = 0;
-  int mesh_cols = 0;
-
   [[nodiscard]] int cluster_count() const { return static_cast<int>(clusters.size()); }
   [[nodiscard]] bool single_cluster() const { return clusters.size() == 1; }
 
@@ -87,8 +80,8 @@ class MachineConfig {
 
   // --- interconnect topology ----------------------------------------------
 
-  /// The interconnect as a graph value (cheap to build; see topology.h).
-  [[nodiscard]] Topology topology() const;
+  /// The ring as a graph value (cheap to build; see topology.h).
+  [[nodiscard]] Topology topology() const { return Topology::ring(cluster_count()); }
 
   /// Minimal hop count between clusters on the interconnect.
   [[nodiscard]] int distance(int a, int b) const { return topology().distance(a, b); }
@@ -102,8 +95,7 @@ class MachineConfig {
 
   /// Structural checks: >= 1 cluster, every cluster has >= 1 of each
   /// compute FU kind and at most kMaxFusPerKind of any kind, positive
-  /// queue counts/depths, latencies in [0, kMaxLatency], and topology
-  /// parameters consistent with the cluster count.
+  /// queue counts/depths and latencies in [0, kMaxLatency].
   void validate() const;
 
   // --- paper configurations ----------------------------------------------
@@ -119,25 +111,16 @@ class MachineConfig {
   /// 8 segment queues per direction.
   [[nodiscard]] static MachineConfig clustered_machine(int n_clusters);
 
-  /// rows x cols paper clusters on a 2D mesh, same per-cluster and
-  /// per-segment resources as clustered_machine.
-  [[nodiscard]] static MachineConfig mesh_machine(int rows, int cols);
-
-  /// `n_clusters` paper clusters on a full crossbar, same per-cluster and
-  /// per-segment resources as clustered_machine.
-  [[nodiscard]] static MachineConfig crossbar_machine(int n_clusters);
-
-  /// Paper clusters on any built-in topology; meshes factor `n_clusters`
-  /// into the most nearly square rows x cols grid (9 -> 3x3, 6 -> 2x3).
+  /// clustered_machine(n_clusters); `kind` is the ring, the one shape.
   [[nodiscard]] static MachineConfig topology_machine(TopologyKind kind, int n_clusters);
 
   /// Structural hash of everything that affects compilation results:
-  /// cluster FU mix, queue counts/depths, interconnect topology, segment
-  /// config and latency model (the `name` is ignored).  Equal signatures
-  /// stand for equal machines where points are compared: plan_sweep
-  /// shares work between them and merge_points merges them.  Rings fold
-  /// in no topology fields; those hash bytes are kept as they are
-  /// because the benchmark's inputs line hashes them.
+  /// cluster FU mix, queue counts/depths, segment config and latency
+  /// model (the `name` is ignored; the cluster count fixes the ring).
+  /// Equal signatures stand for equal machines where points are compared:
+  /// plan_sweep shares work between them and merge_points merges them.
+  /// The hash bytes are kept as they are because the benchmark's inputs
+  /// line hashes them.
   [[nodiscard]] std::uint64_t signature() const;
 };
 
@@ -145,13 +128,13 @@ class BlobReader;
 class BlobWriter;
 
 /// Serialises `machine` into the portable blob format (support/blob.h):
-/// name, per-cluster FU mix and queue configuration, segment config,
-/// latency model, and the topology kind + mesh dimensions.  Used by the qvliw_verify bundle so a
-/// dumped artifact names the exact machine it claims legality against.
+/// name, per-cluster FU mix and queue configuration, segment config and
+/// latency model.  Used by the qvliw_verify bundle so a dumped artifact
+/// names the exact machine it claims legality against.
 void serialize_machine(BlobWriter& out, const MachineConfig& machine);
 
-/// Inverse of serialize_machine; throws Error on truncation, an
-/// implausible cluster count, or a malformed topology.  The result is
+/// Inverse of serialize_machine; throws Error on truncation or an
+/// implausible cluster count.  The result is
 /// *not* validated — run MachineConfig::validate before trusting a
 /// deserialised machine.
 [[nodiscard]] MachineConfig deserialize_machine(BlobReader& in);

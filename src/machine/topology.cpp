@@ -1,143 +1,47 @@
 #include "machine/topology.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/diagnostics.h"
 #include "support/strings.h"
 
 namespace qvliw {
 
-std::string_view topology_kind_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kRing:
-      return "ring";
-    case TopologyKind::kMesh:
-      return "mesh";
-    case TopologyKind::kCrossbar:
-      return "crossbar";
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
-}
-
-std::optional<TopologyKind> parse_topology_kind(std::string_view name) {
-  if (name == "ring") return TopologyKind::kRing;
-  if (name == "mesh") return TopologyKind::kMesh;
-  if (name == "crossbar") return TopologyKind::kCrossbar;
-  return std::nullopt;
-}
-
 Topology Topology::ring(int clusters) {
   check(clusters >= 1, "Topology::ring: need at least one cluster");
-  return {TopologyKind::kRing, clusters, 0, 0};
+  return Topology(clusters);
 }
-
-Topology Topology::mesh(int rows, int cols) {
-  check(rows >= 1 && cols >= 1, "Topology::mesh: need positive grid dimensions");
-  return {TopologyKind::kMesh, rows * cols, rows, cols};
-}
-
-Topology Topology::crossbar(int clusters) {
-  check(clusters >= 1, "Topology::crossbar: need at least one cluster");
-  return {TopologyKind::kCrossbar, clusters, 0, 0};
-}
-
-namespace {
-
-/// Mesh out-degree of the node at (r, c): one segment per grid neighbour.
-int mesh_degree(int rows, int cols, int r, int c) {
-  return (r > 0 ? 1 : 0) + (r + 1 < rows ? 1 : 0) + (c > 0 ? 1 : 0) + (c + 1 < cols ? 1 : 0);
-}
-
-}  // namespace
 
 int Topology::distance(int a, int b) const {
   const int k = clusters_;
   check(a >= 0 && a < k && b >= 0 && b < k, "Topology::distance: cluster out of range");
-  switch (kind_) {
-    case TopologyKind::kRing: {
-      const int cw = ((b - a) % k + k) % k;
-      return std::min(cw, k - cw);
-    }
-    case TopologyKind::kMesh:
-      return std::abs(a / cols_ - b / cols_) + std::abs(a % cols_ - b % cols_);
-    case TopologyKind::kCrossbar:
-      return a == b ? 0 : 1;
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  const int cw = ((b - a) % k + k) % k;
+  return std::min(cw, k - cw);
 }
 
 int Topology::next_hop(int a, int b) const {
   check(a != b, "Topology::next_hop: a == b");
   const int k = clusters_;
   check(a >= 0 && a < k && b >= 0 && b < k, "Topology::next_hop: cluster out of range");
-  switch (kind_) {
-    case TopologyKind::kRing: {
-      // Clockwise preferred on ties, matching the historical ring router.
-      const int cw = ((b - a) % k + k) % k;
-      if (cw <= k - cw) return (a + 1) % k;
-      return (a - 1 + k) % k;
-    }
-    case TopologyKind::kMesh: {
-      const int ra = a / cols_;
-      const int rb = b / cols_;
-      if (ra != rb) return rb > ra ? a + cols_ : a - cols_;
-      return b > a ? a + 1 : a - 1;
-    }
-    case TopologyKind::kCrossbar:
-      return b;
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  // Clockwise preferred on ties, matching the historical ring router.
+  const int cw = ((b - a) % k + k) % k;
+  if (cw <= k - cw) return (a + 1) % k;
+  return (a - 1 + k) % k;
 }
 
 int Topology::segment_count() const {
   const int k = clusters_;
-  switch (kind_) {
-    case TopologyKind::kRing:
-      if (k == 1) return 0;
-      if (k == 2) return 2;  // 0 -> 1 and 1 -> 0; no distinct ccw direction
-      return 2 * k;
-    case TopologyKind::kMesh:
-      return 2 * (rows_ * (cols_ - 1) + cols_ * (rows_ - 1));
-    case TopologyKind::kCrossbar:
-      return k * (k - 1);
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  if (k == 1) return 0;
+  if (k == 2) return 2;  // 0 -> 1 and 1 -> 0; no distinct ccw direction
+  return 2 * k;
 }
 
 Segment Topology::segment(int s) const {
   const int k = clusters_;
   check(s >= 0 && s < segment_count(), "Topology::segment: id out of range");
-  switch (kind_) {
-    case TopologyKind::kRing:
-      if (k == 2) return {s, 1 - s};
-      if (s < k) return {s, (s + 1) % k};       // clockwise segment s
-      return {(s - k + 1) % k, s - k};          // counter-clockwise segment s-k
-    case TopologyKind::kMesh: {
-      int offset = 0;
-      for (int n = 0; n < k; ++n) {
-        const int r = n / cols_;
-        const int c = n % cols_;
-        const int degree = mesh_degree(rows_, cols_, r, c);
-        if (s < offset + degree) {
-          int rank = s - offset;
-          // Neighbours of n in ascending-id order: up, left, right, down.
-          if (r > 0 && rank-- == 0) return {n, n - cols_};
-          if (c > 0 && rank-- == 0) return {n, n - 1};
-          if (c + 1 < cols_ && rank-- == 0) return {n, n + 1};
-          return {n, n + cols_};
-        }
-        offset += degree;
-      }
-      fail("mesh segment id not covered");
-    }
-    case TopologyKind::kCrossbar: {
-      const int src = s / (k - 1);
-      const int rank = s % (k - 1);
-      return {src, rank < src ? rank : rank + 1};
-    }
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  if (k == 2) return {s, 1 - s};
+  if (s < k) return {s, (s + 1) % k};  // clockwise segment s
+  return {(s - k + 1) % k, s - k};     // counter-clockwise segment s-k
 }
 
 int Topology::segment_between(int src, int dst) const {
@@ -145,45 +49,16 @@ int Topology::segment_between(int src, int dst) const {
   check(src >= 0 && src < k && dst >= 0 && dst < k,
         "Topology::segment_between: cluster out of range");
   if (src == dst || distance(src, dst) != 1) return -1;
-  switch (kind_) {
-    case TopologyKind::kRing:
-      // Clockwise first: for k == 2 both directions match and the two
-      // "clockwise" segments carry all traffic.
-      if ((src + 1) % k == dst) return src;
-      return k + dst;
-    case TopologyKind::kMesh: {
-      int offset = 0;
-      for (int n = 0; n < src; ++n) {
-        offset += mesh_degree(rows_, cols_, n / cols_, n % cols_);
-      }
-      const int r = src / cols_;
-      const int c = src % cols_;
-      if (dst == src - cols_) return offset;
-      offset += r > 0 ? 1 : 0;
-      if (dst == src - 1) return offset;
-      offset += c > 0 ? 1 : 0;
-      if (dst == src + 1) return offset;
-      offset += c + 1 < cols_ ? 1 : 0;
-      return offset;  // dst == src + cols_
-    }
-    case TopologyKind::kCrossbar:
-      return src * (k - 1) + (dst < src ? dst : dst - 1);
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  // Clockwise first: for k == 2 both directions match and the two
+  // "clockwise" segments carry all traffic.
+  if ((src + 1) % k == dst) return src;
+  return k + dst;
 }
 
 std::string Topology::segment_name(int s) const {
-  const Segment seg = segment(s);
-  switch (kind_) {
-    case TopologyKind::kRing:
-      if (clusters_ > 2 && s >= clusters_) return cat("ring-ccw[", s - clusters_, "]");
-      return cat("ring-cw[", s, "]");
-    case TopologyKind::kMesh:
-      return cat("mesh[", seg.src, "->", seg.dst, "]");
-    case TopologyKind::kCrossbar:
-      return cat("xbar[", seg.src, "->", seg.dst, "]");
-  }
-  QVLIW_ASSERT(false, "bad TopologyKind");
+  check(s >= 0 && s < segment_count(), "Topology::segment: id out of range");
+  if (clusters_ > 2 && s >= clusters_) return cat("ring-ccw[", s - clusters_, "]");
+  return cat("ring-cw[", s, "]");
 }
 
 }  // namespace qvliw

@@ -1,19 +1,11 @@
-// Interconnect topology: clusters plus directed segments as a graph.
+// Interconnect topology: the paper's bidirectional ring as a graph.
 //
 // A topology names the clusters 0..k-1 and models the directed *segments*
 // between them — each segment is a pool of queues a producer cluster
 // writes and an adjacent consumer cluster pops (Fig. 5b of the paper).
-// Three shapes are built in:
-//
-//   ring      — the paper's bidirectional ring: clockwise segments
-//               i -> (i+1) mod k and counter-clockwise segments
-//               (i+1) mod k -> i.  A two-cluster ring has exactly two
-//               segments (0 -> 1 and 1 -> 0, both "clockwise").
-//   mesh      — a rows x cols 2D grid, row-major cluster ids, segments in
-//               both directions between horizontal/vertical neighbours
-//               (no wraparound, no diagonals).
-//   crossbar  — every ordered pair of distinct clusters has a segment;
-//               all clusters are adjacent.
+// The ring has clockwise segments i -> (i+1) mod k and counter-clockwise
+// segments (i+1) mod k -> i.  A two-cluster ring has exactly two segments
+// (0 -> 1 and 1 -> 0, both "clockwise").
 //
 // The class is a small arithmetic value type: distance/next_hop/segment
 // lookups are computed, not tabulated, so copies are free and a topology
@@ -24,24 +16,15 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace qvliw {
 
+/// The interconnect shapes MachineConfig::topology_machine builds: the
+/// paper's ring only.
 enum class TopologyKind : std::uint8_t {
   kRing = 0,
-  kMesh = 1,
-  kCrossbar = 2,
 };
-
-/// Stable lower-case name ("ring", "mesh", "crossbar") — used in machine
-/// names, bench labels, CLI flags and diagnostics.
-[[nodiscard]] std::string_view topology_kind_name(TopologyKind kind);
-
-/// Inverse of topology_kind_name; nullopt for anything else.
-[[nodiscard]] std::optional<TopologyKind> parse_topology_kind(std::string_view name);
 
 /// One directed segment: values flow src -> dst through its queues.
 struct Segment {
@@ -56,30 +39,16 @@ class Topology {
   /// Bidirectional ring of `clusters` >= 1 (1 cluster: no segments).
   [[nodiscard]] static Topology ring(int clusters);
 
-  /// rows x cols grid, both >= 1.
-  [[nodiscard]] static Topology mesh(int rows, int cols);
-
-  /// Full crossbar over `clusters` >= 1.
-  [[nodiscard]] static Topology crossbar(int clusters);
-
-  [[nodiscard]] TopologyKind kind() const { return kind_; }
-  [[nodiscard]] std::string_view kind_name() const { return topology_kind_name(kind_); }
   [[nodiscard]] int cluster_count() const { return clusters_; }
 
-  /// Grid shape; 0 for non-mesh topologies.
-  [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] int cols() const { return cols_; }
-
-  /// Minimal hop count from a to b (ring: bidirectional shortest way
-  /// around; mesh: Manhattan; crossbar: 0 or 1).
+  /// Minimal hop count from a to b, the shorter way around the ring.
   [[nodiscard]] int distance(int a, int b) const;
 
   /// True when a == b or a segment connects the two clusters.
   [[nodiscard]] bool adjacent(int a, int b) const { return distance(a, b) <= 1; }
 
   /// Next cluster one hop from `a` along a shortest path toward `b`
-  /// (deterministic tie-breaks: ring prefers clockwise, mesh reduces the
-  /// row difference first).  Requires a != b.
+  /// (clockwise on ties).  Requires a != b.
   [[nodiscard]] int next_hop(int a, int b) const;
 
   /// Directed segments, canonically enumerated.
@@ -92,19 +61,13 @@ class Topology {
   /// carries that flow (non-adjacent or src == dst).
   [[nodiscard]] int segment_between(int src, int dst) const;
 
-  /// Diagnostic name of segment `s`: the ring keeps its historical
-  /// direction names ("ring-cw[i]", "ring-ccw[i]"); mesh and crossbar name
-  /// the endpoints ("mesh[a->b]", "xbar[a->b]").
+  /// Diagnostic name of segment `s`: "ring-cw[i]" or "ring-ccw[i]".
   [[nodiscard]] std::string segment_name(int s) const;
 
  private:
-  Topology(TopologyKind kind, int clusters, int rows, int cols)
-      : kind_(kind), clusters_(clusters), rows_(rows), cols_(cols) {}
+  explicit Topology(int clusters) : clusters_(clusters) {}
 
-  TopologyKind kind_ = TopologyKind::kRing;
   int clusters_ = 1;
-  int rows_ = 0;  // mesh only
-  int cols_ = 0;  // mesh only
 };
 
 }  // namespace qvliw

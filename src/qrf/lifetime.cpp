@@ -25,7 +25,7 @@ QueueDomain domain_of_edge(const Topology& topology, int producer_cluster,
   const int segment = topology.segment_between(producer_cluster, consumer_cluster);
   if (segment >= 0) return {QueueDomain::Kind::kSegment, segment};
   fail(cat("value flow between non-adjacent clusters ", producer_cluster, " and ",
-           consumer_cluster, " (", topology.kind_name(), " of ", topology.cluster_count(), ")"));
+           consumer_cluster, " (ring of ", topology.cluster_count(), ")"));
 }
 
 std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,

@@ -36,7 +36,7 @@ struct QueueDomain {
 };
 
 /// Diagnostic name of a domain on `topology`: "private[c]" or the
-/// topology's segment name ("ring-cw[i]", "mesh[a->b]", ...).
+/// ring's segment name ("ring-cw[i]" or "ring-ccw[i]").
 [[nodiscard]] std::string domain_name(const Topology& topology, const QueueDomain& domain);
 
 struct Lifetime {

@@ -1,7 +1,6 @@
 #include "verify/verify.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <span>
@@ -182,62 +181,22 @@ ExpectedMemDep* find_expected_mem(std::vector<ExpectedMemDep>& expected, int src
 }
 
 /// Queue domain a flow between two placed clusters must live in,
-/// re-derived here from the topology parameters alone — deliberately not
-/// by calling Topology::segment_between, so the verifier's notion of the
+/// re-derived here from the ring's size alone — deliberately not by
+/// calling Topology::segment_between, so the verifier's notion of the
 /// canonical segment numbering is independent of the producer's.
-/// Ring: clockwise segments c -> c+1 get ids 0..k-1, counter-clockwise
+/// Clockwise segments c -> c+1 get ids 0..k-1, counter-clockwise
 /// segments c+1 -> c get ids k..2k-1; clockwise wins the k == 2 tie.
-/// Mesh: one segment per directed grid-neighbour edge, enumerated
-/// source-major with destinations ascending.  Crossbar: one segment per
-/// ordered pair, enumerated the same way.
 std::optional<QueueDomain> expected_domain(const MachineConfig& machine, int producer_cluster,
                                            int consumer_cluster) {
   if (producer_cluster == consumer_cluster) {
     return QueueDomain{QueueDomain::Kind::kPrivate, producer_cluster};
   }
   const int k = machine.cluster_count();
-  switch (machine.topology_kind) {
-    case TopologyKind::kRing:
-      if ((producer_cluster + 1) % k == consumer_cluster) {
-        return QueueDomain{QueueDomain::Kind::kSegment, producer_cluster};
-      }
-      if (k > 2 && (consumer_cluster + 1) % k == producer_cluster) {
-        return QueueDomain{QueueDomain::Kind::kSegment, k + consumer_cluster};
-      }
-      return std::nullopt;
-    case TopologyKind::kMesh: {
-      const int rows = machine.mesh_rows;
-      const int cols = machine.mesh_cols;
-      const int pr = producer_cluster / cols;
-      const int pc = producer_cluster % cols;
-      const int cr = consumer_cluster / cols;
-      const int cc = consumer_cluster % cols;
-      if (std::abs(pr - cr) + std::abs(pc - cc) != 1) return std::nullopt;
-      int id = 0;
-      for (int n = 0; n < producer_cluster; ++n) {
-        const int r = n / cols;
-        const int c = n % cols;
-        id += (r > 0 ? 1 : 0) + (r + 1 < rows ? 1 : 0) + (c > 0 ? 1 : 0) + (c + 1 < cols ? 1 : 0);
-      }
-      if (consumer_cluster == producer_cluster - cols) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pr > 0 ? 1 : 0;
-      if (consumer_cluster == producer_cluster - 1) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pc > 0 ? 1 : 0;
-      if (consumer_cluster == producer_cluster + 1) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pc + 1 < cols ? 1 : 0;
-      return QueueDomain{QueueDomain::Kind::kSegment, id};  // one row down
-    }
-    case TopologyKind::kCrossbar:
-      return QueueDomain{
-          QueueDomain::Kind::kSegment,
-          producer_cluster * (k - 1) +
-              (consumer_cluster < producer_cluster ? consumer_cluster : consumer_cluster - 1)};
+  if ((producer_cluster + 1) % k == consumer_cluster) {
+    return QueueDomain{QueueDomain::Kind::kSegment, producer_cluster};
+  }
+  if (k > 2 && (consumer_cluster + 1) % k == producer_cluster) {
+    return QueueDomain{QueueDomain::Kind::kSegment, k + consumer_cluster};
   }
   return std::nullopt;
 }
@@ -657,7 +616,6 @@ VerifyReport verify_routing(const Loop& loop, const Ddg& graph, const MachineCon
   VerifyReport report;
   if (!shapes_agree(loop, graph, schedule, report)) return report;
 
-  const std::string_view kind = topology_kind_name(machine.topology_kind);
   for (int e = 0; e < graph.edge_count(); ++e) {
     const DepEdge& edge = graph.edge(e);
     if (!edge.is_value_flow()) continue;
@@ -672,7 +630,7 @@ VerifyReport verify_routing(const Loop& loop, const Ddg& graph, const MachineCon
       report.add(VerifyRule::kRouteAdjacency,
                  cat("value of ", op_label(loop, edge.src), " on cluster ", from,
                      " consumed by ", op_label(loop, edge.dst), " on cluster ", to, " (", hops,
-                     " ", kind, " hops; only adjacent clusters share a segment)"));
+                     " ring hops; only adjacent clusters share a segment)"));
     }
   }
 
@@ -937,9 +895,9 @@ VerifyReport verify_artifacts(const Loop& loop, const Ddg& graph, const MachineC
 namespace {
 
 // "QVBNDL" + format version.  Bump on any layout change below; a bundle
-// with any other magic (0001 predates the machine's topology fields) is
-// rejected.
-constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0002ULL;
+// with any other magic is rejected (0001 predates the machine's topology
+// fields, 0002 still carries them).
+constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0003ULL;
 constexpr int kMaxBundleItems = 1 << 24;
 
 void put_domain(BlobWriter& out, const QueueDomain& domain) {

@@ -126,15 +126,15 @@ TEST(MergePoints, MachineSignatureSplitsASlot) {
   EXPECT_EQ(merged.slots[0], (std::vector<std::size_t>{0, 1, 2, 0}));
 }
 
-TEST(MergePoints, PaperExperimentsMergeTo45Points) {
+TEST(MergePoints, PaperExperimentsMergeTo39Points) {
   const std::vector<Experiment> experiments = paper_experiments();
   std::vector<std::string> ids;
   for (const Experiment& experiment : experiments) ids.push_back(experiment.id);
   EXPECT_EQ(ids, (std::vector<std::string>{"sec2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
                                            "A1", "A2"}));
   const PointUnion merged = merge_points(experiments);
-  EXPECT_EQ(merged.references, 93u);
-  EXPECT_EQ(merged.points.size(), 45u);
+  EXPECT_EQ(merged.references, 87u);
+  EXPECT_EQ(merged.points.size(), 39u);
 
   // A2's budget-6x ring is Fig. 6's ring-4: 6 is the default budget.
   const Experiment& fig6 = experiments[3];
@@ -168,8 +168,12 @@ TEST(Render, Sec2ShapeTableKeepsChainFailuresInTheBase) {
 TEST(PaperRun, UnionCellsMatchEachExperimentsOwnSweep) {
   const Suite suite = small_suite(8);
   const ExperimentRun run = run_experiments(suite.loops, paper_experiments());
-  EXPECT_EQ(run.sweep.by_point.size(), 45u);
-  EXPECT_EQ(run.sweep.pipelines, 45u * suite.loops.size());
+  EXPECT_EQ(run.sweep.by_point.size(), 39u);
+  EXPECT_EQ(run.sweep.pipelines, 39u * suite.loops.size());
+  EXPECT_GT(run.sweep.verify_checked(), 0u);
+  EXPECT_EQ(run.sweep.verify_violations(), 0u);
+  SweepOptions strict;
+  strict.verify_mode = SweepVerifyMode::kStrict;
   for (std::size_t e = 0; e < run.experiments.size(); ++e) {
     const Experiment& experiment = run.experiments[e];
     const ExperimentCells cells = run.cells(e);
@@ -177,7 +181,7 @@ TEST(PaperRun, UnionCellsMatchEachExperimentsOwnSweep) {
     for (const std::vector<LoopResult>* results : cells.by_point) {
       from_union.by_point.push_back(*results);
     }
-    const SweepResult own = SweepRunner().run(suite.loops, experiment.points);
+    const SweepResult own = SweepRunner(strict).run(suite.loops, experiment.points);
     EXPECT_EQ(sweep_result_fingerprint(from_union), sweep_result_fingerprint(own))
         << experiment.id;
 

@@ -85,10 +85,13 @@ TEST(ImsGolden, RandomizedMachinesBitIdenticalToReference) {
   }
 }
 
-TEST(ImsGolden, ClusteredAllTopologiesBitIdenticalToReference) {
-  for (const TopologyKind kind :
-       {TopologyKind::kRing, TopologyKind::kMesh, TopologyKind::kCrossbar}) {
-    const MachineConfig machine = MachineConfig::topology_machine(kind, 4);
+// Ring-4, ring-5 and ring-6, every kernel under every heuristic.  Some
+// ring-6 walks exhaust their IIs, so the reference also gates the effort
+// of a failed clustered search.
+TEST(ImsGolden, ClusteredRingsBitIdenticalToReference) {
+  int failed_walks = 0;
+  for (const int clusters : {4, 5, 6}) {
+    const MachineConfig machine = MachineConfig::clustered_machine(clusters);
     for (const Loop& loop : kernel_corpus()) {
       const Ddg graph = Ddg::build(loop, machine.latency);
       for (const ClusterHeuristic heuristic :
@@ -98,13 +101,15 @@ TEST(ImsGolden, ClusteredAllTopologiesBitIdenticalToReference) {
         // the search and must not share placement state.
         TopologyClusterAssigner got_assigner(loop, graph, machine, heuristic);
         TopologyClusterAssigner want_assigner(loop, graph, machine, heuristic);
-        expect_golden(ims_schedule(loop, graph, machine, {}, &got_assigner),
-                      ims_schedule_reference(loop, graph, machine, {}, &want_assigner),
+        const ImsResult want = ims_schedule_reference(loop, graph, machine, {}, &want_assigner);
+        failed_walks += want.ok ? 0 : 1;
+        expect_golden(ims_schedule(loop, graph, machine, {}, &got_assigner), want,
                       cat(loop.name, " on ", machine.name, " / ",
                           cluster_heuristic_name(heuristic)));
       }
     }
   }
+  EXPECT_GT(failed_walks, 0) << "no clustered walk failed, so none was compared";
 }
 
 TEST(ImsGolden, FullPaperSuiteBitIdenticalToReference) {

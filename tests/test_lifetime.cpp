@@ -144,7 +144,12 @@ TEST(DomainOfEdge, CounterClockwiseSegment) {
 
 TEST(DomainOfEdge, NonAdjacentFails) {
   const Topology t = MachineConfig::clustered_machine(5).topology();
-  EXPECT_THROW((void)domain_of_edge(t, 0, 2), Error);
+  try {
+    (void)domain_of_edge(t, 0, 2);
+    ADD_FAILURE() << "a two-hop flow got a domain";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "value flow between non-adjacent clusters 0 and 2 (ring of 5)");
+  }
 }
 
 TEST(DomainOfEdge, TwoClusterRingUsesClockwise) {
@@ -155,29 +160,11 @@ TEST(DomainOfEdge, TwoClusterRingUsesClockwise) {
   EXPECT_EQ(domain_of_edge(t, 1, 0).index, 1);
 }
 
-TEST(DomainOfEdge, MeshAndCrossbarSegments) {
-  const Topology mesh = MachineConfig::mesh_machine(2, 2).topology();
-  // 2x2 mesh segments, source-major, destinations ascending:
-  // 0:[0->1] 1:[0->2] 2:[1->0] 3:[1->3] 4:[2->0] 5:[2->3] 6:[3->1] 7:[3->2]
-  EXPECT_EQ(domain_of_edge(mesh, 0, 1).index, 0);
-  EXPECT_EQ(domain_of_edge(mesh, 0, 2).index, 1);
-  EXPECT_EQ(domain_of_edge(mesh, 3, 1).index, 6);
-  EXPECT_THROW((void)domain_of_edge(mesh, 0, 3), Error);  // diagonal
-
-  const Topology xbar = MachineConfig::crossbar_machine(4).topology();
-  EXPECT_EQ(domain_of_edge(xbar, 0, 3).index, 2);
-  EXPECT_EQ(domain_of_edge(xbar, 3, 0).index, 9);
-}
-
 TEST(DomainName, Formats) {
   const Topology ring = MachineConfig::clustered_machine(4).topology();
   EXPECT_EQ(domain_name(ring, {QueueDomain::Kind::kPrivate, 3}), "private[3]");
   EXPECT_EQ(domain_name(ring, {QueueDomain::Kind::kSegment, 0}), "ring-cw[0]");
   EXPECT_EQ(domain_name(ring, {QueueDomain::Kind::kSegment, 4 + 2}), "ring-ccw[2]");
-  const Topology mesh = MachineConfig::mesh_machine(2, 2).topology();
-  EXPECT_EQ(domain_name(mesh, {QueueDomain::Kind::kSegment, 0}), "mesh[0->1]");
-  const Topology xbar = MachineConfig::crossbar_machine(3).topology();
-  EXPECT_EQ(domain_name(xbar, {QueueDomain::Kind::kSegment, 5}), "xbar[2->1]");
 }
 
 TEST(ExtractLifetimes, PushPopTimesFromSchedule) {

@@ -63,7 +63,7 @@ TEST(Machine, ClusteredShape) {
   EXPECT_EQ(m.total_compute_fus(), 12);
   EXPECT_EQ(m.total_fus(FuKind::kCopy), 4);
   EXPECT_EQ(m.segment.queues_per_segment, 8);
-  EXPECT_EQ(m.topology_kind, TopologyKind::kRing);
+  EXPECT_EQ(m.topology().segment_count(), 8);
 }
 
 TEST(Machine, ClusteredRejectsOne) {
@@ -103,50 +103,43 @@ TEST(Ring, NextHop) {
   EXPECT_THROW((void)m.next_hop(2, 2), Error);
 }
 
-TEST(Machine, MeshShape) {
-  const MachineConfig m = MachineConfig::mesh_machine(3, 3);
-  EXPECT_EQ(m.cluster_count(), 9);
-  EXPECT_EQ(m.topology_kind, TopologyKind::kMesh);
-  EXPECT_EQ(m.name, "mesh-3x3x3fu");
-  EXPECT_EQ(m.distance(0, 8), 4);  // corner to corner, Manhattan
-  EXPECT_TRUE(m.adjacent(4, 1));
-  EXPECT_FALSE(m.adjacent(0, 4));  // diagonal
+TEST(Machine, TopologyMachineIsTheClusteredRing) {
+  const MachineConfig m = MachineConfig::topology_machine(TopologyKind::kRing, 4);
+  EXPECT_EQ(m.name, "ring-4x3fu");
+  EXPECT_EQ(m.signature(), MachineConfig::clustered_machine(4).signature());
 }
 
-TEST(Machine, CrossbarShape) {
-  const MachineConfig m = MachineConfig::crossbar_machine(4);
-  EXPECT_EQ(m.topology_kind, TopologyKind::kCrossbar);
-  EXPECT_EQ(m.name, "xbar-4x3fu");
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) EXPECT_TRUE(m.adjacent(a, b));
+TEST(Machine, SignatureSeparatesRingSizes) {
+  // Equal compute FU totals, different clusterings: the sweep cache must
+  // never serve one machine's artifacts to the other.
+  const auto ring4 = MachineConfig::clustered_machine(4);
+  const auto ring5 = MachineConfig::clustered_machine(5);
+  const auto single = MachineConfig::single_cluster_machine(12);
+  EXPECT_NE(ring4.signature(), ring5.signature());
+  EXPECT_NE(ring4.signature(), single.signature());
+}
+
+TEST(Machine, ValidateNamesTheRingWithoutSegmentQueues) {
+  MachineConfig m = MachineConfig::clustered_machine(4);
+  m.segment.queues_per_segment = 0;
+  try {
+    m.validate();
+    ADD_FAILURE() << "a ring without segment queues validated";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "machine 'ring-4x3fu': ring needs queues");
   }
-}
-
-TEST(Machine, TopologyMachineFactorsMeshes) {
-  EXPECT_EQ(MachineConfig::topology_machine(TopologyKind::kMesh, 9).name, "mesh-3x3x3fu");
-  EXPECT_EQ(MachineConfig::topology_machine(TopologyKind::kMesh, 6).name, "mesh-2x3x3fu");
-  EXPECT_EQ(MachineConfig::topology_machine(TopologyKind::kMesh, 7).name, "mesh-1x7x3fu");
-  EXPECT_EQ(MachineConfig::topology_machine(TopologyKind::kRing, 4).name, "ring-4x3fu");
-  EXPECT_EQ(MachineConfig::topology_machine(TopologyKind::kCrossbar, 4).name, "xbar-4x3fu");
-}
-
-TEST(Machine, ValidateCatchesBadMeshDims) {
-  MachineConfig m = MachineConfig::mesh_machine(2, 3);
-  m.mesh_rows = 3;  // 3x3 != 6 clusters
-  EXPECT_THROW(m.validate(), Error);
-}
-
-TEST(Machine, SignatureSeparatesTopologies) {
-  // Same cluster/segment resources, different interconnects: the sweep
-  // cache must never serve a ring artifact to a mesh machine.
-  const auto ring = MachineConfig::clustered_machine(4);
-  const auto mesh = MachineConfig::mesh_machine(2, 2);
-  const auto wide = MachineConfig::mesh_machine(1, 4);
-  const auto xbar = MachineConfig::crossbar_machine(4);
-  EXPECT_NE(ring.signature(), mesh.signature());
-  EXPECT_NE(ring.signature(), xbar.signature());
-  EXPECT_NE(mesh.signature(), xbar.signature());
-  EXPECT_NE(mesh.signature(), wide.signature());
+  m.segment.queues_per_segment = 8;
+  m.segment.queue_depth = 0;
+  try {
+    m.validate();
+    ADD_FAILURE() << "a ring without segment queue depth validated";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "machine 'ring-4x3fu': ring needs queue depth");
+  }
+  // A single cluster has no segments to check.
+  MachineConfig single = MachineConfig::single_cluster_machine(6);
+  single.segment.queues_per_segment = 0;
+  EXPECT_NO_THROW(single.validate());
 }
 
 TEST(Machine, ValidateCatchesMissingFuKind) {

@@ -156,5 +156,17 @@ TEST(Partition, SixClusterRingWorks) {
   ASSERT_TRUE(r.ok) << r.failure;
 }
 
+TEST(Partition, CommunicationViolationsCountRingHops) {
+  const Loop loop = parse_loop("loop t { x = load X[i]; store Y[i], x; }");
+  const MachineConfig machine = MachineConfig::clustered_machine(4);
+  const Ddg graph = Ddg::build(loop, machine.latency);
+  Schedule schedule(loop.op_count(), 2);
+  schedule.set(0, {0, 0, 0});
+  schedule.set(1, {2, 2, 0});  // two ring hops away from its producer
+  const std::vector<std::string> violations = communication_violations(graph, machine, schedule);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0], "flow edge 0->1 spans 2 ring hops (clusters 0 -> 2)");
+}
+
 }  // namespace
 }  // namespace qvliw

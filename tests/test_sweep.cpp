@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <utility>
-
 #include "harness/shard.h"
 #include "harness/sweep.h"
 #include "support/strings.h"
@@ -430,38 +428,36 @@ TEST(Sweep, StrictPointUnderStrictModeVerifiesEveryCell) {
             sweep_result_fingerprint(run_pipeline_sweep(loops, points, options.verify_mode)));
 }
 
-// The budget-ladder sweep off the paper's ring: on a 3x3 mesh and a
-// 4-cluster crossbar, strict sweeps at 1 and 2 workers match run_pipeline
-// cell for cell and verify every scheduled cell clean.  Some mesh-9 cells
-// fail before the verify stage (legitimately), so the count is of ok cells.
-TEST(Sweep, NonRingLadderSweepsVerifyCleanAndDeterministic) {
+// The budget-ladder sweep on the 6-cluster ring: strict sweeps at 1 and 2
+// workers match run_pipeline cell for cell and verify every scheduled cell
+// clean.  Some ring-6 cells fail before the verify stage (legitimately),
+// so the count is of ok cells, and the failing-cell path is exercised.
+TEST(Sweep, Ring6LadderSweepsVerifyCleanAndDeterministic) {
   SynthConfig config;
   config.loops = 120;
   const Suite suite = full_suite(config);
 
-  for (const auto& [kind, clusters] :
-       {std::pair{TopologyKind::kMesh, 9}, std::pair{TopologyKind::kCrossbar, 4}}) {
-    const MachineConfig machine = MachineConfig::topology_machine(kind, clusters);
-    const std::vector<SweepPoint> points = ladder_points(machine, machine.name);
-    const std::string reference = sweep_result_fingerprint(
-        run_pipeline_sweep(suite.loops, points, SweepVerifyMode::kStrict));
+  const MachineConfig machine = MachineConfig::clustered_machine(6);
+  const std::vector<SweepPoint> points = ladder_points(machine, "ring-6");
+  const std::string reference = sweep_result_fingerprint(
+      run_pipeline_sweep(suite.loops, points, SweepVerifyMode::kStrict));
 
-    for (const int workers : {1, 2}) {
-      SweepOptions options;
-      options.workers = workers;
-      options.verify_mode = SweepVerifyMode::kStrict;
-      const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
-      const std::string where = cat(machine.name, " at ", workers, " workers");
+  for (const int workers : {1, 2}) {
+    SweepOptions options;
+    options.workers = workers;
+    options.verify_mode = SweepVerifyMode::kStrict;
+    const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
+    const std::string where = cat("ring-6 at ", workers, " workers");
 
-      EXPECT_EQ(sweep_result_fingerprint(sweep), reference) << where;
-      std::uint64_t scheduled = 0;
-      for (const std::vector<LoopResult>& row : sweep.by_point) {
-        for (const LoopResult& r : row) scheduled += r.ok ? 1 : 0;
-      }
-      EXPECT_GT(scheduled, 0u) << where;
-      EXPECT_EQ(sweep.verify_checked(), scheduled) << where;
-      EXPECT_EQ(sweep.verify_violations(), 0u) << where;
+    EXPECT_EQ(sweep_result_fingerprint(sweep), reference) << where;
+    std::uint64_t scheduled = 0;
+    for (const std::vector<LoopResult>& row : sweep.by_point) {
+      for (const LoopResult& r : row) scheduled += r.ok ? 1 : 0;
     }
+    EXPECT_GT(scheduled, 0u) << where;
+    EXPECT_LT(scheduled, sweep.pipelines) << where << ": no cell failed";
+    EXPECT_EQ(sweep.verify_checked(), scheduled) << where;
+    EXPECT_EQ(sweep.verify_violations(), 0u) << where;
   }
 }
 

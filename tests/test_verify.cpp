@@ -194,6 +194,10 @@ TEST(VerifyRouting, NonAdjacentFlowCaught) {
   const VerifyReport report = verify_routing(loop, graph, machine, schedule,
                                              /*check_fanout=*/true);
   EXPECT_TRUE(report.has_rule(VerifyRule::kRouteAdjacency)) << report.summary(0);
+  EXPECT_NE(report.summary(0).find(
+                "on cluster 2 (2 ring hops; only adjacent clusters share a segment)"),
+            std::string::npos)
+      << report.summary(0);
 }
 
 // --- pass 4: queue-RF mutations -------------------------------------------
@@ -546,22 +550,25 @@ TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
 }
 
 TEST(VerifyCodec, PreTopologyMagicIsRejected) {
-  // Version 0001 bundles predate the machine's topology fields; their
-  // decoder is gone, so the old magic is just a bad one.
+  // Version 0001 bundles predate the machine's topology fields and version
+  // 0002 bundles still carry them; both decoders are gone, so either old
+  // magic is just a bad one.
   const Artifacts a = prepare_clustered(kernel_by_name("daxpy"), 4);
   VerifyBundle bundle;
   bundle.loop = a.loop;
   bundle.machine = a.machine;
   bundle.schedule = a.schedule;
-  std::string blob = encode_verify_bundle(bundle);
-  BlobWriter old_magic;
-  old_magic.put_u64(0x5156424e444c0001ULL);
-  blob.replace(0, 8, old_magic.take());
-  try {
-    (void)decode_verify_bundle(blob);
-    ADD_FAILURE() << "the pre-topology magic decoded";
-  } catch (const Error& error) {
-    EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos) << error.what();
+  for (const std::uint64_t magic : {0x5156424e444c0001ULL, 0x5156424e444c0002ULL}) {
+    std::string blob = encode_verify_bundle(bundle);
+    BlobWriter old_magic;
+    old_magic.put_u64(magic);
+    blob.replace(0, 8, old_magic.take());
+    try {
+      (void)decode_verify_bundle(blob);
+      ADD_FAILURE() << "the old magic " << std::hex << magic << " decoded";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos) << error.what();
+    }
   }
 }
 
@@ -640,8 +647,8 @@ TEST(VerifyReference, QueueDiagnosticsMatchTheFrozenReplay) {
       {MachineConfig::single_cluster_machine(6, 4), SchedulerKind::kSingleCluster},
       {MachineConfig::clustered_machine(4), SchedulerKind::kClustered},
       {MachineConfig::clustered_machine(6), SchedulerKind::kClustered},
-      {MachineConfig::mesh_machine(3, 3), SchedulerKind::kClustered},
-      {MachineConfig::crossbar_machine(4), SchedulerKind::kClustered},
+      {MachineConfig::clustered_machine(2), SchedulerKind::kClustered},
+      {MachineConfig::clustered_machine(5), SchedulerKind::kClustered},
   };
   Rng rng(1998);
   std::map<VerifyRule, int> seen;

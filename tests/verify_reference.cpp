@@ -1,7 +1,6 @@
 #include "verify_reference.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -47,57 +46,17 @@ bool shapes_agree(const Loop& loop, const Ddg& graph, const Schedule& schedule,
 /// canonical segment numbering is independent of the producer's.
 /// Ring: clockwise segments c -> c+1 get ids 0..k-1, counter-clockwise
 /// segments c+1 -> c get ids k..2k-1; clockwise wins the k == 2 tie.
-/// Mesh: one segment per directed grid-neighbour edge, enumerated
-/// source-major with destinations ascending.  Crossbar: one segment per
-/// ordered pair, enumerated the same way.
 std::optional<QueueDomain> expected_domain(const MachineConfig& machine, int producer_cluster,
                                            int consumer_cluster) {
   if (producer_cluster == consumer_cluster) {
     return QueueDomain{QueueDomain::Kind::kPrivate, producer_cluster};
   }
   const int k = machine.cluster_count();
-  switch (machine.topology_kind) {
-    case TopologyKind::kRing:
-      if ((producer_cluster + 1) % k == consumer_cluster) {
-        return QueueDomain{QueueDomain::Kind::kSegment, producer_cluster};
-      }
-      if (k > 2 && (consumer_cluster + 1) % k == producer_cluster) {
-        return QueueDomain{QueueDomain::Kind::kSegment, k + consumer_cluster};
-      }
-      return std::nullopt;
-    case TopologyKind::kMesh: {
-      const int rows = machine.mesh_rows;
-      const int cols = machine.mesh_cols;
-      const int pr = producer_cluster / cols;
-      const int pc = producer_cluster % cols;
-      const int cr = consumer_cluster / cols;
-      const int cc = consumer_cluster % cols;
-      if (std::abs(pr - cr) + std::abs(pc - cc) != 1) return std::nullopt;
-      int id = 0;
-      for (int n = 0; n < producer_cluster; ++n) {
-        const int r = n / cols;
-        const int c = n % cols;
-        id += (r > 0 ? 1 : 0) + (r + 1 < rows ? 1 : 0) + (c > 0 ? 1 : 0) + (c + 1 < cols ? 1 : 0);
-      }
-      if (consumer_cluster == producer_cluster - cols) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pr > 0 ? 1 : 0;
-      if (consumer_cluster == producer_cluster - 1) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pc > 0 ? 1 : 0;
-      if (consumer_cluster == producer_cluster + 1) {
-        return QueueDomain{QueueDomain::Kind::kSegment, id};
-      }
-      id += pc + 1 < cols ? 1 : 0;
-      return QueueDomain{QueueDomain::Kind::kSegment, id};  // one row down
-    }
-    case TopologyKind::kCrossbar:
-      return QueueDomain{
-          QueueDomain::Kind::kSegment,
-          producer_cluster * (k - 1) +
-              (consumer_cluster < producer_cluster ? consumer_cluster : consumer_cluster - 1)};
+  if ((producer_cluster + 1) % k == consumer_cluster) {
+    return QueueDomain{QueueDomain::Kind::kSegment, producer_cluster};
+  }
+  if (k > 2 && (consumer_cluster + 1) % k == producer_cluster) {
+    return QueueDomain{QueueDomain::Kind::kSegment, k + consumer_cluster};
   }
   return std::nullopt;
 }
