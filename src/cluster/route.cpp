@@ -9,6 +9,9 @@ RouteResult partition_with_moves(const Loop& loop, const MachineConfig& machine,
                                  const PartitionOptions& options, int max_rounds) {
   RouteResult result;
   result.loop = loop;
+  // result.ims.stats sums the effort of every strict and relaxed round;
+  // once a strict round succeeds, its budget_spent and mii_optimal stand.
+  ImsStats& effort = result.ims.stats;
 
   PartitionOptions strict = options;
   strict.strict = true;
@@ -23,13 +26,16 @@ RouteResult partition_with_moves(const Loop& loop, const MachineConfig& machine,
     // earlier rounds suffice, this succeeds and we are done.
     ImsResult attempt = partition_schedule(result.loop, graph, machine, strict);
     if (attempt.ok) {
+      add_effort(attempt.stats, effort);
       result.ok = true;
       result.ims = std::move(attempt);
       return result;
     }
+    add_effort(effort, attempt.stats);
 
     // Discover which value flows want to span multiple hops.
     ImsResult relaxed_attempt = partition_schedule(result.loop, graph, machine, relaxed);
+    add_effort(effort, relaxed_attempt.stats);
     if (!relaxed_attempt.ok) {
       result.failure = cat("relaxed partitioning failed: ", relaxed_attempt.failure);
       return result;

@@ -19,7 +19,10 @@ struct RouteResult {
   Loop loop;       // the routed loop (with inserted moves)
   int moves_added = 0;
   int rounds = 0;  // repair rounds used
-  ImsResult ims;   // final strict schedule (valid when ok)
+  /// The final strict schedule (valid when ok).  Its stats sum every
+  /// strict and relaxed round, also when routing fails; budget_spent and
+  /// mii_optimal are the accepted schedule's (0 and false on failure).
+  ImsResult ims;
   std::string failure;
 };
 

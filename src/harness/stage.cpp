@@ -113,15 +113,6 @@ bool schedule_stage(PipelineContext& ctx) {
   return true;
 }
 
-/// Adds `times` escalations that each cost `step` to a cell's scheduling
-/// effort, which sums over the first schedule and every escalation.
-void add_effort(ImsStats& effort, const ImsStats& step, int times = 1) {
-  effort.placements += times * step.placements;
-  effort.evictions += times * step.evictions;
-  effort.forced += times * step.forced;
-  effort.ii_attempts += times * step.ii_attempts;
-}
-
 bool queue_alloc_stage(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
   ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);

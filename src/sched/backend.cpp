@@ -70,6 +70,7 @@ class ClusteredMovesBackend final : public SchedulerBackend {
     RouteResult routed = partition_with_moves(*request.loop, *request.machine, options);
     if (!routed.ok) {
       outcome.ims.failure = std::move(routed.failure);
+      outcome.ims.stats = routed.ims.stats;  // the effort of every round
       return outcome;
     }
     outcome.ims = std::move(routed.ims);

@@ -376,4 +376,11 @@ ImsResult reschedule_invariant(const ImsResult& result, int ii) {
   return raised;
 }
 
+void add_effort(ImsStats& effort, const ImsStats& step, int times) {
+  effort.placements += times * step.placements;
+  effort.evictions += times * step.evictions;
+  effort.forced += times * step.forced;
+  effort.ii_attempts += times * step.ii_attempts;
+}
+
 }  // namespace qvliw

@@ -99,6 +99,13 @@ struct ImsStats {
   bool mii_optimal = false;
 };
 
+/// Adds `times` searches that each cost `step` to `effort`: placements,
+/// evictions, forced placements and II attempts.  budget_spent and
+/// mii_optimal describe one accepted schedule, so they are left as they
+/// are; callers that sum several searches into one cell keep the accepted
+/// schedule's.
+void add_effort(ImsStats& effort, const ImsStats& step, int times = 1);
+
 /// A previously accepted schedule offered as a warm start for a new run
 /// over the *same* loop/DDG — the sweep runner offers the MII-optimal
 /// schedule a smaller-budget sibling of a budget ladder already accepted.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "cluster/route.h"
+#include "harness/stage.h"
 #include "sched/schedule.h"
 #include "sim/interp.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
 #include "workload/synth.h"
 #include "xform/copy_insert.h"
 
@@ -70,6 +72,64 @@ TEST(Route, ReportsFailureGracefully) {
   const RouteResult r = partition_with_moves(loop, machine, options);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.failure.empty());
+}
+
+// A cell's effort sums every round of the router, also when routing
+// fails: a loop whose first strict round fails reports that round's
+// search, the relaxed round's and the later strict rounds', and keeps the
+// accepted schedule's budget and optimality.  The loops are the pipeline's unrolled, copy-inserted ones
+// on the 6-cluster ring, where some strict partitions fail.
+TEST(Route, EffortSumsEveryRound) {
+  const MachineConfig machine = MachineConfig::clustered_machine(6);
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+  PipelineOptions options;
+  options.unroll = true;
+  options.scheduler = SchedulerKind::kClusteredMoves;
+  PartitionOptions relaxed;
+  relaxed.strict = false;
+  int rerouted = 0;
+  for (const Loop& source : suite.loops) {
+    PipelineContext ctx(source, machine, options);
+    if (!run_front_end(ctx)) continue;
+    const Loop& loop = ctx.loop;
+    const ImsResult first = partition_schedule(loop, *ctx.graph, machine);
+    if (first.ok) continue;
+    ++rerouted;
+    ImsStats earlier = first.stats;
+    add_effort(earlier, partition_schedule(loop, *ctx.graph, machine, relaxed).stats);
+
+    // Cut after one round, routing fails and reports both searches.
+    const RouteResult cut = partition_with_moves(loop, machine, {}, 1);
+    ASSERT_FALSE(cut.ok) << source.name;
+    EXPECT_EQ(cut.ims.stats.ii_attempts, earlier.ii_attempts) << source.name;
+    EXPECT_EQ(cut.ims.stats.placements, earlier.placements) << source.name;
+    EXPECT_EQ(cut.ims.stats.budget_spent, 0) << source.name;
+
+    const RouteResult r = partition_with_moves(loop, machine);
+    EXPECT_GE(r.ims.stats.ii_attempts, earlier.ii_attempts) << source.name;
+    EXPECT_GE(r.ims.stats.placements, earlier.placements) << source.name;
+    if (!r.ok) {
+      EXPECT_EQ(r.ims.stats.budget_spent, 0) << source.name;
+      continue;
+    }
+    const ImsResult last =
+        partition_schedule(r.loop, Ddg::build(r.loop, machine.latency), machine);
+    ASSERT_TRUE(last.ok) << source.name;
+    EXPECT_GE(r.ims.stats.ii_attempts, earlier.ii_attempts + last.stats.ii_attempts)
+        << source.name;
+    if (r.rounds == 2) {
+      EXPECT_EQ(r.ims.stats.ii_attempts, earlier.ii_attempts + last.stats.ii_attempts)
+          << source.name;
+      EXPECT_EQ(r.ims.stats.placements, earlier.placements + last.stats.placements)
+          << source.name;
+      EXPECT_EQ(r.ims.stats.evictions, earlier.evictions + last.stats.evictions) << source.name;
+    }
+    EXPECT_EQ(r.ims.stats.budget_spent, last.stats.budget_spent) << source.name;
+    EXPECT_EQ(r.ims.stats.mii_optimal, last.stats.mii_optimal) << source.name;
+  }
+  EXPECT_GT(rerouted, 0) << "no loop needed a second round";
 }
 
 }  // namespace
