@@ -128,8 +128,40 @@ TEST(Route, EffortSumsEveryRound) {
     }
     EXPECT_EQ(r.ims.stats.budget_spent, last.stats.budget_spent) << source.name;
     EXPECT_EQ(r.ims.stats.mii_optimal, last.stats.mii_optimal) << source.name;
+
+    // The cell reports the same effort through the moves backend.
+    const LoopResult cell = run_pipeline(source, machine, options);
+    ASSERT_TRUE(cell.ok) << source.name;
+    EXPECT_EQ(cell.queue_fit_retries, 0) << source.name;
+    EXPECT_EQ(cell.sched_stats.ii_attempts, r.ims.stats.ii_attempts) << source.name;
+    EXPECT_EQ(cell.sched_stats.placements, r.ims.stats.placements) << source.name;
   }
   EXPECT_GT(rerouted, 0) << "no loop needed a second round";
+}
+
+// The one loop of the paper's suite that the moves router cannot place on
+// six clusters: its cell reports the searches of all six rounds, each a
+// full strict walk plus a relaxed one.
+TEST(Route, FailedCellReportsEveryRound) {
+  const Suite suite = full_suite();
+  const Loop& source = suite.loops[736];
+  ASSERT_EQ(source.name, "synth694");
+  const MachineConfig machine = MachineConfig::clustered_machine(6);
+  PipelineOptions options;
+  options.unroll = true;
+  options.scheduler = SchedulerKind::kClusteredMoves;
+  const LoopResult cell = run_pipeline(source, machine, options);
+  ASSERT_FALSE(cell.ok);
+  EXPECT_EQ(cell.failure, "no legal routed schedule after 6 rounds");
+
+  PipelineContext ctx(source, machine, options);
+  ASSERT_TRUE(run_front_end(ctx));
+  const RouteResult r = partition_with_moves(ctx.loop, machine);
+  ASSERT_FALSE(r.ok);
+  EXPECT_GE(r.ims.stats.ii_attempts, 6 * (ImsOptions{}.max_ii_attempts + 1));
+  EXPECT_EQ(cell.sched_stats.ii_attempts, r.ims.stats.ii_attempts);
+  EXPECT_EQ(cell.sched_stats.placements, r.ims.stats.placements);
+  EXPECT_EQ(cell.sched_stats.budget_spent, 0);
 }
 
 }  // namespace
