@@ -27,6 +27,10 @@ TopologyClusterAssigner::TopologyClusterAssigner(const Loop& loop, const Ddg& gr
   check(loop.op_count() == graph.node_count(), "TopologyClusterAssigner: loop/DDG mismatch");
   kind_of_.reserve(loop.ops.size());
   for (const Op& op : loop.ops) kind_of_.push_back(fu_for(op.opcode));
+  fus_.reserve(static_cast<std::size_t>(machine.cluster_count() * kNumFuKinds));
+  for (const ClusterConfig& cluster : machine.clusters) {
+    fus_.insert(fus_.end(), cluster.fu_count.begin(), cluster.fu_count.end());
+  }
 
   // Flow-neighbour CSR: per op, out-edge consumers then in-edge producers,
   // each group in edge-insertion order (counting sort over the edge list).
@@ -63,59 +67,82 @@ int TopologyClusterAssigner::cluster_of(int op) const {
   return cluster_of_[static_cast<std::size_t>(op)];
 }
 
-double TopologyClusterAssigner::score(int op, int cluster) const {
+void TopologyClusterAssigner::evaluate(int op) {
   const int k = machine_.cluster_count();
   const FuKind kind = kind_of_[static_cast<std::size_t>(op)];
-  const int kind_load =
-      load_[static_cast<std::size_t>(cluster * kNumFuKinds) + static_cast<std::size_t>(kind)];
-  const int kind_fus = machine_.fu_count(cluster, kind);
-  const double pressure =
-      kind_fus > 0 ? static_cast<double>(kind_load) / kind_fus : 1e9;
+  scores_.assign(static_cast<std::size_t>(k), 0.0);
+  legal_.assign(static_cast<std::size_t>(k), 1);
 
-  switch (heuristic_) {
-    case ClusterHeuristic::kFirstFit:
-      return -cluster;  // fixed order
-    case ClusterHeuristic::kLoadBalance:
-      return -pressure;
-    case ClusterHeuristic::kAffinity: {
-      // +2 for each scheduled flow neighbour in `cluster`, +1 when adjacent;
-      // light pressure tie-break.
-      double affinity = 0.0;
-      for (std::int32_t idx = flow_off_[static_cast<std::size_t>(op)];
-           idx < flow_off_[static_cast<std::size_t>(op) + 1]; ++idx) {
-        const int oc = cluster_of_[static_cast<std::size_t>(flow_adj_[static_cast<std::size_t>(idx)])];
-        if (oc < 0) continue;
-        const int dist = topology_.distance(cluster, oc);
-        if (dist == 0) affinity += 2.0;
-        else if (dist == 1) affinity += 1.0;
-        else affinity -= static_cast<double>(dist);  // relaxed mode: fewer hops
+  // One pass over the scheduled flow neighbours.  Affinity gives +2 for
+  // each one in the cluster, +1 when adjacent, and (relaxed mode) minus
+  // the hop count beyond that; strict mode rules out any cluster more
+  // than one hop from one of them.  Each term is an integer, so the sum
+  // does not depend on the order it is taken in.
+  const bool affinity = heuristic_ == ClusterHeuristic::kAffinity;
+  if (affinity || strict_) {
+    for (std::int32_t idx = flow_off_[static_cast<std::size_t>(op)];
+         idx < flow_off_[static_cast<std::size_t>(op) + 1]; ++idx) {
+      const int oc =
+          cluster_of_[static_cast<std::size_t>(flow_adj_[static_cast<std::size_t>(idx)])];
+      if (oc < 0) continue;
+      for (int c = 0; c < k; ++c) {
+        const int dist = topology_.distance(c, oc);
+        if (strict_ && dist > 1) legal_[static_cast<std::size_t>(c)] = 0;
+        if (affinity) scores_[static_cast<std::size_t>(c)] += dist == 0 ? 2 : dist == 1 ? 1 : -dist;
       }
-      (void)k;
-      return affinity - 0.25 * pressure;
     }
   }
-  QVLIW_ASSERT(false, "bad ClusterHeuristic");
+
+  for (int c = 0; c < k; ++c) {
+    double& score = scores_[static_cast<std::size_t>(c)];
+    if (heuristic_ == ClusterHeuristic::kFirstFit) {
+      score = -c;  // fixed order
+      continue;
+    }
+    const std::size_t slot =
+        static_cast<std::size_t>(c * kNumFuKinds) + static_cast<std::size_t>(kind);
+    const double pressure =
+        fus_[slot] > 0 ? static_cast<double>(load_[slot]) / fus_[slot] : 1e9;
+    // Affinity keeps pressure as a light tie-break.
+    score = affinity ? score - 0.25 * pressure : -pressure;
+  }
 }
 
-void TopologyClusterAssigner::candidates(int op, std::vector<int>& out) {
-  const int k = machine_.cluster_count();
-  out.resize(static_cast<std::size_t>(k));
-  std::iota(out.begin(), out.end(), 0);
-  scores_.resize(static_cast<std::size_t>(k));
-  for (int c = 0; c < k; ++c) scores_[static_cast<std::size_t>(c)] = score(op, c);
-  std::stable_sort(out.begin(), out.end(), [this](int a, int b) {
-    return scores_[static_cast<std::size_t>(a)] > scores_[static_cast<std::size_t>(b)];
+void TopologyClusterAssigner::order(std::vector<int>& clusters) const {
+  // A strict total order, so std::sort needs no buffer and gives the
+  // stable order.
+  std::sort(clusters.begin(), clusters.end(), [this](int a, int b) {
+    const double sa = scores_[static_cast<std::size_t>(a)];
+    const double sb = scores_[static_cast<std::size_t>(b)];
+    return sa > sb || (sa == sb && a < b);
   });
 }
 
-bool TopologyClusterAssigner::legal(int op, int cluster) {
-  if (!strict_) return true;
-  for (std::int32_t idx = flow_off_[static_cast<std::size_t>(op)];
-       idx < flow_off_[static_cast<std::size_t>(op) + 1]; ++idx) {
-    const int oc = cluster_of_[static_cast<std::size_t>(flow_adj_[static_cast<std::size_t>(idx)])];
-    if (oc >= 0 && topology_.distance(cluster, oc) > 1) return false;
+int TopologyClusterAssigner::legal_candidates(int op, std::vector<int>& out) {
+  evaluate(op);
+  const int k = machine_.cluster_count();
+  out.clear();
+  int best = 0;
+  for (int c = 0; c < k; ++c) {
+    if (legal_[static_cast<std::size_t>(c)] != 0) out.push_back(c);
+    if (scores_[static_cast<std::size_t>(c)] > scores_[static_cast<std::size_t>(best)]) best = c;
   }
-  return true;
+  order(out);
+  return best;
+}
+
+void TopologyClusterAssigner::candidates(int op, std::vector<int>& out) {
+  evaluate(op);
+  out.resize(static_cast<std::size_t>(machine_.cluster_count()));
+  std::iota(out.begin(), out.end(), 0);
+  order(out);
+}
+
+bool TopologyClusterAssigner::legal(int op, int cluster) {
+  check(cluster >= 0 && cluster < machine_.cluster_count(),
+        "TopologyClusterAssigner::legal: cluster out of range");
+  evaluate(op);
+  return legal_[static_cast<std::size_t>(cluster)] != 0;
 }
 
 void TopologyClusterAssigner::adjacency_evictions(int op, int cluster, std::vector<int>& out) {

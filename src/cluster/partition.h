@@ -32,12 +32,17 @@ enum class ClusterHeuristic {
 /// of every scheduled flow neighbour.  In relaxed mode any cluster is legal
 /// — used by the move-routing extension to discover which edges need relay
 /// moves; candidate ordering still minimises expected hops.
+///
+/// Every query rests on one pass over the op's flow neighbours (evaluate)
+/// that yields each cluster's score and legality, in O(k) scratch for k
+/// clusters.
 class TopologyClusterAssigner final : public ClusterAssigner {
  public:
   TopologyClusterAssigner(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
                           ClusterHeuristic heuristic, bool strict = true);
 
   void reset(int ii) override;
+  int legal_candidates(int op, std::vector<int>& out) override;
   void candidates(int op, std::vector<int>& out) override;
   bool legal(int op, int cluster) override;
   void adjacency_evictions(int op, int cluster, std::vector<int>& out) override;
@@ -48,7 +53,12 @@ class TopologyClusterAssigner final : public ClusterAssigner {
   [[nodiscard]] int cluster_of(int op) const;
 
  private:
-  [[nodiscard]] double score(int op, int cluster) const;
+  /// Fills scores_ and legal_ for placing `op` in each cluster now.
+  void evaluate(int op);
+
+  /// Orders `clusters` best first: by score, then by cluster number (the
+  /// order a stable sort of 0..k-1 by score gives).
+  void order(std::vector<int>& clusters) const;
 
   const MachineConfig& machine_;
   Topology topology_;
@@ -56,8 +66,10 @@ class TopologyClusterAssigner final : public ClusterAssigner {
   bool strict_;
   std::vector<FuKind> kind_of_;
   std::vector<int> cluster_of_;
-  std::vector<int> load_;        // [cluster*kNumFuKinds + kind] placed ops
-  std::vector<double> scores_;   // candidates() scratch, one slot per cluster
+  std::vector<int> fus_;           // [cluster*kNumFuKinds + kind] FU instances
+  std::vector<int> load_;          // [cluster*kNumFuKinds + kind] placed ops
+  std::vector<double> scores_;     // evaluate() output, one slot per cluster
+  std::vector<char> legal_;        // evaluate() output, one slot per cluster
 
   // Flow-neighbour adjacency (CSR), extracted from the DDG once at
   // construction: for each op, the other endpoints of its value-flow edges

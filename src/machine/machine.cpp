@@ -37,11 +37,14 @@ int MachineConfig::total_compute_fus() const {
 }
 
 void MachineConfig::validate() const {
-  check(!clusters.empty(), cat("machine '", name, "': needs at least one cluster"));
+  // Runs on every ims_schedule call: a message is formatted only on the
+  // failing branch, never before the test.
+  if (clusters.empty()) fail(cat("machine '", name, "': needs at least one cluster"));
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterConfig& cc = cluster(c);
-    check(cc.fus(FuKind::kLS) >= 1 && cc.fus(FuKind::kAdd) >= 1 && cc.fus(FuKind::kMul) >= 1,
-          cat("machine '", name, "', cluster ", c, ": every compute FU kind needs >= 1 instance"));
+    const ClusterConfig& cc = clusters[static_cast<std::size_t>(c)];
+    if (cc.fus(FuKind::kLS) < 1 || cc.fus(FuKind::kAdd) < 1 || cc.fus(FuKind::kMul) < 1) {
+      fail(cat("machine '", name, "', cluster ", c, ": every compute FU kind needs >= 1 instance"));
+    }
     check(cc.fus(FuKind::kCopy) >= 0, "negative copy FU count");
     for (const int n : cc.fu_count) {
       if (n > kMaxFusPerKind) {
@@ -49,12 +52,14 @@ void MachineConfig::validate() const {
                  kMaxFusPerKind));
       }
     }
-    check(cc.private_queues >= 1, cat("machine '", name, "', cluster ", c, ": needs private queues"));
-    check(cc.queue_depth >= 1, cat("machine '", name, "', cluster ", c, ": needs queue depth"));
+    if (cc.private_queues < 1) {
+      fail(cat("machine '", name, "', cluster ", c, ": needs private queues"));
+    }
+    if (cc.queue_depth < 1) fail(cat("machine '", name, "', cluster ", c, ": needs queue depth"));
   }
   if (cluster_count() > 1) {
-    check(segment.queues_per_segment >= 1, cat("machine '", name, "': ring needs queues"));
-    check(segment.queue_depth >= 1, cat("machine '", name, "': ring needs queue depth"));
+    if (segment.queues_per_segment < 1) fail(cat("machine '", name, "': ring needs queues"));
+    if (segment.queue_depth < 1) fail(cat("machine '", name, "': ring needs queue depth"));
   }
   for (const int l : latency.latency) {
     if (l < 0 || l > kMaxLatency) {
@@ -134,8 +139,9 @@ MachineConfig deserialize_machine(BlobReader& in) {
   MachineConfig machine;
   machine.name = in.get_string();
   const std::int32_t clusters = in.get_i32();
-  check(clusters >= 0 && clusters <= (1 << 16),
-        cat("deserialize_machine: implausible cluster count ", clusters));
+  if (clusters < 0 || clusters > (1 << 16)) {
+    fail(cat("deserialize_machine: implausible cluster count ", clusters));
+  }
   machine.clusters.resize(static_cast<std::size_t>(clusters));
   for (ClusterConfig& cc : machine.clusters) {
     for (int& n : cc.fu_count) n = in.get_i32();

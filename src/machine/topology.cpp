@@ -1,7 +1,5 @@
 #include "machine/topology.h"
 
-#include <algorithm>
-
 #include "support/diagnostics.h"
 #include "support/strings.h"
 
@@ -10,13 +8,6 @@ namespace qvliw {
 Topology Topology::ring(int clusters) {
   check(clusters >= 1, "Topology::ring: need at least one cluster");
   return Topology(clusters);
-}
-
-int Topology::distance(int a, int b) const {
-  const int k = clusters_;
-  check(a >= 0 && a < k && b >= 0 && b < k, "Topology::distance: cluster out of range");
-  const int cw = ((b - a) % k + k) % k;
-  return std::min(cw, k - cw);
 }
 
 int Topology::next_hop(int a, int b) const {

@@ -15,8 +15,11 @@
 // allocation processes domains in canonical-id order).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+
+#include "support/diagnostics.h"
 
 namespace qvliw {
 
@@ -42,7 +45,13 @@ class Topology {
   [[nodiscard]] int cluster_count() const { return clusters_; }
 
   /// Minimal hop count from a to b, the shorter way around the ring.
-  [[nodiscard]] int distance(int a, int b) const;
+  /// Inline: the partitioner asks it for every cluster of every placement.
+  [[nodiscard]] int distance(int a, int b) const {
+    check(a >= 0 && a < clusters_ && b >= 0 && b < clusters_,
+          "Topology::distance: cluster out of range");
+    const int cw = b >= a ? b - a : b - a + clusters_;
+    return std::min(cw, clusters_ - cw);
+  }
 
   /// True when a == b or a segment connects the two clusters.
   [[nodiscard]] bool adjacent(int a, int b) const { return distance(a, b) <= 1; }

@@ -185,15 +185,16 @@ class ImsSearcher {
   void schedule_one(int op) {
     const FuKind kind = kind_of(op);
     const int estart = earliest_start(op);
-    assigner_.candidates(op, candidates_);
-    QVLIW_ASSERT(!candidates_.empty(), "ClusterAssigner returned no candidates");
+    // Legality cannot change before this op is placed, so the assigner
+    // decides it once, and the slot scan visits only legal clusters.
+    const int best = assigner_.legal_candidates(op, legal_);
+    QVLIW_ASSERT(best >= 0, "ClusterAssigner returned no candidates");
 
     int chosen_cycle = -1;
     int chosen_cluster = -1;
     int chosen_fu = -1;
-    for (int t = estart; t < estart + ii_ && chosen_cycle < 0; ++t) {
-      for (int c : candidates_) {
-        if (!assigner_.legal(op, c)) continue;
+    for (int t = estart; t < estart + ii_ && chosen_cycle < 0 && !legal_.empty(); ++t) {
+      for (int c : legal_) {
         const int fu = mrt_.find_free(c, kind, t);
         if (fu >= 0) {
           chosen_cycle = t;
@@ -210,14 +211,7 @@ class ImsSearcher {
       ++stats_->forced;
       const int prev = prev_cycle_[static_cast<std::size_t>(op)];
       chosen_cycle = (prev < 0 || estart > prev) ? estart : prev + 1;
-      chosen_cluster = -1;
-      for (int c : candidates_) {
-        if (assigner_.legal(op, c)) {
-          chosen_cluster = c;
-          break;
-        }
-      }
-      if (chosen_cluster < 0) chosen_cluster = candidates_.front();
+      chosen_cluster = legal_.empty() ? best : legal_.front();
       chosen_fu = mrt_.find_free(chosen_cluster, kind, chosen_cycle);
       if (chosen_fu < 0) {
         chosen_fu = victim_fu(chosen_cluster, kind, chosen_cycle);
@@ -247,9 +241,14 @@ class ImsSearcher {
         evictions_.push_back(edge.src);
       }
     }
-    // And neighbours whose value paths are no longer cluster-reachable.
-    assigner_.adjacency_evictions(op, chosen_cluster, adjacency_evictions_);
-    evictions_.insert(evictions_.end(), adjacency_evictions_.begin(), adjacency_evictions_.end());
+    // And neighbours whose value paths are no longer cluster-reachable:
+    // only a forced placement into an illegal cluster has any, since a
+    // forced displacement only removes neighbours.
+    if (legal_.empty()) {
+      assigner_.adjacency_evictions(op, chosen_cluster, adjacency_evictions_);
+      evictions_.insert(evictions_.end(), adjacency_evictions_.begin(),
+                        adjacency_evictions_.end());
+    }
     for (int v : evictions_) displace(v);
   }
 
@@ -269,7 +268,7 @@ class ImsSearcher {
   std::vector<std::uint64_t> words_;  // readiness bitmask over ranks
   std::size_t cursor_ = 0;            // lowest word that may contain a set bit
   int ready_count_ = 0;
-  std::vector<int> candidates_;
+  std::vector<int> legal_;  // this placement's legal clusters, best first
   std::vector<int> evictions_;
   std::vector<int> adjacency_evictions_;
 };

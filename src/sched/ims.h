@@ -37,6 +37,12 @@ class ClusterAssigner {
   /// Called when an II attempt starts; implementations drop state.
   virtual void reset(int ii) { (void)ii; }
 
+  /// The searcher's one query per placement: the candidates `op` may
+  /// legally go to now, in candidates() order, into `out`, and returns
+  /// candidates(op).front(), where a forced placement goes when `out`
+  /// comes back empty.
+  virtual int legal_candidates(int op, std::vector<int>& out) = 0;
+
   /// Candidate clusters for `op`, best first.  Must be non-empty.
   virtual void candidates(int op, std::vector<int>& out) = 0;
 
@@ -44,7 +50,9 @@ class ClusterAssigner {
   virtual bool legal(int op, int cluster) = 0;
 
   /// Scheduled flow neighbours of `op` that become unreachable if `op` is
-  /// force-placed in `cluster`; they will be displaced.
+  /// force-placed in `cluster`; they will be displaced.  Empty whenever
+  /// legal(op, cluster) holds, so the searcher asks only after forcing
+  /// `op` into an illegal cluster.
   virtual void adjacency_evictions(int op, int cluster, std::vector<int>& out) = 0;
 
   virtual void on_place(int op, int cluster) { (void)op, (void)cluster; }
@@ -54,6 +62,10 @@ class ClusterAssigner {
 /// The trivial assigner for single-cluster machines.
 class SingleClusterAssigner final : public ClusterAssigner {
  public:
+  int legal_candidates(int, std::vector<int>& out) override {
+    out.assign(1, 0);
+    return 0;
+  }
   void candidates(int, std::vector<int>& out) override { out.assign(1, 0); }
   bool legal(int, int) override { return true; }
   void adjacency_evictions(int, int, std::vector<int>&) override {}

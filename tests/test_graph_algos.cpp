@@ -4,6 +4,7 @@
 
 #include "ir/graph_algos.h"
 #include "ir/parser.h"
+#include "support/rng.h"
 #include "workload/kernels.h"
 
 namespace qvliw {
@@ -116,6 +117,72 @@ TEST(Height, NeverNegative) {
   std::vector<int> heights;
   height_priority(graph, 8, heights);
   for (int h : heights) EXPECT_GE(h, 0);
+}
+
+/// Heights by the textbook relaxation: every edge in insertion order,
+/// round after round, until a round changes nothing.
+std::vector<int> forward_order_heights(const Ddg& graph, int ii) {
+  std::vector<int> height(static_cast<std::size_t>(graph.node_count()), 0);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const DepEdge& e : graph.edges()) {
+      const int candidate =
+          std::max(0, height[static_cast<std::size_t>(e.dst)] + e.latency - ii * e.distance);
+      if (candidate > height[static_cast<std::size_t>(e.src)]) {
+        height[static_cast<std::size_t>(e.src)] = candidate;
+        changed = true;
+      }
+    }
+  }
+  return height;
+}
+
+// height_priority relaxes the edges last to first.  Any order reaches the
+// same least fixed point; this pins it on seeded random DDGs with
+// loop-carried, latency-0, self and parallel edges in shuffled order, at
+// the smallest II without a positive circuit and above it.
+TEST(Height, ConsumerFirstOrderMatchesForwardBellmanFord) {
+  Rng rng(0x4e16477);
+  int cyclic = 0;
+  int raised = 0;  // graphs where some height exceeds every single edge's
+  for (int g = 0; g < 400; ++g) {
+    const int n = rng.uniform_int(1, 24);
+    std::vector<DepEdge> edges;
+    for (int i = rng.uniform_int(0, 3 * n); i > 0; --i) {
+      DepEdge e;
+      e.src = rng.uniform_int(0, n - 1);
+      e.dst = rng.uniform_int(0, n - 1);
+      e.latency = rng.uniform_int(0, 4);
+      // Only forward edges may stay within one iteration, so every circuit
+      // carries a distance and some II admits the graph.
+      e.distance = e.src < e.dst && rng.chance(0.7) ? 0 : rng.uniform_int(1, 3);
+      e.kind = rng.chance(0.8) ? DepKind::kFlow : DepKind::kMemFlow;
+      edges.push_back(e);
+      if (rng.chance(0.15)) edges.push_back(e);  // a parallel edge
+    }
+    for (int i = static_cast<int>(edges.size()) - 1; i > 0; --i) {
+      std::swap(edges[static_cast<std::size_t>(i)],
+                edges[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+    }
+    Ddg graph(n);
+    for (const DepEdge& e : edges) graph.add_edge(e);
+
+    RecurrenceCore core(graph);
+    int min_ii = 1;
+    while (core.has_positive_cycle(min_ii)) ++min_ii;
+    cyclic += core.acyclic() ? 0 : 1;
+    for (const int ii : {min_ii, min_ii + 1, min_ii + 3, 2 * min_ii + 5}) {
+      std::vector<int> heights;
+      height_priority(graph, ii, heights);
+      const std::vector<int> want = forward_order_heights(graph, ii);
+      EXPECT_EQ(heights, want) << "graph " << g << " at II " << ii;
+      int longest_edge = 0;
+      for (const DepEdge& e : edges) longest_edge = std::max(longest_edge, e.latency);
+      raised += *std::max_element(want.begin(), want.end()) > longest_edge ? 1 : 0;
+    }
+  }
+  EXPECT_GT(cyclic, 200);
+  EXPECT_GT(raised, 400);
 }
 
 }  // namespace

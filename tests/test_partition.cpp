@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "cluster/partition.h"
 #include "sched/schedule.h"
 #include "ir/parser.h"
+#include "support/rng.h"
+#include "support/strings.h"
 #include "workload/kernels.h"
 #include "workload/synth.h"
 #include "xform/copy_insert.h"
@@ -144,6 +149,124 @@ TEST(Partition, LegalityFollowsNeighbours) {
   assigner.adjacency_evictions(1, 3, evictions);
   ASSERT_EQ(evictions.size(), 1u);
   EXPECT_EQ(evictions[0], 0);
+}
+
+/// The assigner's rule, written out one cluster at a time: the score of
+/// placing `op` in `cluster` given the placements in `cluster_of`.
+double rule_score(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+                  ClusterHeuristic heuristic, const std::vector<int>& cluster_of, int op,
+                  int cluster) {
+  const Topology topology = machine.topology();
+  const FuKind kind = fu_for(loop.ops[static_cast<std::size_t>(op)].opcode);
+  int load = 0;
+  for (int v = 0; v < loop.op_count(); ++v) {
+    const bool same_kind = fu_for(loop.ops[static_cast<std::size_t>(v)].opcode) == kind;
+    load += same_kind && cluster_of[static_cast<std::size_t>(v)] == cluster ? 1 : 0;
+  }
+  const int fus = machine.fu_count(cluster, kind);
+  const double pressure = fus > 0 ? static_cast<double>(load) / fus : 1e9;
+  if (heuristic == ClusterHeuristic::kFirstFit) return -cluster;
+  if (heuristic == ClusterHeuristic::kLoadBalance) return -pressure;
+  double affinity = 0.0;
+  for (const DepEdge& edge : graph.edges()) {
+    if (!edge.is_value_flow() || edge.src == edge.dst || (edge.src != op && edge.dst != op)) {
+      continue;
+    }
+    const int other = cluster_of[static_cast<std::size_t>(edge.src == op ? edge.dst : edge.src)];
+    if (other < 0) continue;
+    const int hops = topology.distance(cluster, other);
+    affinity += hops == 0 ? 2.0 : hops == 1 ? 1.0 : -static_cast<double>(hops);
+  }
+  return affinity - 0.25 * pressure;
+}
+
+/// Strict legality, one cluster at a time: every placed flow neighbour of
+/// `op` is at most one hop from `cluster`.
+bool rule_legal(const Ddg& graph, const MachineConfig& machine,
+                const std::vector<int>& cluster_of, int op, int cluster) {
+  for (const DepEdge& edge : graph.edges()) {
+    if (!edge.is_value_flow() || edge.src == edge.dst || (edge.src != op && edge.dst != op)) {
+      continue;
+    }
+    const int other = cluster_of[static_cast<std::size_t>(edge.src == op ? edge.dst : edge.src)];
+    if (other >= 0 && machine.topology().distance(cluster, other) > 1) return false;
+  }
+  return true;
+}
+
+// The searcher asks the assigner once per placement (legal_candidates).
+// Its order and legal subset must equal the per-cluster rule: a stable
+// sort of 0..k-1 by score, filtered by legality, and legal() agrees.
+// Random partial placements (with some ops placed and removed again) on
+// rings of 2-7 clusters, every heuristic, strict and relaxed.
+TEST(Partition, OnePassChoiceMatchesPerClusterRule) {
+  Rng rng(0x9a55);
+  std::vector<Loop> loops;
+  for (const char* name : {"daxpy", "fir4", "stencil3", "cmul_acc", "lk1_hydro", "rec2", "dot"}) {
+    loops.push_back(insert_copies(kernel_by_name(name)).loop);
+  }
+  int none_legal = 0;  // strict queries where no cluster is legal
+  int some_legal = 0;  // strict queries where some clusters are and some are not
+  std::vector<int> got;
+  std::vector<int> got_legal;
+  for (int k = 2; k <= 7; ++k) {
+    const MachineConfig machine = MachineConfig::clustered_machine(k);
+    for (const Loop& loop : loops) {
+      const Ddg graph = Ddg::build(loop, machine.latency);
+      const int n = loop.op_count();
+      for (const ClusterHeuristic heuristic :
+           {ClusterHeuristic::kAffinity, ClusterHeuristic::kLoadBalance,
+            ClusterHeuristic::kFirstFit}) {
+        for (const bool strict : {true, false}) {
+          TopologyClusterAssigner assigner(loop, graph, machine, heuristic, strict);
+          for (int trial = 0; trial < 4; ++trial) {
+            assigner.reset(1);
+            std::vector<int> cluster_of(static_cast<std::size_t>(n), -1);
+            const double share = rng.uniform(0.1, 0.9);
+            for (int op = 0; op < n; ++op) {
+              if (!rng.chance(share)) continue;
+              cluster_of[static_cast<std::size_t>(op)] = rng.uniform_int(0, k - 1);
+              assigner.on_place(op, cluster_of[static_cast<std::size_t>(op)]);
+            }
+            for (int op = 0; op < n; ++op) {
+              if (cluster_of[static_cast<std::size_t>(op)] < 0 || !rng.chance(0.2)) continue;
+              assigner.on_remove(op);
+              cluster_of[static_cast<std::size_t>(op)] = -1;
+            }
+            for (int op = 0; op < n; ++op) {
+              std::vector<double> score(static_cast<std::size_t>(k));
+              for (int c = 0; c < k; ++c) {
+                score[static_cast<std::size_t>(c)] =
+                    rule_score(loop, graph, machine, heuristic, cluster_of, op, c);
+              }
+              std::vector<int> want(static_cast<std::size_t>(k));
+              std::iota(want.begin(), want.end(), 0);
+              std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
+                return score[static_cast<std::size_t>(a)] > score[static_cast<std::size_t>(b)];
+              });
+              std::vector<int> want_legal;
+              for (const int c : want) {
+                const bool legal = !strict || rule_legal(graph, machine, cluster_of, op, c);
+                EXPECT_EQ(assigner.legal(op, c), legal) << loop.name << " op " << op;
+                if (legal) want_legal.push_back(c);
+              }
+              const std::string where = cat(loop.name, " on ", machine.name, " / ",
+                                            cluster_heuristic_name(heuristic),
+                                            strict ? " strict" : " relaxed", ", op ", op);
+              assigner.candidates(op, got);
+              EXPECT_EQ(got, want) << where;
+              EXPECT_EQ(assigner.legal_candidates(op, got_legal), want.front()) << where;
+              EXPECT_EQ(got_legal, want_legal) << where;
+              if (strict && want_legal.empty()) ++none_legal;
+              if (strict && !want_legal.empty() && want_legal.size() < want.size()) ++some_legal;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(none_legal, 50);
+  EXPECT_GT(some_legal, 100);
 }
 
 TEST(Partition, TwoClusterRingWorks) {
