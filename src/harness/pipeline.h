@@ -131,7 +131,7 @@ struct LoopResult {
   int registers = 0;
 
   // Queue-capacity enforcement (when requested).
-  bool fits_machine_queues = false;  // true when capacity_violations() is empty
+  bool fits_machine_queues = false;  // QueueAllocation::fits(machine)
   int queue_fit_retries = 0;         // II escalations spent to fit
 
   // Simulation (when requested).

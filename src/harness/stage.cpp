@@ -116,7 +116,7 @@ bool schedule_stage(PipelineContext& ctx) {
 bool queue_alloc_stage(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
   ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-  result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
+  result.fits_machine_queues = ctx.allocation.fits(*ctx.machine);
   if (ctx.options->enforce_queue_limits) {
     // Every escalation schedules the same loop and graph, so a backend
     // that takes cached bounds reuses the accepted schedule's.
@@ -158,7 +158,7 @@ bool queue_alloc_stage(PipelineContext& ctx) {
       // replaces a warm install (and vice versa).
       ctx.result.warm_started = ctx.sched.warm_started;
       ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-      result.fits_machine_queues = ctx.allocation.capacity_violations(*ctx.machine).empty();
+      result.fits_machine_queues = ctx.allocation.fits(*ctx.machine);
     }
     if (!result.fits_machine_queues) {
       result.failure = cat("allocation does not fit machine queues after ",

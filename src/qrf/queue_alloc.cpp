@@ -41,30 +41,69 @@ int QueueAllocation::max_positions() const {
   return best;
 }
 
-std::vector<std::string> QueueAllocation::capacity_violations(const MachineConfig& machine) const {
-  std::vector<std::string> violations;
+namespace {
+
+/// The one capacity rule behind fits() and capacity_violations(): counts
+/// the limits of `machine` that `allocation` exceeds, per used domain in
+/// (kind, index) order its queue count and then its deepest queue.  With
+/// `out`, each is also described there; without, nothing is formatted.
+int count_excesses(const QueueAllocation& allocation, const MachineConfig& machine,
+                   std::vector<std::string>* out) {
   const Topology topology = machine.topology();
-  std::map<QueueDomain, int> counts;
-  std::map<QueueDomain, int> depths;
-  for (const AllocatedQueue& q : queues) {
-    ++counts[q.domain];
-    depths[q.domain] = std::max(depths[q.domain], q.max_occupancy);
+  const int k = machine.cluster_count();
+  // One slot per domain: private[c] at c, segment s at k + s.
+  struct Use {
+    int queues = 0;
+    int depth = 0;
+  };
+  std::vector<Use> use(static_cast<std::size_t>(k + topology.segment_count()));
+  for (const AllocatedQueue& q : allocation.queues) {
+    const bool is_private = q.domain.kind == QueueDomain::Kind::kPrivate;
+    const int first = is_private ? 0 : k;
+    const int count = is_private ? k : topology.segment_count();
+    check(q.domain.index >= 0 && q.domain.index < count, "QueueAllocation: domain out of range");
+    Use& u = use[static_cast<std::size_t>(first + q.domain.index)];
+    ++u.queues;
+    u.depth = std::max(u.depth, q.max_occupancy);
   }
-  for (const auto& [domain, count] : counts) {
-    const bool is_private = domain.kind == QueueDomain::Kind::kPrivate;
-    const int queue_limit = is_private ? machine.cluster(domain.index).private_queues
+  int excesses = 0;
+  for (int slot = 0; slot < static_cast<int>(use.size()); ++slot) {
+    const Use& u = use[static_cast<std::size_t>(slot)];
+    if (u.queues == 0) continue;
+    const bool is_private = slot < k;
+    const QueueDomain domain = is_private ? QueueDomain{QueueDomain::Kind::kPrivate, slot}
+                                          : QueueDomain{QueueDomain::Kind::kSegment, slot - k};
+    const int queue_limit = is_private ? machine.cluster(slot).private_queues
                                        : machine.segment.queues_per_segment;
     const int depth_limit =
-        is_private ? machine.cluster(domain.index).queue_depth : machine.segment.queue_depth;
-    if (count > queue_limit) {
-      violations.push_back(cat(domain_name(topology, domain), ": needs ", count,
-                               " queues, machine has ", queue_limit));
+        is_private ? machine.cluster(slot).queue_depth : machine.segment.queue_depth;
+    if (u.queues > queue_limit) {
+      ++excesses;
+      if (out != nullptr) {
+        out->push_back(cat(domain_name(topology, domain), ": needs ", u.queues,
+                           " queues, machine has ", queue_limit));
+      }
     }
-    if (depths.at(domain) > depth_limit) {
-      violations.push_back(cat(domain_name(topology, domain), ": needs depth ", depths.at(domain),
-                               ", machine has ", depth_limit));
+    if (u.depth > depth_limit) {
+      ++excesses;
+      if (out != nullptr) {
+        out->push_back(cat(domain_name(topology, domain), ": needs depth ", u.depth,
+                           ", machine has ", depth_limit));
+      }
     }
   }
+  return excesses;
+}
+
+}  // namespace
+
+bool QueueAllocation::fits(const MachineConfig& machine) const {
+  return count_excesses(*this, machine, nullptr) == 0;
+}
+
+std::vector<std::string> QueueAllocation::capacity_violations(const MachineConfig& machine) const {
+  std::vector<std::string> violations;
+  count_excesses(*this, machine, &violations);
   return violations;
 }
 

@@ -9,7 +9,6 @@
 // push order, first-fit into existing queues.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -49,6 +48,10 @@ struct QueueAllocation {
   /// Configured-capacity check; returns human-readable violations
   /// (empty == the allocation fits `machine`).
   [[nodiscard]] std::vector<std::string> capacity_violations(const MachineConfig& machine) const;
+
+  /// capacity_violations(machine).empty(), by the same rule, without
+  /// formatting a message (queue-fit escalation tests this every step).
+  [[nodiscard]] bool fits(const MachineConfig& machine) const;
 };
 
 /// Allocates queues for a complete schedule.  Always succeeds (queue

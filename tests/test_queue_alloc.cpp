@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/partition.h"
 #include "ir/parser.h"
 #include "occupancy_reference.h"
@@ -175,6 +177,59 @@ TEST(QueueAlloc, GenerousMachineFits) {
   MachineConfig machine = MachineConfig::single_cluster_machine(6, 32);
   machine.clusters[0].queue_depth = 64;
   EXPECT_TRUE(a.capacity_violations(machine).empty());
+}
+
+// fits() and capacity_violations() share one counting rule; pin that they
+// agree on the 120-loop suite's allocations on one cluster and on ring-4
+// and ring-6, each against machines with fewer and shallower queues.
+TEST(QueueAlloc, FitsAgreesWithCapacityViolations) {
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+
+  const auto reduced = [](MachineConfig machine, int queues, int depth) {
+    for (ClusterConfig& cluster : machine.clusters) {
+      cluster.private_queues = std::min(cluster.private_queues, queues);
+      cluster.queue_depth = std::min(cluster.queue_depth, depth);
+    }
+    machine.segment.queues_per_segment = std::min(machine.segment.queues_per_segment, queues);
+    machine.segment.queue_depth = std::min(machine.segment.queue_depth, depth);
+    return machine;
+  };
+  int fits = 0;
+  int misfits = 0;
+  for (const int clusters : {1, 4, 6}) {
+    const MachineConfig machine = clusters == 1 ? MachineConfig::single_cluster_machine(6, 32)
+                                                : MachineConfig::clustered_machine(clusters);
+    std::vector<MachineConfig> limits;
+    if (clusters == 1) {
+      for (const int queues : {4, 8, 32}) {
+        limits.push_back(MachineConfig::single_cluster_machine(6, queues));
+        limits.push_back(reduced(MachineConfig::single_cluster_machine(6, queues), queues, 2));
+      }
+    } else {
+      for (const int queues : {1, 2, 4, 8}) {
+        for (const int depth : {1, 2, 16}) limits.push_back(reduced(machine, queues, depth));
+      }
+    }
+    for (const Loop& source : suite.loops) {
+      const Loop loop = insert_copies(source).loop;
+      const Ddg graph = Ddg::build(loop, machine.latency);
+      const ImsResult r = clusters == 1 ? ims_schedule(loop, graph, machine)
+                                        : partition_schedule(loop, graph, machine);
+      if (!r.ok) continue;
+      const QueueAllocation a = allocate_queues(loop, graph, machine, r.schedule);
+      for (const MachineConfig& limit : limits) {
+        const bool fit = a.fits(limit);
+        EXPECT_EQ(fit, a.capacity_violations(limit).empty())
+            << source.name << " on " << machine.name << ", limits "
+            << limit.clusters[0].private_queues << "/" << limit.clusters[0].queue_depth;
+        (fit ? fits : misfits) += 1;
+      }
+    }
+  }
+  EXPECT_GT(fits, 1000);
+  EXPECT_GT(misfits, 1000);
 }
 
 TEST(QueueAlloc, ClusteredDomainsSeparated) {
