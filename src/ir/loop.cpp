@@ -209,7 +209,8 @@ int first_duplicate_name(const std::vector<Op>& ops) {
 void Loop::validate() const {
   // Hot path: validate() runs on every success of every transform, so the
   // diagnostic strings must only be materialised on the (cold) failure
-  // branches — `fail(cat(...))` instead of eager `check(cond, cat(...))`.
+  // branches: `if (!cond) fail(cat(...))`, never a check() handed a
+  // formatted message (CI's lint job rejects that form).
   if (stride < 1) fail(cat("loop '", name, "': stride must be >= 1"));
   if (trip_hint < 1) fail(cat("loop '", name, "': trip_hint must be >= 1"));
 

@@ -100,8 +100,9 @@ void SchedulerRegistry::add(std::unique_ptr<SchedulerBackend> backend) {
   check(backend != nullptr, "SchedulerRegistry: null backend");
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::unique_ptr<SchedulerBackend>& existing : backends_) {
-    check(existing->name() != backend->name(),
-          cat("SchedulerRegistry: backend '", backend->name(), "' already registered"));
+    if (existing->name() == backend->name()) {
+      fail(cat("SchedulerRegistry: backend '", backend->name(), "' already registered"));
+    }
   }
   backends_.push_back(std::move(backend));
 }

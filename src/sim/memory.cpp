@@ -23,8 +23,9 @@ MemoryImage::MemoryImage(int arrays, long long elements, std::uint64_t seed)
 
 std::size_t MemoryImage::slot(int array, long long index) const {
   check(array >= 0 && array < arrays(), "MemoryImage: array out of range");
-  check(index >= -kPad && index < elements_ + kPad,
-        cat("MemoryImage: index ", index, " outside [-", kPad, ", ", elements_ + kPad, ")"));
+  if (index < -kPad || index >= elements_ + kPad) {
+    fail(cat("MemoryImage: index ", index, " outside [-", kPad, ", ", elements_ + kPad, ")"));
+  }
   return static_cast<std::size_t>(index + kPad);
 }
 

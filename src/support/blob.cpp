@@ -67,7 +67,7 @@ std::string BlobReader::get_string() {
 }
 
 void BlobReader::require_exhausted(std::string_view what) const {
-  check(exhausted(), cat(what, ": trailing bytes"));
+  if (!exhausted()) fail(cat(what, ": trailing bytes"));
 }
 
 }  // namespace qvliw
