@@ -78,7 +78,13 @@ std::string VerifyReport::summary(int limit) const {
 }
 
 void VerifyReport::add(VerifyRule rule, std::string message) {
-  diagnostics.push_back({rule, cat(verify_rule_name(rule), ": ", message)});
+  // The caller formatted the message; prefixing the rule name is one
+  // append into a buffer sized for both, not a second formatting pass.
+  const std::string_view name = verify_rule_name(rule);
+  std::string text;
+  text.reserve(name.size() + 2 + message.size());
+  text.append(name).append(": ").append(message);
+  diagnostics.push_back({rule, std::move(text)});
 }
 
 void VerifyReport::merge(VerifyReport other) {
@@ -87,11 +93,14 @@ void VerifyReport::merge(VerifyReport other) {
 
 namespace {
 
+/// "op 3 (add d0)": appended piece by piece, not through a string
+/// stream, since a failing artifact may name 10^5 ops.
 std::string op_label(const Loop& loop, int op) {
   const Op& o = loop.ops[static_cast<std::size_t>(op)];
-  std::string label = cat("op ", op, " (", opcode_name(o.opcode));
-  if (!o.name.empty()) label += cat(" ", o.name);
-  return label + ")";
+  std::string label = "op ";
+  label.append(std::to_string(op)).append(" (").append(opcode_name(o.opcode));
+  if (!o.name.empty()) label.append(" ").append(o.name);
+  return label.append(")");
 }
 
 /// Shared shape guard: the three artifact passes all require the loop, the
