@@ -16,6 +16,7 @@
 // cannot smuggle in a forged dependence graph.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -41,15 +42,24 @@ int dump(int argc, char** argv) {
   int budget = 6;
   for (int a = 3; a < argc; ++a) {
     const std::string arg = argv[a];
-    if (arg == "--index" && a + 1 < argc) {
-      index = std::atoi(argv[++a]);
-    } else if (arg == "--clusters" && a + 1 < argc) {
-      clusters = std::atoi(argv[++a]);
-    } else if (arg == "--budget" && a + 1 < argc) {
-      budget = std::atoi(argv[++a]);
-    } else {
-      return usage();
+    int* value = nullptr;
+    int least = 1;  // a cluster count or a budget ratio
+    if (arg == "--index") {
+      value = &index;
+      least = 0;  // loops are numbered from 0
+    } else if (arg == "--clusters") {
+      value = &clusters;
+    } else if (arg == "--budget") {
+      value = &budget;
     }
+    if (value == nullptr || a + 1 == argc) return usage();
+    const std::optional<int> parsed = bench::parse_int(argv[++a], least);
+    if (!parsed) {
+      std::cerr << arg << " must be a " << (least == 0 ? "non-negative" : "positive")
+                << " integer, got '" << argv[a] << "'\n";
+      return 2;
+    }
+    *value = *parsed;
   }
 
   const Suite suite = bench::make_suite();
