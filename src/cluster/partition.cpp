@@ -27,10 +27,6 @@ TopologyClusterAssigner::TopologyClusterAssigner(const Loop& loop, const Ddg& gr
   check(loop.op_count() == graph.node_count(), "TopologyClusterAssigner: loop/DDG mismatch");
   kind_of_.reserve(loop.ops.size());
   for (const Op& op : loop.ops) kind_of_.push_back(fu_for(op.opcode));
-  fus_.reserve(static_cast<std::size_t>(machine.cluster_count() * kNumFuKinds));
-  for (const ClusterConfig& cluster : machine.clusters) {
-    fus_.insert(fus_.end(), cluster.fu_count.begin(), cluster.fu_count.end());
-  }
 
   // Flow-neighbour CSR: per op, out-edge consumers then in-edge producers,
   // each group in edge-insertion order (counting sort over the edge list).
@@ -74,10 +70,11 @@ void TopologyClusterAssigner::evaluate(int op) {
   legal_.assign(static_cast<std::size_t>(k), 1);
 
   // One pass over the scheduled flow neighbours.  Affinity gives +2 for
-  // each one in the cluster, +1 when adjacent, and (relaxed mode) minus
-  // the hop count beyond that; strict mode rules out any cluster more
-  // than one hop from one of them.  Each term is an integer, so the sum
-  // does not depend on the order it is taken in.
+  // each one in the cluster, +1 when adjacent and minus the hop count when
+  // farther (what relaxed mode, and a forced placement with no legal
+  // cluster, rank by); strict mode rules out any cluster more than one hop
+  // from one of them.  Each term is an integer, so the sum does not depend
+  // on the order it is taken in.
   const bool affinity = heuristic_ == ClusterHeuristic::kAffinity;
   if (affinity || strict_) {
     for (std::int32_t idx = flow_off_[static_cast<std::size_t>(op)];
@@ -99,10 +96,10 @@ void TopologyClusterAssigner::evaluate(int op) {
       score = -c;  // fixed order
       continue;
     }
-    const std::size_t slot =
-        static_cast<std::size_t>(c * kNumFuKinds) + static_cast<std::size_t>(kind);
-    const double pressure =
-        fus_[slot] > 0 ? static_cast<double>(load_[slot]) / fus_[slot] : 1e9;
+    const int kind_load =
+        load_[static_cast<std::size_t>(c * kNumFuKinds) + static_cast<std::size_t>(kind)];
+    const int kind_fus = machine_.clusters[static_cast<std::size_t>(c)].fus(kind);
+    const double pressure = kind_fus > 0 ? static_cast<double>(kind_load) / kind_fus : 1e9;
     // Affinity keeps pressure as a light tie-break.
     score = affinity ? score - 0.25 * pressure : -pressure;
   }

@@ -66,10 +66,9 @@ class TopologyClusterAssigner final : public ClusterAssigner {
   bool strict_;
   std::vector<FuKind> kind_of_;
   std::vector<int> cluster_of_;
-  std::vector<int> fus_;           // [cluster*kNumFuKinds + kind] FU instances
-  std::vector<int> load_;          // [cluster*kNumFuKinds + kind] placed ops
-  std::vector<double> scores_;     // evaluate() output, one slot per cluster
-  std::vector<char> legal_;        // evaluate() output, one slot per cluster
+  std::vector<int> load_;        // [cluster*kNumFuKinds + kind] placed ops
+  std::vector<double> scores_;   // evaluate() output, one slot per cluster
+  std::vector<char> legal_;      // evaluate() output, one slot per cluster
 
   // Flow-neighbour adjacency (CSR), extracted from the DDG once at
   // construction: for each op, the other endpoints of its value-flow edges
