@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/parser.h"
 #include "sim/interp.h"
 #include "workload/kernels.h"
@@ -134,6 +137,23 @@ TEST(CopyInsert, LoopCarriedUsesKeepDistance) {
   const InterpResult before = interpret(loop, 12, 5);
   const InterpResult after = interpret(r.loop, 12, 5);
   EXPECT_TRUE(before.memory == after.memory);
+}
+
+TEST(CopyInsert, FreshNamesSkipTakenNames) {
+  // x's copies would be x_c0, x_c1 and x_c2, but the source already
+  // defines x_c0 and x_c1 and their first fallbacks x_c0_0 and x_c1_0.
+  const Loop loop = parse_loop(
+      "loop t { x = load X[i]; x_c0 = load A[i]; x_c1 = load B[i]; x_c0_0 = load C[i];"
+      " x_c1_0 = load D[i]; a = fadd x, x_c0; b = fadd x, x_c1; c = fadd x, x_c0_0;"
+      " d = fadd x, x_c1_0; store Y[i], a; store Z[i], b; store W[i], c; store V[i], d; }");
+  for (const CopyTreeShape shape : {CopyTreeShape::kBalanced, CopyTreeShape::kChain}) {
+    const CopyInsertResult r = insert_copies(loop, shape);
+    std::vector<std::string> copies;
+    for (const Op& op : r.loop.ops) {
+      if (op.opcode == Opcode::kCopy) copies.push_back(op.name);
+    }
+    EXPECT_EQ(copies, (std::vector<std::string>{"x_c0_1", "x_c1_1", "x_c2"}));
+  }
 }
 
 TEST(CopyInsert, OpMapTracksOriginals) {
