@@ -3,8 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,8 +48,50 @@ TEST(Diagnostics, FailAtIncludesLocation) {
 
 // --- strings ----------------------------------------------------------------
 
+struct Tagged {
+  int id;
+};
+std::ostream& operator<<(std::ostream& os, const Tagged& tagged) { return os << '#' << tagged.id; }
+
+template <typename T>
+std::string streamed(const T& value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
 TEST(Strings, CatConcatenatesMixedTypes) {
   EXPECT_EQ(cat("x=", 3, ", y=", 2.5), "x=3, y=2.5");
+  EXPECT_EQ(cat(), "");
+
+  // Every argument kind prints exactly what a stream prints for it.
+  for (const int v : {std::numeric_limits<int>::min(), -1, 0, 9, std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+  for (const long long v : {std::numeric_limits<long long>::min(), -10LL,
+                            std::numeric_limits<long long>::max()}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+  for (const std::size_t v : {std::size_t{0}, std::size_t{10}, std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+  for (const short v : {std::numeric_limits<short>::min(), short{-7}, std::numeric_limits<short>::max()}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+  EXPECT_EQ(cat('c'), streamed('c'));
+  EXPECT_EQ(cat(std::uint8_t{65}), streamed(std::uint8_t{65}));  // a character, not "65"
+  EXPECT_EQ(cat(true, false), streamed(true) + streamed(false));
+  for (const double v : {0.0, -2.5, 0.1, 1.0 / 3.0, 1e20, 123456789.0}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+  EXPECT_EQ(cat(Tagged{42}), streamed(Tagged{42}));
+  const std::string_view with_nul("a\0b", 3);
+  EXPECT_EQ(cat(with_nul), streamed(with_nul));
+  EXPECT_EQ(cat(with_nul).size(), 3u);
+  EXPECT_EQ(cat(std::string()), streamed(std::string()));
+  EXPECT_EQ(cat(""), "");
+  EXPECT_EQ(cat("v", std::string("_u"), std::string_view("_c"), 'x', 7u, -8L, 9ULL),
+            "v_u_cx7-89");
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {
