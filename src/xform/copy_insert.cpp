@@ -1,8 +1,10 @@
 #include "xform/copy_insert.h"
 
+#include <algorithm>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "ir/memdep.h"
 #include "support/diagnostics.h"
@@ -179,16 +181,35 @@ CopyInsertResult materialize(const Loop& src, const Planner& planner) {
   result.loop.ops.reserve(static_cast<std::size_t>(src.op_count() + result.copies_added));
   result.op_map.resize(static_cast<std::size_t>(src.op_count()));
 
-  std::unordered_set<std::string> taken;
-  taken.reserve(static_cast<std::size_t>(src.op_count() + result.copies_added));
-  for (const Op& op : src.ops) {
-    if (op.defines_value()) taken.insert(op.name);
+  // A copy is named <name>_c<k>, or <name>_c<k>_<n> for the first n that
+  // is free.  Only a source name can take a candidate: two candidates
+  // differ, because the text after the last "_c" is all digits and source
+  // names are unique, and no fallback equals a candidate, because the text
+  // after its last "_" is all digits.  So candidates are checked against
+  // the sorted source names and the fallbacks made so far, not against
+  // every name made.
+  std::vector<std::string_view> source_names;
+  std::vector<std::string> fallbacks;
+  if (result.copies_added > 0) {
+    source_names.reserve(static_cast<std::size_t>(src.op_count()));
+    for (const Op& op : src.ops) {
+      if (op.defines_value()) source_names.push_back(op.name);
+    }
+    std::sort(source_names.begin(), source_names.end());
   }
-  auto fresh_name = [&taken](const std::string& base) {
-    std::string name = base;
-    int counter = 0;
-    while (!taken.insert(name).second) name = cat(base, "_", counter++);
-    return name;
+  auto taken = [&](std::string_view name) {
+    return std::binary_search(source_names.begin(), source_names.end(), name) ||
+           std::find(fallbacks.begin(), fallbacks.end(), name) != fallbacks.end();
+  };
+  auto fresh_name = [&](std::string base) {
+    if (!taken(base)) return base;
+    for (int counter = 0;; ++counter) {
+      std::string name = cat(base, "_", counter);
+      if (!taken(name)) {
+        fallbacks.push_back(name);
+        return name;
+      }
+    }
   };
 
   for (int def = 0; def < src.op_count(); ++def) {
