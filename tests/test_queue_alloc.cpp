@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "cluster/partition.h"
 #include "ir/parser.h"
@@ -9,6 +10,8 @@
 #include "qrf/queue_alloc.h"
 #include "qrf/rf_alloc.h"
 #include "sched/ims.h"
+#include "support/blob.h"
+#include "support/rng.h"
 #include "workload/kernels.h"
 #include "workload/suite.h"
 #include "workload/synth.h"
@@ -230,6 +233,55 @@ TEST(QueueAlloc, FitsAgreesWithCapacityViolations) {
   }
   EXPECT_GT(fits, 1000);
   EXPECT_GT(misfits, 1000);
+}
+
+// Pins every allocation of the 120-loop suite, on one cluster of 6 FUs
+// and on rings of 2, 4 and 6 clusters: the II, every lifetime, queue_of,
+// and each queue's domain, index_in_domain and depth, hashed in order.
+// The sweep fingerprints carry only counts and depths, and the verifier
+// accepts any legal assignment, so only this digest holds the allocator
+// to its exact first-fit assignment.
+TEST(QueueAlloc, SuiteAllocationsMatchPinnedDigest) {
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+  BlobWriter out;
+  int allocations = 0;
+  for (const int clusters : {1, 2, 4, 6}) {
+    const MachineConfig machine = clusters == 1 ? MachineConfig::single_cluster_machine(6)
+                                                : MachineConfig::clustered_machine(clusters);
+    for (const Loop& source : suite.loops) {
+      const Loop loop = insert_copies(source).loop;
+      const Ddg graph = Ddg::build(loop, machine.latency);
+      const ImsResult r = clusters == 1 ? ims_schedule(loop, graph, machine)
+                                        : partition_schedule(loop, graph, machine);
+      out.put_bool(r.ok);
+      if (!r.ok) continue;
+      const QueueAllocation a = allocate_queues(loop, graph, machine, r.schedule);
+      ++allocations;
+      out.put_i32(a.ii);
+      out.put_i32(static_cast<std::int32_t>(a.lifetimes.size()));
+      for (const Lifetime& lt : a.lifetimes) {
+        for (const int field : {lt.edge, lt.producer, lt.consumer, lt.push, lt.pop,
+                                static_cast<int>(lt.domain.kind), lt.domain.index}) {
+          out.put_i32(field);
+        }
+      }
+      for (const int q : a.queue_of) out.put_i32(q);
+      out.put_i32(a.total_queues());
+      for (const AllocatedQueue& q : a.queues) {
+        for (const int field : {static_cast<int>(q.domain.kind), q.domain.index,
+                                q.index_in_domain, q.max_occupancy}) {
+          out.put_i32(field);
+        }
+      }
+    }
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(hash_bytes(out.take())));
+  EXPECT_GT(allocations, 400);
+  EXPECT_EQ(std::string(digest), "3dfe8c610ce46d06");
 }
 
 TEST(QueueAlloc, ClusteredDomainsSeparated) {
