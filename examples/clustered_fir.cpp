@@ -7,6 +7,7 @@
 //
 //   ./build/examples/clustered_fir
 #include <iostream>
+#include <vector>
 
 #include "cluster/partition.h"
 #include "ir/printer.h"
@@ -50,10 +51,15 @@ int main() {
   }
 
   const QueueAllocation allocation = allocate_queues(loop, graph, ring, on_ring.schedule);
+  // queue_of records each lifetime's queue; a queue's members are the
+  // lifetimes that name it.
+  std::vector<int> members(allocation.queues.size(), 0);
+  for (const int q : allocation.queue_of) ++members[static_cast<std::size_t>(q)];
   std::cout << "\nqueue domains used:\n";
-  for (const AllocatedQueue& queue : allocation.queues) {
+  for (std::size_t q = 0; q < allocation.queues.size(); ++q) {
+    const AllocatedQueue& queue = allocation.queues[q];
     std::cout << "  " << pad_right(domain_name(ring.topology(), queue.domain), 14) << " queue #"
-              << queue.index_in_domain << ": " << queue.members.size() << " lifetime(s), "
+              << queue.index_in_domain << ": " << members[q] << " lifetime(s), "
               << queue.max_occupancy << " position(s)\n";
   }
   std::cout << "max private queues per cluster: " << allocation.max_private_queues()

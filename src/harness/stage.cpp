@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "cluster/route.h"
 #include "qrf/rf_alloc.h"
@@ -115,9 +116,19 @@ bool schedule_stage(PipelineContext& ctx) {
 
 bool queue_alloc_stage(PipelineContext& ctx) {
   LoopResult& result = ctx.result;
-  ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-  result.fits_machine_queues = ctx.allocation.fits(*ctx.machine);
-  if (ctx.options->enforce_queue_limits) {
+  if (!ctx.options->enforce_queue_limits) {
+    // A cell that does not fit still reports its queue counts.
+    ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
+    result.fits_machine_queues = ctx.allocation.fits(*ctx.machine);
+  } else {
+    // Only a fitting allocation is read under queue limits, so every step
+    // allocates through allocate_fitting_queues, which stops at the first
+    // excess.
+    const auto allocate = [&] {
+      return allocate_fitting_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
+    };
+    std::optional<QueueAllocation> fitting = allocate();
+    result.fits_machine_queues = fitting.has_value();
     // Every escalation schedules the same loop and graph, so a backend
     // that takes cached bounds reuses the accepted schedule's.
     if (!result.fits_machine_queues && backend_of(ctx).consumes_cached_mii()) {
@@ -157,14 +168,15 @@ bool queue_alloc_stage(PipelineContext& ctx) {
       // Provenance tracks the accepted schedule: a retry that searched
       // replaces a warm install (and vice versa).
       ctx.result.warm_started = ctx.sched.warm_started;
-      ctx.allocation = allocate_queues(ctx.loop, *ctx.graph, *ctx.machine, ctx.sched.schedule);
-      result.fits_machine_queues = ctx.allocation.fits(*ctx.machine);
+      fitting = allocate();
+      result.fits_machine_queues = fitting.has_value();
     }
     if (!result.fits_machine_queues) {
       result.failure = cat("allocation does not fit machine queues after ",
                            result.queue_fit_retries, " II escalations");
       return false;
     }
+    ctx.allocation = std::move(*fitting);
   }
 
   result.sched_ops = ctx.loop.op_count();  // retries may have added moves

@@ -45,6 +45,11 @@ struct PipelineContext {
   const WarmStartSeed* seed = nullptr;  // injected by the sweep runner's
                                         // MII-optimality memo (may be null)
   ImsResult sched;
+  // The accepted schedule's queue allocation.  Without
+  // PipelineOptions::enforce_queue_limits it is always the full one, since
+  // a cell that does not fit still reports its queue counts.  Under queue
+  // limits it is set only when it fits: an escalation step that does not
+  // fit stops at its first excess and keeps nothing, as no stage reads it.
   QueueAllocation allocation;
 
   LoopResult result;

@@ -28,24 +28,29 @@ QueueDomain domain_of_edge(const Topology& topology, int producer_cluster,
            consumer_cluster, " (ring of ", topology.cluster_count(), ")"));
 }
 
+Lifetime flow_lifetime(const Loop& loop, const Ddg& graph, int e, const LatencyModel& latency,
+                       const Topology& topology, const Schedule& schedule) {
+  const DepEdge& edge = graph.edge(e);
+  Lifetime lt;
+  lt.edge = e;
+  lt.producer = edge.src;
+  lt.consumer = edge.dst;
+  lt.push = schedule.cycle(edge.src) +
+            latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
+  lt.pop = schedule.cycle(edge.dst) + schedule.ii() * edge.distance;
+  QVLIW_ASSERT(lt.pop >= lt.push, "lifetime with pop before push (dependence violation)");
+  lt.domain = domain_of_edge(topology, schedule.cluster(edge.src), schedule.cluster(edge.dst));
+  return lt;
+}
+
 std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,
                                         const MachineConfig& machine, const Schedule& schedule) {
   check(schedule.complete(), "extract_lifetimes: schedule incomplete");
   const Topology topology = machine.topology();
   std::vector<Lifetime> lifetimes;
   for (int e = 0; e < graph.edge_count(); ++e) {
-    const DepEdge& edge = graph.edge(e);
-    if (!edge.is_value_flow()) continue;
-    Lifetime lt;
-    lt.edge = e;
-    lt.producer = edge.src;
-    lt.consumer = edge.dst;
-    lt.push = schedule.cycle(edge.src) +
-              machine.latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
-    lt.pop = schedule.cycle(edge.dst) + schedule.ii() * edge.distance;
-    QVLIW_ASSERT(lt.pop >= lt.push, "lifetime with pop before push (dependence violation)");
-    lt.domain = domain_of_edge(topology, schedule.cluster(edge.src), schedule.cluster(edge.dst));
-    lifetimes.push_back(lt);
+    if (!graph.edge(e).is_value_flow()) continue;
+    lifetimes.push_back(flow_lifetime(loop, graph, e, machine.latency, topology, schedule));
   }
   return lifetimes;
 }
@@ -58,14 +63,14 @@ PhaseSpan phase_span(int push, int pop, int ii) {
   return {phase, pop - push};
 }
 
-int peak_live(std::span<const PhaseSpan> spans, int ii) {
+int peak_live(std::span<const PhaseSpan> spans, int ii, std::vector<int>& opens) {
   check(ii >= 1, "peak_live: ii must be >= 1");
   // A span of length q*II + r holds q instances in every phase, plus one
   // more in the r + 1 cyclic phases starting at its push phase.  So the
   // peak is the sum of the q's plus the most such windows any one phase
   // lies in; `opens` counts windows opening (+1) and closing (-1) at each
   // phase of one period.
-  std::vector<int> opens(static_cast<std::size_t>(ii) + 1, 0);
+  opens.assign(static_cast<std::size_t>(ii) + 1, 0);
   int always_live = 0;
   for (const PhaseSpan& span : spans) {
     QVLIW_ASSERT(span.phase >= 0 && span.phase < ii && span.length >= 0,

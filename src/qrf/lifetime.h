@@ -58,6 +58,12 @@ struct Lifetime {
 [[nodiscard]] QueueDomain domain_of_edge(const Topology& topology, int producer_cluster,
                                          int consumer_cluster);
 
+/// The lifetime of flow edge `e` under `schedule`, whose endpoints must
+/// be placed; `topology` is the machine's.
+[[nodiscard]] Lifetime flow_lifetime(const Loop& loop, const Ddg& graph, int e,
+                                     const LatencyModel& latency, const Topology& topology,
+                                     const Schedule& schedule);
+
 /// Extracts every flow edge's lifetime from a complete schedule.
 [[nodiscard]] std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,
                                                       const MachineConfig& machine,
@@ -79,7 +85,9 @@ struct PhaseSpan {
 /// `spans`, counting residency inclusively on both ends (an instance is
 /// live from its push cycle through its pop cycle).  This is a queue's
 /// depth when the spans share it, and MaxLive over a value's register
-/// lifetimes.  O(spans + II).
-[[nodiscard]] int peak_live(std::span<const PhaseSpan> spans, int ii);
+/// lifetimes.  O(spans + II).  `opens` is the caller's scratch, so a
+/// caller sizing many span sets reuses one buffer; its contents are
+/// overwritten.
+[[nodiscard]] int peak_live(std::span<const PhaseSpan> spans, int ii, std::vector<int>& opens);
 
 }  // namespace qvliw

@@ -8,14 +8,6 @@
 
 namespace qvliw {
 
-int QueueAllocation::domain_queue_count(const QueueDomain& domain) const {
-  int count = 0;
-  for (const AllocatedQueue& q : queues) {
-    if (q.domain == domain) ++count;
-  }
-  return count;
-}
-
 int QueueAllocation::max_private_queues() const {
   // index_in_domain is dense per domain, so the per-domain count is
   // max(index_in_domain) + 1 — no per-domain tally needed.
@@ -42,6 +34,20 @@ int QueueAllocation::max_positions() const {
 }
 
 namespace {
+
+/// Queue count and depth limits of one domain on `machine`.
+struct DomainLimits {
+  int queues = 0;
+  int depth = 0;
+};
+
+DomainLimits limits_of(const MachineConfig& machine, const QueueDomain& domain) {
+  if (domain.kind == QueueDomain::Kind::kPrivate) {
+    const ClusterConfig& cluster = machine.cluster(domain.index);
+    return {cluster.private_queues, cluster.queue_depth};
+  }
+  return {machine.segment.queues_per_segment, machine.segment.queue_depth};
+}
 
 /// The one capacity rule behind fits() and capacity_violations(): counts
 /// the limits of `machine` that `allocation` exceeds, per used domain in
@@ -73,22 +79,19 @@ int count_excesses(const QueueAllocation& allocation, const MachineConfig& machi
     const bool is_private = slot < k;
     const QueueDomain domain = is_private ? QueueDomain{QueueDomain::Kind::kPrivate, slot}
                                           : QueueDomain{QueueDomain::Kind::kSegment, slot - k};
-    const int queue_limit = is_private ? machine.cluster(slot).private_queues
-                                       : machine.segment.queues_per_segment;
-    const int depth_limit =
-        is_private ? machine.cluster(slot).queue_depth : machine.segment.queue_depth;
-    if (u.queues > queue_limit) {
+    const DomainLimits limits = limits_of(machine, domain);
+    if (u.queues > limits.queues) {
       ++excesses;
       if (out != nullptr) {
         out->push_back(cat(domain_name(topology, domain), ": needs ", u.queues,
-                           " queues, machine has ", queue_limit));
+                           " queues, machine has ", limits.queues));
       }
     }
-    if (u.depth > depth_limit) {
+    if (u.depth > limits.depth) {
       ++excesses;
       if (out != nullptr) {
         out->push_back(cat(domain_name(topology, domain), ": needs depth ", u.depth,
-                           ", machine has ", depth_limit));
+                           ", machine has ", limits.depth));
       }
     }
   }
@@ -107,87 +110,135 @@ std::vector<std::string> QueueAllocation::capacity_violations(const MachineConfi
   return violations;
 }
 
-QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
-                                const Schedule& schedule) {
-  QueueAllocation allocation;
-  allocation.ii = schedule.ii();
-  allocation.lifetimes = extract_lifetimes(loop, graph, machine, schedule);
-  allocation.queue_of.assign(allocation.lifetimes.size(), -1);
-  allocation.queues.reserve(allocation.lifetimes.size());  // worst case: one queue each
+namespace {
 
-  // Each lifetime reduced once to its span: the compatibility scans and
-  // the occupancy analysis below touch only these two ints per lifetime,
-  // so they iterate a contiguous array instead of the full Lifetime records.
-  const int ii = allocation.ii;
-  std::vector<PhaseSpan> spans;
-  spans.reserve(allocation.lifetimes.size());
-  for (const Lifetime& lt : allocation.lifetimes) spans.push_back(phase_span(lt.push, lt.pop, ii));
+/// One lifetime's key in the processing order: domain, then push, then
+/// pop, then lifetime index (lifetimes follow the edge order, so this is
+/// the edge's).
+struct SortRecord {
+  QueueDomain domain;
+  int push = 0;
+  int pop = 0;
+  int lifetime = 0;
+};
 
-  // Stable processing order: by domain, then push time, then pop, then edge.
-  std::vector<int> order(allocation.lifetimes.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const Lifetime& la = allocation.lifetimes[static_cast<std::size_t>(a)];
-    const Lifetime& lb = allocation.lifetimes[static_cast<std::size_t>(b)];
-    if (la.domain != lb.domain) return la.domain < lb.domain;
-    if (la.push != lb.push) return la.push < lb.push;
-    if (la.pop != lb.pop) return la.pop < lb.pop;
-    return la.edge < lb.edge;
+/// The first fit behind allocate_queues and allocate_fitting_queues: fills
+/// `allocation` for `schedule`.  With `stop_at_excess`, returns false as
+/// soon as a domain opens one queue more than `machine` has, leaving
+/// `allocation` partial.
+bool first_fit(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+               const Schedule& schedule, bool stop_at_excess, QueueAllocation& allocation) {
+  check(schedule.complete(), "allocate_queues: schedule incomplete");
+  const int ii = schedule.ii();
+  allocation.ii = ii;
+
+  // One walk over the flow edges fills the lifetimes and their sort
+  // records; the records sort by value, with no lookups into the
+  // lifetimes.
+  const Topology topology = machine.topology();
+  const auto edges = static_cast<std::size_t>(graph.edge_count());
+  std::vector<Lifetime>& lifetimes = allocation.lifetimes;
+  lifetimes.reserve(edges);
+  std::vector<SortRecord> order;
+  order.reserve(edges);
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    if (!graph.edge(e).is_value_flow()) continue;
+    const Lifetime& lt =
+        lifetimes.emplace_back(flow_lifetime(loop, graph, e, machine.latency, topology, schedule));
+    order.push_back({lt.domain, lt.push, lt.pop, static_cast<int>(lifetimes.size()) - 1});
+  }
+  std::sort(order.begin(), order.end(), [](const SortRecord& a, const SortRecord& b) {
+    if (a.domain != b.domain) return a.domain < b.domain;
+    if (a.push != b.push) return a.push < b.push;
+    if (a.pop != b.pop) return a.pop < b.pop;
+    return a.lifetime < b.lifetime;
   });
 
+  // Member m is order[m]'s lifetime, reduced to its span: the
+  // compatibility scans and the depths touch nothing else.  A queue's
+  // members chain from its latest back through `previous`.
+  struct Member {
+    PhaseSpan span;
+    int previous = -1;
+  };
+  const std::size_t count = order.size();
+  std::vector<Member> members(count);
+  std::vector<int> latest;  // queue -> its latest member
+  latest.reserve(count);    // worst case: one queue each
+  allocation.queues.reserve(count);
+  allocation.queue_of.assign(count, -1);
+
   // The processing order groups lifetimes by domain, so a domain's queues
-  // are created contiguously: a running counter gives index_in_domain and
-  // the first queue of the current domain, with no rescans of the queue
-  // list for either.
-  QueueDomain current_domain{};
-  int domain_first_queue = 0;   // index of the current domain's first queue
-  int domain_queue_count = 0;   // queues created for the current domain
-  bool have_domain = false;
-  for (int lt_index : order) {
-    const Lifetime& lt = allocation.lifetimes[static_cast<std::size_t>(lt_index)];
-    if (!have_domain || lt.domain != current_domain) {
-      current_domain = lt.domain;
+  // are created contiguously, from domain_first_queue to the end of the
+  // queue list; a running counter gives index_in_domain.
+  QueueDomain domain{};
+  int domain_first_queue = 0;
+  int domain_queue_count = 0;
+  int domain_queue_limit = 0;
+  for (std::size_t m = 0; m < count; ++m) {
+    const SortRecord& record = order[m];
+    if (m == 0 || record.domain != domain) {
+      domain = record.domain;
       domain_first_queue = static_cast<int>(allocation.queues.size());
       domain_queue_count = 0;
-      have_domain = true;
+      if (stop_at_excess) domain_queue_limit = limits_of(machine, domain).queues;
     }
+    const PhaseSpan span = phase_span(record.push, record.pop, ii);
+    members[m].span = span;
     int target = -1;
-    for (int q = domain_first_queue; q < domain_first_queue + domain_queue_count; ++q) {
-      AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
-      bool fits = true;
-      for (int member : queue.members) {
-        if (!q_compatible(spans[static_cast<std::size_t>(member)],
-                          spans[static_cast<std::size_t>(lt_index)], ii)) {
-          fits = false;
+    for (int q = domain_first_queue; q < static_cast<int>(latest.size()) && target < 0; ++q) {
+      target = q;
+      for (int other = latest[static_cast<std::size_t>(q)]; other >= 0;
+           other = members[static_cast<std::size_t>(other)].previous) {
+        if (!q_compatible(members[static_cast<std::size_t>(other)].span, span, ii)) {
+          target = -1;
           break;
         }
       }
-      if (fits) {
-        target = q;
-        break;
-      }
     }
     if (target < 0) {
-      AllocatedQueue queue;
-      queue.domain = lt.domain;
-      queue.index_in_domain = domain_queue_count++;
-      allocation.queues.push_back(std::move(queue));
-      target = static_cast<int>(allocation.queues.size()) - 1;
+      if (stop_at_excess && domain_queue_count == domain_queue_limit) return false;
+      allocation.queues.push_back({domain, domain_queue_count++, 0});
+      latest.push_back(-1);
+      target = static_cast<int>(latest.size()) - 1;
     }
-    allocation.queues[static_cast<std::size_t>(target)].members.push_back(lt_index);
-    allocation.queue_of[static_cast<std::size_t>(lt_index)] = target;
+    members[m].previous = latest[static_cast<std::size_t>(target)];
+    latest[static_cast<std::size_t>(target)] = static_cast<int>(m);
+    allocation.queue_of[static_cast<std::size_t>(record.lifetime)] = target;
   }
 
-  // Steady-state positions per queue, gathered into one reused buffer.
-  std::vector<PhaseSpan> member_spans;
-  for (AllocatedQueue& queue : allocation.queues) {
-    member_spans.clear();
-    for (int member : queue.members) {
-      member_spans.push_back(spans[static_cast<std::size_t>(member)]);
+  // Steady-state positions per queue: its members' spans, gathered into
+  // one reused buffer, under one reused difference array.
+  std::vector<PhaseSpan> spans;
+  spans.reserve(count);
+  std::vector<int> opens;
+  for (std::size_t q = 0; q < latest.size(); ++q) {
+    spans.clear();
+    for (int m = latest[q]; m >= 0; m = members[static_cast<std::size_t>(m)].previous) {
+      spans.push_back(members[static_cast<std::size_t>(m)].span);
     }
-    queue.max_occupancy = peak_live(member_spans, ii);
+    allocation.queues[q].max_occupancy = peak_live(spans, ii, opens);
   }
+  return true;
+}
 
+}  // namespace
+
+QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
+                                const Schedule& schedule) {
+  QueueAllocation allocation;
+  first_fit(loop, graph, machine, schedule, /*stop_at_excess=*/false, allocation);
+  return allocation;
+}
+
+std::optional<QueueAllocation> allocate_fitting_queues(const Loop& loop, const Ddg& graph,
+                                                       const MachineConfig& machine,
+                                                       const Schedule& schedule) {
+  QueueAllocation allocation;
+  if (!first_fit(loop, graph, machine, schedule, /*stop_at_excess=*/true, allocation) ||
+      !allocation.fits(machine)) {
+    return std::nullopt;
+  }
   return allocation;
 }
 

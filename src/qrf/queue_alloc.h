@@ -9,6 +9,7 @@
 // push order, first-fit into existing queues.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,18 +20,16 @@ namespace qvliw {
 struct AllocatedQueue {
   QueueDomain domain;
   int index_in_domain = 0;
-  std::vector<int> members;  // lifetime indices, ascending push time
-  int max_occupancy = 0;     // positions needed (steady-state maximum)
+  int max_occupancy = 0;  // positions needed (steady-state maximum)
 };
 
 struct QueueAllocation {
   int ii = 1;
   std::vector<Lifetime> lifetimes;
-  std::vector<int> queue_of;          // lifetime index -> queue id
+  /// Lifetime index -> queue id: the one record of the assignment (a
+  /// queue's members are the lifetimes that name it here).
+  std::vector<int> queue_of;
   std::vector<AllocatedQueue> queues;
-
-  /// Queues used in one domain.
-  [[nodiscard]] int domain_queue_count(const QueueDomain& domain) const;
 
   /// Largest private-QRF demand over clusters.
   [[nodiscard]] int max_private_queues() const;
@@ -60,5 +59,15 @@ struct QueueAllocation {
 [[nodiscard]] QueueAllocation allocate_queues(const Loop& loop, const Ddg& graph,
                                               const MachineConfig& machine,
                                               const Schedule& schedule);
+
+/// allocate_queues' allocation when it fits `machine`, else nothing.  The
+/// first fit stops as soon as a domain opens one queue more than `machine`
+/// has: first fit only ever adds queues to a domain, so no later lifetime
+/// can bring the count back.  After a complete first fit, fits() applies
+/// the depth limits.
+[[nodiscard]] std::optional<QueueAllocation> allocate_fitting_queues(const Loop& loop,
+                                                                     const Ddg& graph,
+                                                                     const MachineConfig& machine,
+                                                                     const Schedule& schedule);
 
 }  // namespace qvliw

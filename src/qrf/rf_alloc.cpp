@@ -34,7 +34,8 @@ int register_requirement(const Loop& loop, const Ddg& graph, const LatencyModel&
   for (const RfLifetime& lt : rf_lifetimes(loop, graph, lat, schedule)) {
     spans.push_back(phase_span(lt.start, lt.end, ii));
   }
-  return peak_live(spans, ii);
+  std::vector<int> opens;
+  return peak_live(spans, ii, opens);
 }
 
 }  // namespace qvliw

@@ -270,25 +270,33 @@ long long replay_horizon(const QueueAllocation& allocation, std::span<const int>
 }
 
 /// Events the FIFO replay of verify_queue_allocation generates, summed
-/// over every queue whose members name real lifetimes, or a number above
-/// `cap` once the sum passes it.
+/// over every lifetime that queue_of files under a real queue, or a
+/// number above `cap` once the sum passes it.
 std::uint64_t replay_event_count(const QueueAllocation& allocation, int ii, std::uint64_t cap) {
-  const auto lifetime_count = static_cast<int>(allocation.lifetimes.size());
+  if (allocation.queue_of.size() != allocation.lifetimes.size()) {
+    return 0;  // the replay never runs on an assignment of the wrong size
+  }
+  const auto queue_count = static_cast<int>(allocation.queues.size());
+  const auto in_range = [&](int q) { return q >= 0 && q < queue_count; };
+  // Each queue's horizon: its members' latest pop (two IIs are added below).
+  std::vector<long long> latest_pop(static_cast<std::size_t>(queue_count), 0);
+  for (std::size_t l = 0; l < allocation.queue_of.size(); ++l) {
+    const int q = allocation.queue_of[l];
+    if (!in_range(q)) continue;  // no replay files this lifetime anywhere
+    long long& pop = latest_pop[static_cast<std::size_t>(q)];
+    pop = std::max<long long>(pop, allocation.lifetimes[l].pop);
+  }
   std::uint64_t events = 0;
-  for (const AllocatedQueue& queue : allocation.queues) {
-    if (std::any_of(queue.members.begin(), queue.members.end(),
-                    [&](int l) { return l < 0 || l >= lifetime_count; })) {
-      continue;  // the replay never runs on a queue naming no such lifetime
-    }
-    const long long horizon = replay_horizon(allocation, queue.members, ii);
+  for (std::size_t l = 0; l < allocation.queue_of.size(); ++l) {
+    const int q = allocation.queue_of[l];
+    if (!in_range(q)) continue;
+    const long long horizon = latest_pop[static_cast<std::size_t>(q)] + 2LL * ii;
     const auto instances = [&](long long from) {
       return from <= horizon ? static_cast<std::uint64_t>((horizon - from) / ii + 1) : 0;
     };
-    for (int l : queue.members) {
-      const Lifetime& lt = allocation.lifetimes[static_cast<std::size_t>(l)];
-      events += instances(lt.push) + instances(lt.pop);
-      if (events > cap) return events;
-    }
+    const Lifetime& lt = allocation.lifetimes[l];
+    events += instances(lt.push) + instances(lt.pop);
+    if (events > cap) return events;
   }
   return events;
 }
@@ -752,7 +760,8 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
     }
   }
 
-  // queue_of / queues bookkeeping must be two views of one assignment.
+  // queue_of is the one record of the assignment: it must cover every
+  // lifetime and file each under an existing queue of its own domain.
   const int queue_count = static_cast<int>(allocation.queues.size());
   if (allocation.queue_of.size() != allocation.lifetimes.size()) {
     report.add(VerifyRule::kQueueAssignment,
@@ -787,20 +796,9 @@ VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,
     return std::span<const int>(member_ids.data() + member_off[static_cast<std::size_t>(q)],
                                 member_ids.data() + member_off[static_cast<std::size_t>(q) + 1]);
   };
-  std::vector<int> recorded;  // one queue's member list, sorted; reused
   for (int q = 0; q < queue_count; ++q) {
     const AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
-    const std::span<const int> derived = members_of(q);
-    recorded.assign(queue.members.begin(), queue.members.end());
-    std::sort(recorded.begin(), recorded.end());
-    if (!std::equal(recorded.begin(), recorded.end(), derived.begin(), derived.end())) {
-      report.add(VerifyRule::kQueueAssignment,
-                 cat("queue ", q, " member list disagrees with queue_of (", recorded.size(),
-                     " recorded, ", derived.size(), " derived)"));
-      assignment_ok = false;
-      continue;
-    }
-    for (int l : derived) {
+    for (int l : members_of(q)) {
       if (lifetime_usable[static_cast<std::size_t>(l)] &&
           allocation.lifetimes[static_cast<std::size_t>(l)].domain != queue.domain) {
         report.add(VerifyRule::kQueueAssignment,
@@ -905,8 +903,8 @@ namespace {
 
 // "QVBNDL" + format version.  Bump on any layout change below; a bundle
 // with any other magic is rejected (0001 predates the machine's topology
-// fields, 0002 still carries them).
-constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0003ULL;
+// fields, 0002 still carries them, 0003 carries per-queue member lists).
+constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0004ULL;
 constexpr int kMaxBundleItems = 1 << 24;
 
 void put_domain(BlobWriter& out, const QueueDomain& domain) {
@@ -947,8 +945,6 @@ void put_allocation(BlobWriter& out, const QueueAllocation& allocation) {
     put_domain(out, queue.domain);
     out.put_i32(queue.index_in_domain);
     out.put_i32(queue.max_occupancy);
-    out.put_i32(static_cast<std::int32_t>(queue.members.size()));
-    for (int member : queue.members) out.put_i32(member);
   }
 }
 
@@ -978,10 +974,7 @@ QueueAllocation get_allocation(BlobReader& in) {
     queue.domain = get_domain(in);
     queue.index_in_domain = in.get_i32();
     queue.max_occupancy = in.get_i32();
-    const int members = get_count(in, "queue member");
-    queue.members.reserve(static_cast<std::size_t>(members));
-    for (int m = 0; m < members; ++m) queue.members.push_back(in.get_i32());
-    allocation.queues.push_back(std::move(queue));
+    allocation.queues.push_back(queue);
   }
   return allocation;
 }

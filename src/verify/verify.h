@@ -62,7 +62,7 @@ enum class VerifyRule : std::uint8_t {
   kQueueIi,               // allocation II disagrees with the schedule
   kQueueLifetime,         // lifetime endpoints/push/pop disagree with the schedule
   kQueueDomain,           // lifetime filed under the wrong queue domain
-  kQueueAssignment,       // queue_of/members bookkeeping inconsistent
+  kQueueAssignment,       // queue_of misses lifetimes, names no queue, or crosses domains
   kQueueReadBeforeWrite,  // pop earlier than push
   kQueueFifo,             // FIFO pop order violated inside one queue
   kQueuePort,             // two pushes (or pops) of one queue in one cycle
@@ -115,8 +115,9 @@ struct VerifyReport {
 
 /// Pass 4: the queue allocation is legal for (loop, graph, schedule):
 /// every flow edge has exactly one lifetime with re-derived push/pop and
-/// domain, the queue bookkeeping is consistent, every queue's joint FIFO
-/// simulation preserves pop order and the port rule and peaks at the
+/// domain, queue_of files every lifetime under an existing queue of its
+/// domain, every queue's joint FIFO simulation (over the members queue_of
+/// gives it) preserves pop order and the port rule and peaks at the
 /// queue's recorded max_occupancy, nothing reads before it is written,
 /// and — with `must_fit` — queue counts and depths fit `machine`.
 [[nodiscard]] VerifyReport verify_queue_allocation(const Loop& loop, const Ddg& graph,

@@ -16,7 +16,8 @@ namespace {
 /// peak_live of the one lifetime pushed at `push` and popped at `pop`.
 int single_peak(int push, int pop, int ii) {
   const PhaseSpan span = phase_span(push, pop, ii);
-  return peak_live({&span, 1}, ii);
+  std::vector<int> opens;
+  return peak_live({&span, 1}, ii, opens);
 }
 
 // live_instances is the reference scans' building block
@@ -78,18 +79,22 @@ TEST(PhaseSpan, FloorModPhaseAndLength) {
 }
 
 TEST(PeakLive, EmptyAndBadIi) {
-  EXPECT_EQ(peak_live({}, 5), 0);
-  EXPECT_THROW((void)peak_live({}, 0), Error);
+  std::vector<int> opens;
+  EXPECT_EQ(peak_live({}, 5, opens), 0);
+  EXPECT_THROW((void)peak_live({}, 0, opens), Error);
 }
 
 // Seeded property test: peak_live over random span sets against the
 // reference per-phase scan, on II 1-40 (II = 1 included), lengths 0-5*II
 // (zero-length spans included), and pushes spread over three periods so
-// that windows start anywhere and wrap past the end of the period.
+// that windows start anywhere and wrap past the end of the period.  One
+// scratch buffer serves every trial, as queue allocation reuses one
+// across the queues of a call.
 TEST(PeakLive, MatchesPhaseScanOnRandomSpanSets) {
   Rng rng(20260);
   int wrapped = 0;
   int zero_length = 0;
+  std::vector<int> opens;
   for (int trial = 0; trial < 4000; ++trial) {
     const int ii = trial < 200 ? 1 : rng.uniform_int(1, 40);
     const int count = rng.uniform_int(0, 12);
@@ -106,7 +111,7 @@ TEST(PeakLive, MatchesPhaseScanOnRandomSpanSets) {
       if (spans.back().phase + spans.back().length % ii >= ii) ++wrapped;
       if (lt.pop == lt.push) ++zero_length;
     }
-    ASSERT_EQ(peak_live(spans, ii), reference_queue_occupancy(lifetimes, members, ii))
+    ASSERT_EQ(peak_live(spans, ii, opens), reference_queue_occupancy(lifetimes, members, ii))
         << "trial " << trial << ", ii " << ii << ", " << count << " spans";
   }
   EXPECT_GT(wrapped, 0);

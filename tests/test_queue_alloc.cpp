@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cluster/partition.h"
 #include "ir/parser.h"
@@ -12,6 +16,7 @@
 #include "sched/ims.h"
 #include "support/blob.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "workload/kernels.h"
 #include "workload/suite.h"
 #include "workload/synth.h"
@@ -32,27 +37,36 @@ QueueAllocation allocate_kernel(const char* name, int fus, ImsResult* out_sched 
   return allocate_queues(loop, graph, machine, r.schedule);
 }
 
-/// Invariant: all queue members pairwise compatible, in push order.
+/// Each queue's members, read from queue_of (ascending lifetime index).
+std::vector<std::vector<int>> queue_members(const QueueAllocation& allocation) {
+  std::vector<std::vector<int>> members(allocation.queues.size());
+  for (std::size_t l = 0; l < allocation.queue_of.size(); ++l) {
+    members[static_cast<std::size_t>(allocation.queue_of[l])].push_back(static_cast<int>(l));
+  }
+  return members;
+}
+
+/// Invariant: every lifetime in one queue of its domain, and all members
+/// of a queue pairwise compatible.
 void expect_valid_allocation(const QueueAllocation& allocation) {
-  for (const AllocatedQueue& queue : allocation.queues) {
-    for (std::size_t a = 0; a < queue.members.size(); ++a) {
-      const Lifetime& la = allocation.lifetimes[static_cast<std::size_t>(queue.members[a])];
-      EXPECT_EQ(la.domain, queue.domain);
-      for (std::size_t b = a + 1; b < queue.members.size(); ++b) {
-        const Lifetime& lb = allocation.lifetimes[static_cast<std::size_t>(queue.members[b])];
+  ASSERT_EQ(allocation.queue_of.size(), allocation.lifetimes.size());
+  for (std::size_t l = 0; l < allocation.queue_of.size(); ++l) {
+    ASSERT_GE(allocation.queue_of[l], 0) << "lifetime " << l;
+    ASSERT_LT(allocation.queue_of[l], allocation.total_queues()) << "lifetime " << l;
+  }
+  const std::vector<std::vector<int>> members = queue_members(allocation);
+  for (std::size_t q = 0; q < members.size(); ++q) {
+    const std::vector<int>& queue = members[q];
+    EXPECT_FALSE(queue.empty()) << "queue " << q << " holds no lifetime";
+    for (std::size_t a = 0; a < queue.size(); ++a) {
+      const Lifetime& la = allocation.lifetimes[static_cast<std::size_t>(queue[a])];
+      EXPECT_EQ(la.domain, allocation.queues[q].domain);
+      for (std::size_t b = a + 1; b < queue.size(); ++b) {
+        const Lifetime& lb = allocation.lifetimes[static_cast<std::size_t>(queue[b])];
         EXPECT_TRUE(q_compatible(la, lb, allocation.ii))
-            << "queue with incompatible members " << queue.members[a] << "," << queue.members[b];
+            << "queue with incompatible members " << queue[a] << "," << queue[b];
       }
     }
-  }
-  // Every lifetime assigned exactly once.
-  std::vector<int> seen(allocation.lifetimes.size(), 0);
-  for (const AllocatedQueue& queue : allocation.queues) {
-    for (int member : queue.members) ++seen[static_cast<std::size_t>(member)];
-  }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], 1) << "lifetime " << i;
-    EXPECT_GE(allocation.queue_of[i], 0);
   }
 }
 
@@ -106,16 +120,18 @@ TEST(QueueAlloc, OccupancyPositiveAndBounded) {
   ImsResult sched;
   Loop loop;
   const QueueAllocation a = allocate_kernel("fir8", 6, &sched, &loop);
-  for (const AllocatedQueue& q : a.queues) {
-    EXPECT_GE(q.max_occupancy, 1);
+  const std::vector<std::vector<int>> members = queue_members(a);
+  std::vector<int> opens;
+  for (std::size_t q = 0; q < a.queues.size(); ++q) {
+    EXPECT_GE(a.queues[q].max_occupancy, 1);
     // A queue's occupancy is at most the sum of member instance maxima.
     int bound = 0;
-    for (int member : q.members) {
+    for (int member : members[q]) {
       const Lifetime& lt = a.lifetimes[static_cast<std::size_t>(member)];
       const PhaseSpan span = phase_span(lt.push, lt.pop, a.ii);
-      bound += peak_live({&span, 1}, a.ii);
+      bound += peak_live({&span, 1}, a.ii, opens);
     }
-    EXPECT_LE(q.max_occupancy, bound);
+    EXPECT_LE(a.queues[q].max_occupancy, bound);
   }
 }
 
@@ -137,8 +153,10 @@ TEST(QueueAlloc, DepthAndMaxLiveMatchPhaseScanOnFullSuite) {
                                     : ims_schedule(loop, graph, machine);
       if (!r.ok) continue;
       const QueueAllocation a = allocate_queues(loop, graph, machine, r.schedule);
-      for (const AllocatedQueue& q : a.queues) {
-        ASSERT_EQ(q.max_occupancy, reference_queue_occupancy(a.lifetimes, q.members, a.ii))
+      const std::vector<std::vector<int>> members = queue_members(a);
+      for (std::size_t q = 0; q < a.queues.size(); ++q) {
+        ASSERT_EQ(a.queues[q].max_occupancy,
+                  reference_queue_occupancy(a.lifetimes, members[q], a.ii))
             << machine.name << " / " << source.name;
       }
       ASSERT_EQ(register_requirement(loop, graph, machine.latency, r.schedule),
@@ -182,9 +200,33 @@ TEST(QueueAlloc, GenerousMachineFits) {
   EXPECT_TRUE(a.capacity_violations(machine).empty());
 }
 
-// fits() and capacity_violations() share one counting rule; pin that they
-// agree on the 120-loop suite's allocations on one cluster and on ring-4
-// and ring-6, each against machines with fewer and shallower queues.
+void expect_same_allocation(const QueueAllocation& got, const QueueAllocation& want,
+                            const std::string& where) {
+  EXPECT_EQ(got.ii, want.ii) << where;
+  ASSERT_EQ(got.lifetimes.size(), want.lifetimes.size()) << where;
+  for (std::size_t l = 0; l < want.lifetimes.size(); ++l) {
+    const Lifetime& g = got.lifetimes[l];
+    const Lifetime& w = want.lifetimes[l];
+    EXPECT_EQ(std::tie(g.edge, g.producer, g.consumer, g.push, g.pop, g.domain),
+              std::tie(w.edge, w.producer, w.consumer, w.push, w.pop, w.domain))
+        << where << ", lifetime " << l;
+  }
+  EXPECT_EQ(got.queue_of, want.queue_of) << where;
+  ASSERT_EQ(got.queues.size(), want.queues.size()) << where;
+  for (std::size_t q = 0; q < want.queues.size(); ++q) {
+    const AllocatedQueue& g = got.queues[q];
+    const AllocatedQueue& w = want.queues[q];
+    EXPECT_EQ(std::tie(g.domain, g.index_in_domain, g.max_occupancy),
+              std::tie(w.domain, w.index_in_domain, w.max_occupancy))
+        << where << ", queue " << q;
+  }
+}
+
+// fits() and capacity_violations() share one counting rule, and
+// allocate_fitting_queues shares first fit with allocate_queues; pin that
+// they agree on the 120-loop suite's allocations on one cluster and on
+// ring-4 and ring-6, each against machines with fewer and shallower
+// queues (depths 1 and 2 make stops that only the depth test decides).
 TEST(QueueAlloc, FitsAgreesWithCapacityViolations) {
   SynthConfig config;
   config.loops = 120;
@@ -201,6 +243,7 @@ TEST(QueueAlloc, FitsAgreesWithCapacityViolations) {
   };
   int fits = 0;
   int misfits = 0;
+  int depth_only_misfits = 0;  // first fit completes, the depth test decides
   for (const int clusters : {1, 4, 6}) {
     const MachineConfig machine = clusters == 1 ? MachineConfig::single_cluster_machine(6, 32)
                                                 : MachineConfig::clustered_machine(clusters);
@@ -224,15 +267,29 @@ TEST(QueueAlloc, FitsAgreesWithCapacityViolations) {
       const QueueAllocation a = allocate_queues(loop, graph, machine, r.schedule);
       for (const MachineConfig& limit : limits) {
         const bool fit = a.fits(limit);
-        EXPECT_EQ(fit, a.capacity_violations(limit).empty())
-            << source.name << " on " << machine.name << ", limits "
-            << limit.clusters[0].private_queues << "/" << limit.clusters[0].queue_depth;
+        const std::string where = cat(source.name, " on ", machine.name, ", limits ",
+                                      limit.clusters[0].private_queues, "/",
+                                      limit.clusters[0].queue_depth);
+        EXPECT_EQ(fit, a.capacity_violations(limit).empty()) << where;
+        // The early stop returns an allocation exactly when the full one
+        // fits, and then the same one.
+        const std::optional<QueueAllocation> fitting =
+            allocate_fitting_queues(loop, graph, limit, r.schedule);
+        ASSERT_EQ(fitting.has_value(), fit) << where;
+        if (fitting.has_value()) expect_same_allocation(*fitting, a, where);
         (fit ? fits : misfits) += 1;
+        const std::vector<std::string> violations = a.capacity_violations(limit);
+        if (std::all_of(violations.begin(), violations.end(), [](const std::string& v) {
+              return v.find("depth") != std::string::npos;
+            })) {
+          depth_only_misfits += fit ? 0 : 1;
+        }
       }
     }
   }
   EXPECT_GT(fits, 1000);
   EXPECT_GT(misfits, 1000);
+  EXPECT_GT(depth_only_misfits, 100);
 }
 
 // Pins every allocation of the 120-loop suite, on one cluster of 6 FUs
@@ -307,10 +364,17 @@ TEST(QueueAlloc, ClusteredDomainsSeparated) {
 }
 
 TEST(QueueAlloc, DomainQueueCount) {
+  // On one cluster every queue is private[0], numbered densely in
+  // creation order.
   const QueueAllocation a = allocate_kernel("vadd", 6);
-  const QueueDomain d{QueueDomain::Kind::kPrivate, 0};
-  EXPECT_EQ(a.domain_queue_count(d), a.total_queues());
-  EXPECT_EQ(a.domain_queue_count({QueueDomain::Kind::kSegment, 0}), 0);
+  ASSERT_GT(a.total_queues(), 0);
+  for (int q = 0; q < a.total_queues(); ++q) {
+    const AllocatedQueue& queue = a.queues[static_cast<std::size_t>(q)];
+    EXPECT_EQ(queue.domain, (QueueDomain{QueueDomain::Kind::kPrivate, 0}));
+    EXPECT_EQ(queue.index_in_domain, q);
+  }
+  EXPECT_EQ(a.max_private_queues(), a.total_queues());
+  EXPECT_EQ(a.max_segment_queues(), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // verifier to reject it with a diagnostic naming the violated rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 
@@ -221,29 +222,40 @@ TEST(VerifyQueueMutation, WrongDomainCaught) {
 }
 
 TEST(VerifyQueueMutation, InconsistentAssignmentCaught) {
-  Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
-  ASSERT_GE(a.allocation.queues.size(), 2u);
-  // Move one lifetime's queue_of without updating the member lists.
-  const int old_queue = a.allocation.queue_of[0];
-  a.allocation.queue_of[0] = old_queue == 0 ? 1 : 0;
-  const VerifyReport report =
-      verify_queue_allocation(a.loop, *a.graph, a.machine, a.schedule, a.allocation, a.fits);
-  EXPECT_TRUE(report.has_rule(VerifyRule::kQueueAssignment)) << report.summary(0);
+  // A queue_of entry naming no queue.
+  {
+    Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
+    ASSERT_FALSE(a.allocation.queue_of.empty());
+    for (const int q : {-1, a.allocation.total_queues()}) {
+      QueueAllocation broken = a.allocation;
+      broken.queue_of[0] = q;
+      const VerifyReport report =
+          verify_queue_allocation(a.loop, *a.graph, a.machine, a.schedule, broken, a.fits);
+      EXPECT_TRUE(report.has_rule(VerifyRule::kQueueAssignment)) << report.summary(0);
+    }
+  }
+  // On a ring, a queue_of entry naming a queue of another domain.
+  {
+    Artifacts a = prepare_clustered(kernel_by_name("fir4"), 4);
+    QueueAllocation& allocation = a.allocation;
+    ASSERT_FALSE(allocation.queue_of.empty());
+    const QueueDomain own = allocation.lifetimes[0].domain;
+    const auto other = std::find_if(allocation.queues.begin(), allocation.queues.end(),
+                                    [&](const AllocatedQueue& q) { return q.domain != own; });
+    ASSERT_NE(other, allocation.queues.end()) << "every queue shares one domain";
+    allocation.queue_of[0] = static_cast<int>(other - allocation.queues.begin());
+    const VerifyReport report =
+        verify_queue_allocation(a.loop, *a.graph, a.machine, a.schedule, a.allocation, a.fits);
+    EXPECT_TRUE(report.has_rule(VerifyRule::kQueueAssignment)) << report.summary(0);
+  }
 }
 
 TEST(VerifyQueueMutation, MergedQueuesBreakFifoOrPortRule) {
   Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
   ASSERT_GE(a.allocation.lifetimes.size(), 2u);
-  // Cram every lifetime into queue 0 (consistently, so only the FIFO
+  // Cram every lifetime into queue 0 (all in its domain, so only the FIFO
   // simulation itself can object).
-  a.allocation.queues[0].members.clear();
-  for (std::size_t l = 0; l < a.allocation.queue_of.size(); ++l) {
-    a.allocation.queue_of[l] = 0;
-    a.allocation.queues[0].members.push_back(static_cast<int>(l));
-  }
-  for (std::size_t q = 1; q < a.allocation.queues.size(); ++q) {
-    a.allocation.queues[q].members.clear();
-  }
+  for (int& q : a.allocation.queue_of) q = 0;
   const VerifyReport report =
       verify_queue_allocation(a.loop, *a.graph, a.machine, a.schedule, a.allocation,
                               /*must_fit=*/false);
@@ -448,7 +460,7 @@ TEST(VerifyCodec, BundleAskingForHugeFifoReplayIsRejected) {
     lt.pop = bundle.schedule.cycle(edge.dst) + ii * edge.distance;
     const int q = static_cast<int>(bundle.allocation.queues.size());
     bundle.allocation.queue_of.push_back(q);
-    bundle.allocation.queues.push_back({lt.domain, q, {q}, 1});
+    bundle.allocation.queues.push_back({lt.domain, q, 1});
     bundle.allocation.lifetimes.push_back(lt);
   }
   ASSERT_GE(bundle.allocation.lifetimes.size(), 2u);
@@ -508,7 +520,6 @@ TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
   const Ddg graph = Ddg::build(loop, machine.latency);
   bundle.has_allocation = true;
   bundle.allocation.ii = 1;
-  AllocatedQueue queue;
   for (int e = 0; e < graph.edge_count(); ++e) {
     const DepEdge& edge = graph.edge(e);
     if (!edge.is_value_flow()) continue;
@@ -518,12 +529,11 @@ TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
     lt.consumer = edge.dst;
     lt.push = bundle.schedule.cycle(edge.src) + load_latency;
     lt.pop = bundle.schedule.cycle(edge.dst);
-    queue.members.push_back(static_cast<int>(bundle.allocation.lifetimes.size()));
     bundle.allocation.queue_of.push_back(0);
     bundle.allocation.lifetimes.push_back(lt);
   }
   ASSERT_EQ(bundle.allocation.lifetimes.size(), 1u + 2u * kAdds);
-  bundle.allocation.queues.push_back(queue);
+  bundle.allocation.queues.push_back(AllocatedQueue{});
 
   const auto start = std::chrono::steady_clock::now();
   const VerifyReport report = verify_bundle(bundle);
@@ -550,15 +560,17 @@ TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
 }
 
 TEST(VerifyCodec, PreTopologyMagicIsRejected) {
-  // Version 0001 bundles predate the machine's topology fields and version
-  // 0002 bundles still carry them; both decoders are gone, so either old
-  // magic is just a bad one.
+  // Version 0001 bundles predate the machine's topology fields, version
+  // 0002 bundles still carry them, and version 0003 bundles carry
+  // per-queue member lists; those decoders are gone, so any old magic is
+  // just a bad one.
   const Artifacts a = prepare_clustered(kernel_by_name("daxpy"), 4);
   VerifyBundle bundle;
   bundle.loop = a.loop;
   bundle.machine = a.machine;
   bundle.schedule = a.schedule;
-  for (const std::uint64_t magic : {0x5156424e444c0001ULL, 0x5156424e444c0002ULL}) {
+  for (const std::uint64_t magic :
+       {0x5156424e444c0001ULL, 0x5156424e444c0002ULL, 0x5156424e444c0003ULL}) {
     std::string blob = encode_verify_bundle(bundle);
     BlobWriter old_magic;
     old_magic.put_u64(magic);
@@ -601,16 +613,10 @@ void rederive_lifetimes(const Loop& loop, const Ddg& graph, const MachineConfig&
   }
 }
 
-/// Moves every member of queue `from` into queue `to`, keeping queue_of
-/// and both member lists consistent.
+/// Moves every member of queue `from` into queue `to` (queue `from`
+/// stays, empty).
 void merge_queues(QueueAllocation& allocation, int from, int to) {
-  auto& source = allocation.queues[static_cast<std::size_t>(from)].members;
-  auto& target = allocation.queues[static_cast<std::size_t>(to)].members;
-  for (int l : source) {
-    allocation.queue_of[static_cast<std::size_t>(l)] = to;
-    target.push_back(l);
-  }
-  source.clear();
+  std::replace(allocation.queue_of.begin(), allocation.queue_of.end(), from, to);
 }
 
 /// A queue other than `q` in q's domain, or -1.

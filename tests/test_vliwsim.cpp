@@ -145,12 +145,7 @@ TEST(VliwSim, WrongQueueAssignmentIsCaught) {
   ASSERT_GE(p.allocation.queues.size(), 2u);
   // Move every lifetime into queue 0.
   QueueAllocation sabotaged = p.allocation;
-  sabotaged.queues[0].members.clear();
-  for (std::size_t lt = 0; lt < sabotaged.lifetimes.size(); ++lt) {
-    sabotaged.queue_of[lt] = 0;
-    sabotaged.queues[0].members.push_back(static_cast<int>(lt));
-  }
-  for (std::size_t q = 1; q < sabotaged.queues.size(); ++q) sabotaged.queues[q].members.clear();
+  for (int& q : sabotaged.queue_of) q = 0;
   const SimResult r =
       simulate(p.loop, p.graph, p.machine, p.sched.schedule, sabotaged, 20);
   EXPECT_FALSE(r.ok);

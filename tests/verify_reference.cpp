@@ -188,7 +188,8 @@ VerifyReport verify_queue_allocation_reference(const Loop& loop, const Ddg& grap
     }
   }
 
-  // queue_of / queues bookkeeping must be two views of one assignment.
+  // queue_of is the one record of the assignment: it must cover every
+  // lifetime and file each under an existing queue of its own domain.
   const int queue_count = static_cast<int>(allocation.queues.size());
   if (allocation.queue_of.size() != allocation.lifetimes.size()) {
     report.add(VerifyRule::kQueueAssignment,
@@ -210,18 +211,7 @@ VerifyReport verify_queue_allocation_reference(const Loop& loop, const Ddg& grap
   }
   for (int q = 0; q < queue_count; ++q) {
     const AllocatedQueue& queue = allocation.queues[static_cast<std::size_t>(q)];
-    std::vector<int> recorded = queue.members;
-    std::vector<int> derived = members_of[static_cast<std::size_t>(q)];
-    std::sort(recorded.begin(), recorded.end());
-    std::sort(derived.begin(), derived.end());
-    if (recorded != derived) {
-      report.add(VerifyRule::kQueueAssignment,
-                 cat("queue ", q, " member list disagrees with queue_of (", recorded.size(),
-                     " recorded, ", derived.size(), " derived)"));
-      assignment_ok = false;
-      continue;
-    }
-    for (int l : derived) {
+    for (int l : members_of[static_cast<std::size_t>(q)]) {
       if (lifetime_usable[static_cast<std::size_t>(l)] &&
           allocation.lifetimes[static_cast<std::size_t>(l)].domain != queue.domain) {
         report.add(VerifyRule::kQueueAssignment,
