@@ -40,11 +40,12 @@ bool unroll_stage(PipelineContext& ctx) {
     ctx.loop = unroll(ctx.loop, ctx.result.unroll_factor);
     return true;
   }
-  // The probe already materialised the winning factor's loop; a null loop
-  // means factor 1 (the working loop is the winner as-is).
+  // The probe already materialised the winning factor's loop, and it is
+  // moved in; a null loop means factor 1 (the working loop is the winner
+  // as-is).
   UnrollProbe probe = probe_unroll_factor(ctx.loop, *ctx.machine, ctx.options->max_unroll);
   ctx.result.unroll_factor = probe.choice.factor;
-  if (probe.loop != nullptr) ctx.loop = *probe.loop;
+  if (probe.loop != nullptr) ctx.loop = std::move(*probe.loop);
   return true;
 }
 

@@ -126,15 +126,17 @@ UnrollProbe probe_unroll_factor_naive(const Loop& loop, const MachineConfig& mac
 
   // The current candidate's loop; pinned as the winner whenever the walk
   // adopts the candidate, so nothing is ever materialised twice.
-  std::shared_ptr<const Loop> candidate_loop;
-  std::shared_ptr<const Loop> best_loop;
+  std::unique_ptr<Loop> candidate_loop;
+  std::unique_ptr<Loop> best_loop;
 
   auto measure = [&](int factor) {
-    candidate_loop = factor == 1 ? nullptr : std::make_shared<const Loop>(unroll(loop, factor));
+    candidate_loop = factor == 1 ? nullptr : std::make_unique<Loop>(unroll(loop, factor));
     const Loop& body = factor == 1 ? loop : *candidate_loop;
     return compute_mii(body, Ddg::build(body, machine.latency), machine);
   };
-  auto adopted = [&] { best_loop = candidate_loop; };
+  // The adopted candidate moves into the winner's slot (factor 1 adopts
+  // no loop); the next measure builds a fresh candidate.
+  auto adopted = [&] { best_loop = std::move(candidate_loop); };
 
   UnrollProbe probe = probe_with(loop, max_factor, max_ops, measure, adopted);
   probe.loop = std::move(best_loop);
@@ -154,7 +156,7 @@ UnrollProbe probe_unroll_factor(const Loop& loop, const MachineConfig& machine, 
   probe.incremental = true;
   if (probe.choice.factor > 1) {
     // The one materialisation of the winner; callers reuse it directly.
-    probe.loop = std::make_shared<const Loop>(unroll(loop, probe.choice.factor));
+    probe.loop = std::make_unique<Loop>(unroll(loop, probe.choice.factor));
   }
   return probe;
 }

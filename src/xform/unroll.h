@@ -55,8 +55,8 @@ struct UnrollProbe {
   MiiInfo mii;
 
   /// The materialised winner, null iff choice.factor == 1 (the caller's
-  /// loop already is the winner).
-  std::shared_ptr<const Loop> loop;
+  /// loop already is the winner).  The caller owns it and may move it out.
+  std::unique_ptr<Loop> loop;
 
   int factors_probed = 0;     // candidate factors examined, incl. factor 1
   bool incremental = false;   // fast path used (no per-factor materialisation)
