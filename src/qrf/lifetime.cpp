@@ -43,18 +43,6 @@ Lifetime flow_lifetime(const Loop& loop, const Ddg& graph, int e, const LatencyM
   return lt;
 }
 
-std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,
-                                        const MachineConfig& machine, const Schedule& schedule) {
-  check(schedule.complete(), "extract_lifetimes: schedule incomplete");
-  const Topology topology = machine.topology();
-  std::vector<Lifetime> lifetimes;
-  for (int e = 0; e < graph.edge_count(); ++e) {
-    if (!graph.edge(e).is_value_flow()) continue;
-    lifetimes.push_back(flow_lifetime(loop, graph, e, machine.latency, topology, schedule));
-  }
-  return lifetimes;
-}
-
 PhaseSpan phase_span(int push, int pop, int ii) {
   check(ii >= 1, "phase_span: ii must be >= 1");
   check(pop >= push, "phase_span: pop before push");

@@ -59,15 +59,11 @@ struct Lifetime {
                                          int consumer_cluster);
 
 /// The lifetime of flow edge `e` under `schedule`, whose endpoints must
-/// be placed; `topology` is the machine's.
+/// be placed; `topology` is the machine's.  Queue allocation
+/// (allocate_queues) extracts one per flow edge.
 [[nodiscard]] Lifetime flow_lifetime(const Loop& loop, const Ddg& graph, int e,
                                      const LatencyModel& latency, const Topology& topology,
                                      const Schedule& schedule);
-
-/// Extracts every flow edge's lifetime from a complete schedule.
-[[nodiscard]] std::vector<Lifetime> extract_lifetimes(const Loop& loop, const Ddg& graph,
-                                                      const MachineConfig& machine,
-                                                      const Schedule& schedule);
 
 /// A (push, pop, II)-periodic lifetime reduced to what its steady state
 /// depends on: the push phase (push mod II, in [0, II)) and the residency

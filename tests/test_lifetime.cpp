@@ -5,6 +5,7 @@
 #include "ir/parser.h"
 #include "occupancy_reference.h"
 #include "qrf/lifetime.h"
+#include "qrf/queue_alloc.h"
 #include "sched/ims.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
@@ -180,7 +181,8 @@ TEST(ExtractLifetimes, PushPopTimesFromSchedule) {
   const Ddg graph = Ddg::build(loop, machine.latency);
   const ImsResult r = ims_schedule(loop, graph, machine);
   ASSERT_TRUE(r.ok);
-  const auto lifetimes = extract_lifetimes(loop, graph, machine, r.schedule);
+  const std::vector<Lifetime> lifetimes =
+      allocate_queues(loop, graph, machine, r.schedule).lifetimes;
 
   // One lifetime per flow edge.
   int flow_edges = 0;
@@ -206,7 +208,7 @@ TEST(ExtractLifetimes, RequiresCompleteSchedule) {
   const MachineConfig machine = MachineConfig::single_cluster_machine(3);
   const Ddg graph = Ddg::build(loop, machine.latency);
   Schedule incomplete(loop.op_count(), 2);
-  EXPECT_THROW((void)extract_lifetimes(loop, graph, machine, incomplete), Error);
+  EXPECT_THROW((void)allocate_queues(loop, graph, machine, incomplete), Error);
 }
 
 }  // namespace
