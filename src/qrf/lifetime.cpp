@@ -31,15 +31,16 @@ QueueDomain domain_of_edge(const Topology& topology, int producer_cluster,
 Lifetime flow_lifetime(const Loop& loop, const Ddg& graph, int e, const LatencyModel& latency,
                        const Topology& topology, const Schedule& schedule) {
   const DepEdge& edge = graph.edge(e);
+  const Placement& producer = schedule.place(edge.src);
+  const Placement& consumer = schedule.place(edge.dst);
   Lifetime lt;
   lt.edge = e;
   lt.producer = edge.src;
   lt.consumer = edge.dst;
-  lt.push = schedule.cycle(edge.src) +
-            latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
-  lt.pop = schedule.cycle(edge.dst) + schedule.ii() * edge.distance;
+  lt.push = producer.cycle + latency.of(loop.ops[static_cast<std::size_t>(edge.src)].opcode);
+  lt.pop = consumer.cycle + schedule.ii() * edge.distance;
   QVLIW_ASSERT(lt.pop >= lt.push, "lifetime with pop before push (dependence violation)");
-  lt.domain = domain_of_edge(topology, schedule.cluster(edge.src), schedule.cluster(edge.dst));
+  lt.domain = domain_of_edge(topology, producer.cluster, consumer.cluster);
   return lt;
 }
 

@@ -1,6 +1,7 @@
 #include "qrf/queue_alloc.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "qrf/qcompat.h"
 #include "support/diagnostics.h"
@@ -112,14 +113,25 @@ std::vector<std::string> QueueAllocation::capacity_violations(const MachineConfi
 
 namespace {
 
-/// One lifetime's key in the processing order: domain, then push, then
-/// pop, then lifetime index (lifetimes follow the edge order, so this is
-/// the edge's).
+/// `value` as 32 unsigned bits that order as the signed values do.
+std::uint64_t ordered_bits(int value) {
+  return static_cast<std::uint32_t>(value) ^ std::uint32_t{0x80000000};
+}
+
+/// One lifetime's key in the processing order, packed so that comparing
+/// (high, low) orders by domain (kind, then index), push, pop and then
+/// lifetime index (lifetimes follow the edge order, so that is the
+/// edge's).
 struct SortRecord {
-  QueueDomain domain;
-  int push = 0;
-  int pop = 0;
-  int lifetime = 0;
+  SortRecord(const Lifetime& lt, int lifetime)
+      : high(std::uint64_t{lt.domain.kind == QueueDomain::Kind::kSegment} << 63 |
+             static_cast<std::uint64_t>(lt.domain.index) << 32 | ordered_bits(lt.push)),
+        low(ordered_bits(lt.pop) << 32 | static_cast<std::uint32_t>(lifetime)) {}
+
+  [[nodiscard]] int lifetime() const { return static_cast<int>(low & 0xffffffff); }
+
+  std::uint64_t high;  // domain kind (1 bit), domain index (31), push (32)
+  std::uint64_t low;   // pop (32), lifetime index (32)
 };
 
 /// The first fit behind allocate_queues and allocate_fitting_queues: fills
@@ -133,8 +145,8 @@ bool first_fit(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
   allocation.ii = ii;
 
   // One walk over the flow edges fills the lifetimes and their sort
-  // records; the records sort by value, with no lookups into the
-  // lifetimes.
+  // records; the records sort as two integers each, with no lookups into
+  // the lifetimes.
   const Topology topology = machine.topology();
   const auto edges = static_cast<std::size_t>(graph.edge_count());
   std::vector<Lifetime>& lifetimes = allocation.lifetimes;
@@ -145,13 +157,10 @@ bool first_fit(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
     if (!graph.edge(e).is_value_flow()) continue;
     const Lifetime& lt =
         lifetimes.emplace_back(flow_lifetime(loop, graph, e, machine.latency, topology, schedule));
-    order.push_back({lt.domain, lt.push, lt.pop, static_cast<int>(lifetimes.size()) - 1});
+    order.emplace_back(lt, static_cast<int>(lifetimes.size()) - 1);
   }
   std::sort(order.begin(), order.end(), [](const SortRecord& a, const SortRecord& b) {
-    if (a.domain != b.domain) return a.domain < b.domain;
-    if (a.push != b.push) return a.push < b.push;
-    if (a.pop != b.pop) return a.pop < b.pop;
-    return a.lifetime < b.lifetime;
+    return a.high != b.high ? a.high < b.high : a.low < b.low;
   });
 
   // Member m is order[m]'s lifetime, reduced to its span: the
@@ -176,14 +185,15 @@ bool first_fit(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
   int domain_queue_count = 0;
   int domain_queue_limit = 0;
   for (std::size_t m = 0; m < count; ++m) {
-    const SortRecord& record = order[m];
-    if (m == 0 || record.domain != domain) {
-      domain = record.domain;
+    const int lifetime = order[m].lifetime();
+    const Lifetime& lt = lifetimes[static_cast<std::size_t>(lifetime)];
+    if (m == 0 || lt.domain != domain) {
+      domain = lt.domain;
       domain_first_queue = static_cast<int>(allocation.queues.size());
       domain_queue_count = 0;
       if (stop_at_excess) domain_queue_limit = limits_of(machine, domain).queues;
     }
-    const PhaseSpan span = phase_span(record.push, record.pop, ii);
+    const PhaseSpan span = phase_span(lt.push, lt.pop, ii);
     members[m].span = span;
     int target = -1;
     for (int q = domain_first_queue; q < static_cast<int>(latest.size()) && target < 0; ++q) {
@@ -204,7 +214,7 @@ bool first_fit(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
     }
     members[m].previous = latest[static_cast<std::size_t>(target)];
     latest[static_cast<std::size_t>(target)] = static_cast<int>(m);
-    allocation.queue_of[static_cast<std::size_t>(record.lifetime)] = target;
+    allocation.queue_of[static_cast<std::size_t>(lifetime)] = target;
   }
 
   // Steady-state positions per queue: its members' spans, gathered into
