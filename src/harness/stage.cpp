@@ -172,7 +172,7 @@ bool queue_alloc_stage(PipelineContext& ctx) {
       fitting = allocate();
       result.fits_machine_queues = fitting.has_value();
     }
-    if (!result.fits_machine_queues) {
+    if (!fitting.has_value()) {
       result.failure = cat("allocation does not fit machine queues after ",
                            result.queue_fit_retries, " II escalations");
       return false;
