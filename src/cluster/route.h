@@ -5,9 +5,9 @@
 // up spanning more than one topology hop, split each with a chain of
 // `move` ops (hops-1 relays), then re-schedule *strictly*.  Moves are
 // ordinary DDG ops on the copy/move FU class, so the strict partitioner
-// places each relay in an intermediate cluster along a shortest
-// (next_hop) path.  Repeat while the strict schedule keeps failing (more
-// moves each round), up to max_rounds.
+// picks each relay's cluster like any op's, under the adjacency rule; no
+// path is fixed in advance.  Repeat while the strict schedule keeps
+// failing (more moves each round), up to max_rounds.
 #pragma once
 
 #include "cluster/partition.h"

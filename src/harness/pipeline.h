@@ -1,7 +1,7 @@
 // The canonical compilation pipeline of the experiments.
 //
 // source loop
-//   -> invariant strategy (immediate | recirculating queues)
+//   -> invariants (left in place as immediates; validates the loop)
 //   -> loop unrolling (off | policy-selected | forced factor)
 //   -> copy insertion (fan-out trees for the QRF)
 //   -> modulo scheduling (single cluster | partitioned | partitioned+moves)
@@ -35,6 +35,7 @@ namespace qvliw {
 enum class VerifyPolicy : std::uint8_t { kOff, kStrict };
 
 struct PipelineOptions {
+  /// The one strategy (xform/invariants.h); no sweep point differs in it.
   InvariantStrategy invariants = InvariantStrategy::kImmediate;
 
   bool unroll = false;
@@ -46,9 +47,9 @@ struct PipelineOptions {
 
   SchedulerKind scheduler = SchedulerKind::kSingleCluster;
 
-  /// Registry name of the scheduler backend (sched/backend.h); empty
-  /// selects the built-in backend of `scheduler`.  Unknown names fail the
-  /// schedule stage with a diagnostic listing the registered backends.
+  /// Name of a scheduler backend (sched/backend.h); empty selects the
+  /// backend of `scheduler`.  Unknown names fail the schedule stage with a
+  /// diagnostic listing the three backends.
   std::string backend;
 
   ClusterHeuristic heuristic = ClusterHeuristic::kAffinity;
@@ -150,8 +151,8 @@ struct LoopResult {
   /// schedule's.
   ImsStats sched_stats;
 
-  /// Registry name of the backend that scheduled this loop (empty when
-  /// the run failed before the schedule stage).
+  /// Name of the backend that scheduled this loop (empty when the run
+  /// failed before the schedule stage).
   std::string backend;
 
   /// True when the accepted schedule came from a warm-start seed instead

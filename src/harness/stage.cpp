@@ -68,7 +68,7 @@ bool copy_insert_stage(PipelineContext& ctx) {
 
 /// The point's scheduler backend.  Unknown backend names throw Error
 /// here; run_stage converts that into the canonical "pipeline error: ..."
-/// failure with the registry's known-names diagnostic.
+/// failure with the backend table's known-names diagnostic.
 const SchedulerBackend& backend_of(const PipelineContext& ctx) {
   return ctx.options->backend.empty() ? scheduler_backend(ctx.options->scheduler)
                                       : SchedulerRegistry::instance().require(ctx.options->backend);

@@ -55,14 +55,14 @@ struct PipelineContext {
   LoopResult result;
 };
 
-/// Runs the invariant strategy, unrolling (policy-selected or forced
-/// factor) and copy insertion with the DDG build over ctx.  Returns
-/// whether every stage passed; a failing stage stops the half and fills
-/// result.failure and result.failed_stage.  A thrown Error becomes the
+/// Runs the invariants pass (loop validation), unrolling
+/// (policy-selected or forced factor) and copy insertion with the DDG
+/// build over ctx.  Returns whether every stage passed; a failing stage
+/// stops the half and fills result.failure and result.failed_stage.  A thrown Error becomes the
 /// failure "pipeline error: ...".
 bool run_front_end(PipelineContext& ctx);
 
-/// Runs scheduling through the backend registry, queue allocation (with
+/// Runs scheduling through the backend table, queue allocation (with
 /// II escalation under enforce_queue_limits), simulation and verification
 /// over ctx, whose loop and graph the front end (or the sweep cache)
 /// supplied.  Sets and returns result.ok; failures as in run_front_end.

@@ -80,7 +80,7 @@ void add(StageSeconds& into, const StageSeconds& seconds) {
 bool same_front(const SweepPoint& a, const SweepPoint& b, bool same_machine) {
   const PipelineOptions& x = a.options;
   const PipelineOptions& y = b.options;
-  if (x.invariants != y.invariants || x.unroll != y.unroll) return false;
+  if (x.unroll != y.unroll) return false;
   if (x.unroll) {
     const bool forced = x.forced_unroll >= 1;
     if (forced != (y.forced_unroll >= 1)) return false;

@@ -4,12 +4,12 @@
 // under varying options/machines.  `SweepRunner` executes the full
 // (loop x sweep point) cross product, fanning loops across worker
 // threads, and exploits the pipeline's front/back split (harness/stage.h):
-// sweep points that share an options *prefix* — same invariant strategy,
-// same unroll choice, same copy insertion — reuse the cached
-// post-transform loop, its DDG, and the MII bounds instead of recomputing
-// them, and only the back end (schedule, queue allocation, simulation,
-// verification) runs per point.  Which points share what is planned once
-// per sweep (plan_sweep), by comparing points, before any loop runs.
+// sweep points that share an options *prefix* — same unroll choice, same
+// copy insertion — reuse the cached post-transform loop, its DDG, and the
+// MII bounds instead of recomputing them, and only the back end
+// (schedule, queue allocation, simulation, verification) runs per point.
+// Which points share what is planned once per sweep (plan_sweep), by
+// comparing points, before any loop runs.
 //
 // One task per loop: a task owns the loop's two caches (the front-prefix
 // cache with its MII bounds, and the MII-optimality schedule memo),
@@ -105,9 +105,8 @@ struct SweepPlan {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Front-end artifacts (post-transform loop and DDG, or the canonical
-  /// front-end failure): the same invariant strategy, unroll choice (the
-  /// policy's on an equal machine) and copy insertion, and equal latency
-  /// models.  Never kNone.
+  /// front-end failure): the same unroll choice (the policy's on an equal
+  /// machine) and copy insertion, and equal latency models.  Never kNone.
   std::vector<std::size_t> front;
 
   /// MII bounds: the same front slot on an equal machine.  kNone for

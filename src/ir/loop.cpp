@@ -117,7 +117,6 @@ void serialize_loop(BlobWriter& out, const Loop& loop) {
     out.put_string(op.name);
     out.put_i32(op.array);
     out.put_i32(op.mem_offset);
-    out.put_i32(op.init_invariant);
     out.put_u64(op.args.size());
     for (const Operand& arg : op.args) {
       out.put_i32(static_cast<std::int32_t>(arg.kind));
@@ -146,7 +145,6 @@ Loop deserialize_loop(BlobReader& in) {
     op.name = in.get_string();
     op.array = in.get_i32();
     op.mem_offset = in.get_i32();
-    op.init_invariant = in.get_i32();
     const std::uint64_t args = in.get_u64();
     for (std::uint64_t a = 0; a < args; ++a) {
       Operand arg;
@@ -247,10 +245,6 @@ void Loop::validate() const {
       }
     } else {
       if (op.array != -1) fail(cat(where(), ": non-memory op must not reference an array"));
-    }
-
-    if (op.init_invariant < -1 || op.init_invariant >= static_cast<int>(invariants.size())) {
-      fail(cat(where(), ": init_invariant out of range"));
     }
 
     for (std::size_t a = 0; a < op.args.size(); ++a) {

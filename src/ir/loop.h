@@ -10,7 +10,8 @@
 //
 // Loop-carried register dependences are explicit via distances, so the
 // register-level DDG follows directly from operands; memory-level
-// dependences are derived in memdep.h.
+// dependences are derived in memdep.h.  A read from before iteration 0
+// (distance > iteration) is a live-in, and every live-in is 0.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@ namespace qvliw {
 struct Operand {
   enum class Kind : std::uint8_t {
     kValue,      // result of another op, `distance` iterations ago
-    kInvariant,  // loop invariant (kept in a register/immediate by default)
+    kInvariant,  // loop invariant (kept in a register or immediate)
     kImmediate,  // literal constant
     kIndex,      // loop index: stride * iteration + index_offset
   };
@@ -54,12 +55,6 @@ struct Op {
   std::vector<Operand> args;   // arity per operand_count(opcode)
   int array = -1;              // memory ops: index into Loop::arrays
   int mem_offset = 0;          // memory ops: A[stride*i + mem_offset]
-
-  /// Live-in binding: when an operand reads this op's value from before
-  /// iteration 0 (distance > iteration), the out-of-range instance is 0 by
-  /// convention — unless init_invariant >= 0, in which case it is that
-  /// invariant's value.  Set by the invariant-recirculation transform.
-  int init_invariant = -1;
 
   [[nodiscard]] bool defines_value() const { return qvliw::defines_value(opcode); }
 };

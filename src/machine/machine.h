@@ -53,8 +53,9 @@ struct SegmentConfig {
 /// Bounds MachineConfig::validate enforces, far above the paper's
 /// machines (at most 6 FUs of a kind, latency 8), so that reservation
 /// tables and summed latencies stay small for every machine that
-/// validates.
-inline constexpr int kMaxFusPerKind = 1 << 8;
+/// validates.  The FU bound is also the reservation table's: its busy
+/// word holds one bit per instance of a kind (sched/reservation.h).
+inline constexpr int kMaxFusPerKind = 64;
 inline constexpr int kMaxLatency = 1 << 10;
 
 class MachineConfig {
@@ -83,15 +84,9 @@ class MachineConfig {
   /// The ring as a graph value (cheap to build; see topology.h).
   [[nodiscard]] Topology topology() const { return Topology::ring(cluster_count()); }
 
-  /// Minimal hop count between clusters on the interconnect.
+  /// Minimal hop count between clusters on the interconnect; a value
+  /// flows without moves only where it is at most 1.
   [[nodiscard]] int distance(int a, int b) const { return topology().distance(a, b); }
-
-  /// True when a == b or the clusters are interconnect neighbours.
-  [[nodiscard]] bool adjacent(int a, int b) const { return distance(a, b) <= 1; }
-
-  /// Next cluster one hop from `a` toward `b` along a shortest path
-  /// (deterministic tie-breaks; see Topology::next_hop).  Requires a != b.
-  [[nodiscard]] int next_hop(int a, int b) const { return topology().next_hop(a, b); }
 
   /// Structural checks: >= 1 cluster, every cluster has >= 1 of each
   /// compute FU kind and at most kMaxFusPerKind of any kind, positive

@@ -10,16 +10,6 @@ Topology Topology::ring(int clusters) {
   return Topology(clusters);
 }
 
-int Topology::next_hop(int a, int b) const {
-  check(a != b, "Topology::next_hop: a == b");
-  const int k = clusters_;
-  check(a >= 0 && a < k && b >= 0 && b < k, "Topology::next_hop: cluster out of range");
-  // Clockwise preferred on ties, matching the historical ring router.
-  const int cw = ((b - a) % k + k) % k;
-  if (cw <= k - cw) return (a + 1) % k;
-  return (a - 1 + k) % k;
-}
-
 int Topology::segment_count() const {
   const int k = clusters_;
   if (k == 1) return 0;

@@ -7,7 +7,7 @@
 // segments (i+1) mod k -> i.  A two-cluster ring has exactly two segments
 // (0 -> 1 and 1 -> 0, both "clockwise").
 //
-// The class is a small arithmetic value type: distance/next_hop/segment
+// The class is a small arithmetic value type: distance and segment
 // lookups are computed, not tabulated, so copies are free and a topology
 // can be rebuilt from a MachineConfig at will.  Canonical segment ids are
 // dense in [0, segment_count()) and are what QueueDomain::kSegment
@@ -52,13 +52,6 @@ class Topology {
     const int cw = b >= a ? b - a : b - a + clusters_;
     return std::min(cw, clusters_ - cw);
   }
-
-  /// True when a == b or a segment connects the two clusters.
-  [[nodiscard]] bool adjacent(int a, int b) const { return distance(a, b) <= 1; }
-
-  /// Next cluster one hop from `a` along a shortest path toward `b`
-  /// (clockwise on ties).  Requires a != b.
-  [[nodiscard]] int next_hop(int a, int b) const;
 
   /// Directed segments, canonically enumerated.
   [[nodiscard]] int segment_count() const;

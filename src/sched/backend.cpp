@@ -1,5 +1,6 @@
 #include "sched/backend.h"
 
+#include <array>
 #include <utility>
 
 #include "cluster/route.h"
@@ -7,18 +8,6 @@
 #include "support/strings.h"
 
 namespace qvliw {
-
-std::string_view scheduler_kind_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kSingleCluster:
-      return "single-cluster";
-    case SchedulerKind::kClustered:
-      return "clustered";
-    case SchedulerKind::kClusteredMoves:
-      return "clustered-moves";
-  }
-  QVLIW_ASSERT(false, "bad SchedulerKind");
-}
 
 namespace {
 
@@ -83,34 +72,24 @@ class ClusteredMovesBackend final : public SchedulerBackend {
   }
 };
 
+constinit const SingleClusterBackend kSingleCluster{};
+constinit const ClusteredBackend kClustered{};
+constinit const ClusteredMovesBackend kClusteredMoves{};
+
+/// The backend table, indexed by SchedulerKind.
+constexpr std::array<const SchedulerBackend*, 3> kBackends = {&kSingleCluster, &kClustered,
+                                                              &kClusteredMoves};
+
 }  // namespace
 
-SchedulerRegistry& SchedulerRegistry::instance() {
-  static SchedulerRegistry* registry = [] {
-    auto* r = new SchedulerRegistry();
-    r->add(std::make_unique<SingleClusterBackend>());
-    r->add(std::make_unique<ClusteredBackend>());
-    r->add(std::make_unique<ClusteredMovesBackend>());
-    return r;
-  }();
-  return *registry;
-}
-
-void SchedulerRegistry::add(std::unique_ptr<SchedulerBackend> backend) {
-  check(backend != nullptr, "SchedulerRegistry: null backend");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<SchedulerBackend>& existing : backends_) {
-    if (existing->name() == backend->name()) {
-      fail(cat("SchedulerRegistry: backend '", backend->name(), "' already registered"));
-    }
-  }
-  backends_.push_back(std::move(backend));
+const SchedulerRegistry& SchedulerRegistry::instance() {
+  static const SchedulerRegistry registry;
+  return registry;
 }
 
 const SchedulerBackend* SchedulerRegistry::find(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<SchedulerBackend>& backend : backends_) {
-    if (backend->name() == name) return backend.get();
+  for (const SchedulerBackend* backend : kBackends) {
+    if (backend->name() == name) return backend;
   }
   return nullptr;
 }
@@ -129,18 +108,19 @@ const SchedulerBackend& SchedulerRegistry::require(std::string_view name) const 
 }
 
 std::vector<std::string> SchedulerRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(backends_.size());
-  for (const std::unique_ptr<SchedulerBackend>& backend : backends_) {
-    out.emplace_back(backend->name());
-  }
+  out.reserve(kBackends.size());
+  for (const SchedulerBackend* backend : kBackends) out.emplace_back(backend->name());
   return out;
 }
 
 const SchedulerBackend& scheduler_backend(SchedulerKind kind) {
-  return SchedulerRegistry::instance().require(scheduler_kind_name(kind));
+  const auto index = static_cast<std::size_t>(kind);
+  QVLIW_ASSERT(index < kBackends.size(), "bad SchedulerKind");
+  return *kBackends[index];
 }
+
+std::string_view scheduler_kind_name(SchedulerKind kind) { return scheduler_backend(kind).name(); }
 
 const SchedulerBackend* find_scheduler_backend(SchedulerKind kind,
                                                std::string_view override_name) {

@@ -1,15 +1,12 @@
-// Pluggable scheduler backends behind a process-wide registry.
+// The three scheduler backends, in one fixed table.
 //
-// The back end of the pipeline (harness/stage.h) used to hard-code a
-// switch over `SchedulerKind`; this header promotes each arm to a
-// `SchedulerBackend` that names itself, declares how it interacts with
-// the sweep runner's caches, and schedules a `ScheduleRequest`.  The
-// enum survives as a thin registry lookup (`scheduler_backend`), so all
-// existing option structs and benches keep working, while external
-// schedulers — e.g. an SMT-based optimal scheduler in the style of
-// Roorda's software pipeliner — plug into the same sweep and
-// golden-equivalence harness by registering under a new name and being
-// selected per point via `PipelineOptions::backend`.
+// The back end of the pipeline (harness/stage.h) schedules through a
+// `SchedulerBackend`: one per built-in mode (`SchedulerKind`), each
+// naming itself, declaring how it interacts with the sweep runner's
+// caches, and scheduling a `ScheduleRequest`.  `SchedulerRegistry` is a
+// fixed table of the three, in `SchedulerKind` order, read without a
+// lock; nothing registers a backend at run time.  A point selects its
+// backend by kind, or by name through `PipelineOptions::backend`.
 //
 // Two declarations tell the sweep runner's plan (harness/sweep.h) what a
 // backend may share with other sweep points:
@@ -30,7 +27,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,16 +36,15 @@
 
 namespace qvliw {
 
-/// The built-in scheduling modes.  Kept for API compatibility: each value
-/// is now only a name lookup into the backend registry (see
-/// `scheduler_backend`), not a dispatch site.
+/// The scheduling modes; each value indexes the backend table (see
+/// `scheduler_backend`).
 enum class SchedulerKind {
   kSingleCluster,   // classic IMS, machine treated as one cluster
   kClustered,       // the paper's partitioned IMS (adjacent-only comm)
   kClusteredMoves,  // extension: multi-hop routing via move ops
 };
 
-/// The registry name of a built-in kind ("single-cluster", "clustered",
+/// The backend name of a kind ("single-cluster", "clustered",
 /// "clustered-moves").
 [[nodiscard]] std::string_view scheduler_kind_name(SchedulerKind kind);
 
@@ -91,7 +86,7 @@ class SchedulerBackend {
  public:
   virtual ~SchedulerBackend() = default;
 
-  /// Unique registry name (also the per-point label in bench reports).
+  /// Unique backend name (also the per-point label in bench reports).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Whether ImsOptions::known_mii bounds computed for the request's loop
@@ -104,40 +99,34 @@ class SchedulerBackend {
   [[nodiscard]] virtual ScheduleOutcome schedule(const ScheduleRequest& request) const = 0;
 };
 
-/// Process-wide backend registry.  Registration is append-only (backend
-/// pointers stay valid for the life of the process) and thread-safe; the
-/// three built-in backends are registered on first access.
+/// Name lookups into the fixed table of the three backends.  The table
+/// lives for the whole process and is never written, so every lookup is
+/// lock-free.
 class SchedulerRegistry {
  public:
-  /// The process-wide instance, with built-ins already registered.
-  [[nodiscard]] static SchedulerRegistry& instance();
-
-  /// Registers `backend`; throws Error when the name is already taken.
-  void add(std::unique_ptr<SchedulerBackend> backend);
+  /// The one instance.
+  [[nodiscard]] static const SchedulerRegistry& instance();
 
   /// Backend by name; nullptr when unknown.
   [[nodiscard]] const SchedulerBackend* find(std::string_view name) const;
 
-  /// Backend by name; throws Error listing the registered names when
-  /// unknown (the diagnostic a mistyped PipelineOptions::backend gets).
+  /// Backend by name; throws Error listing the known names when unknown
+  /// (the diagnostic a mistyped PipelineOptions::backend gets).
   [[nodiscard]] const SchedulerBackend& require(std::string_view name) const;
 
-  /// Registered names, in registration order (built-ins first).
+  /// Backend names, in SchedulerKind order.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   SchedulerRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<SchedulerBackend>> backends_;
 };
 
-/// The thin enum lookup: registry backend of a built-in kind.
+/// The backend of `kind`: one index into the table.
 [[nodiscard]] const SchedulerBackend& scheduler_backend(SchedulerKind kind);
 
 /// Resolution used by the pipeline: `override_name` when non-empty (null
 /// when unknown — callers report the diagnostic via require), else the
-/// built-in backend of `kind`.
+/// backend of `kind`.
 [[nodiscard]] const SchedulerBackend* find_scheduler_backend(SchedulerKind kind,
                                                              std::string_view override_name);
 

@@ -64,6 +64,7 @@ class ReservationTable {
   std::vector<std::size_t> offsets_;
   std::vector<int> slots_;           // [offset + fu*ii + slot] -> op or -1
   std::vector<std::uint64_t> busy_;  // [cell*ii + slot] -> busy-instance mask
+  static_assert(kMaxFusPerKind <= 64, "one busy bit per FU instance of a kind");
 };
 
 }  // namespace qvliw

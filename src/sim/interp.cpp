@@ -25,11 +25,6 @@ InterpResult interpret(const Loop& loop, long long trip, std::uint64_t seed) {
       std::vector<std::int64_t>(static_cast<std::size_t>(max_dist), 0));
   std::vector<std::int64_t> current(static_cast<std::size_t>(n), 0);
 
-  auto init_value = [&](int op) -> std::int64_t {
-    const int inv = loop.ops[static_cast<std::size_t>(op)].init_invariant;
-    return inv >= 0 ? invariant_value(seed, inv) : 0;
-  };
-
   for (long long j = 0; j < trip; ++j) {
     for (int v = 0; v < n; ++v) {
       const Op& op = loop.ops[static_cast<std::size_t>(v)];
@@ -37,7 +32,7 @@ InterpResult interpret(const Loop& loop, long long trip, std::uint64_t seed) {
         switch (arg.kind) {
           case Operand::Kind::kValue: {
             if (arg.distance == 0) return current[static_cast<std::size_t>(arg.value_op)];
-            if (arg.distance > j) return init_value(arg.value_op);
+            if (arg.distance > j) return 0;  // live-in
             return history[static_cast<std::size_t>(arg.value_op)]
                           [static_cast<std::size_t>(arg.distance - 1)];
           }

@@ -2,9 +2,8 @@
 //
 // Executes the loop body iteration by iteration in program order — the
 // golden semantics every transformed/scheduled/simulated variant must
-// reproduce.  Loop-carried reads (`v@d`) before iteration d resolve to 0,
-// or to the invariant's value when the defining op carries a live-in
-// binding (Op::init_invariant).
+// reproduce.  Loop-carried reads (`v@d`) before iteration d are live-ins
+// and resolve to 0.
 #pragma once
 
 #include <cstdint>

@@ -103,11 +103,6 @@ class Simulator {
     }
   }
 
-  [[nodiscard]] std::int64_t init_value(int op) const {
-    const int inv = loop_.ops[static_cast<std::size_t>(op)].init_invariant;
-    return inv >= 0 ? invariant_value(options_.seed, inv) : 0;
-  }
-
   void schedule_live_ins() {
     const int ii = schedule_.ii();
     t_min_ = 0;
@@ -119,7 +114,7 @@ class Simulator {
         t_min_ = std::min(t_min_, when);
         PushEvent event;
         event.queue = queue_of_edge_[static_cast<std::size_t>(lifetime.edge)];
-        event.entry = {edge.src, k, init_value(edge.src)};
+        event.entry = {edge.src, k, 0};
         event.live_in = true;
         pending_pushes_[when].push_back(event);
       }

@@ -12,9 +12,9 @@
 //
 // Loop-carried live-ins (operand distance d > iteration) are injected at
 // the cycle the steady-state pattern implies ("as-if-warm" prologue),
-// with the value the reference interpreter defines (0, or the bound
-// invariant).  Injections are exempt from the write-port check — they
-// model setup code, not kernel issue slots.
+// with the value the reference interpreter defines for them: 0.
+// Injections are exempt from the write-port check — they model setup
+// code, not kernel issue slots.
 //
 // Symmetrically, a lifetime of distance d leaves d tail instances with no
 // consuming iteration; the epilogue of real modulo-scheduled code still

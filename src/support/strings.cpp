@@ -4,20 +4,6 @@
 
 namespace qvliw {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string fixed(double value, int digits) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(digits) << value;

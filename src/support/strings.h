@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 namespace qvliw {
 
@@ -50,9 +49,6 @@ std::string cat(const Args&... args) {
   (detail::append(out, args), ...);
   return out;
 }
-
-/// Splits `text` on `sep`, keeping empty fields.
-std::vector<std::string> split(std::string_view text, char sep);
 
 /// Formats `value` with `digits` digits after the decimal point.
 std::string fixed(double value, int digits);

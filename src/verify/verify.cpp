@@ -901,10 +901,12 @@ VerifyReport verify_artifacts(const Loop& loop, const Ddg& graph, const MachineC
 
 namespace {
 
-// "QVBNDL" + format version.  Bump on any layout change below; a bundle
-// with any other magic is rejected (0001 predates the machine's topology
-// fields, 0002 still carries them, 0003 carries per-queue member lists).
-constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0004ULL;
+// "QVBNDL" + format version.  Bump on any layout change below or in
+// serialize_loop, serialize_machine or serialize_schedule; a bundle with
+// any other magic is rejected (0001 predates the machine's topology
+// fields, 0002 still carries them, 0003 carries per-queue member lists,
+// 0004 carries each op's live-in invariant binding).
+constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0005ULL;
 constexpr int kMaxBundleItems = 1 << 24;
 
 void put_domain(BlobWriter& out, const QueueDomain& domain) {

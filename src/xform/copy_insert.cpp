@@ -222,7 +222,6 @@ CopyInsertResult materialize(const Loop& src, const Planner& planner) {
       Op copy;
       copy.opcode = Opcode::kCopy;
       copy.name = fresh_name(cat(src.ops[d].name, "_c", node));
-      copy.init_invariant = src.ops[d].init_invariant;
       const int parent = planner.parent_of(def, node);
       const int source = parent < 0 ? base : base + 1 + parent;
       copy.args.push_back(Operand::value(source, 0));

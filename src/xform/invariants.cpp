@@ -1,67 +1,10 @@
 #include "xform/invariants.h"
 
-#include <set>
-
-#include "support/diagnostics.h"
-#include "support/strings.h"
-
 namespace qvliw {
 
-Loop materialize_invariants(const Loop& src, InvariantStrategy strategy) {
+Loop materialize_invariants(const Loop& src, InvariantStrategy /*strategy*/) {
   src.validate();
-  if (strategy == InvariantStrategy::kImmediate) return src;
-
-  // Which invariants are actually read?
-  std::set<int> used;
-  for (const Op& op : src.ops) {
-    for (const Operand& arg : op.args) {
-      if (arg.kind == Operand::Kind::kInvariant) used.insert(arg.invariant);
-    }
-  }
-  if (used.empty()) return src;
-
-  Loop out;
-  out.name = src.name;
-  out.stride = src.stride;
-  out.trip_hint = src.trip_hint;
-  out.invariants = src.invariants;
-  out.arrays = src.arrays;
-
-  std::set<std::string> taken;
-  for (const Op& op : src.ops) {
-    if (op.defines_value()) taken.insert(op.name);
-  }
-
-  // One self-recirculating copy per used invariant, at the top of the body.
-  std::vector<int> recirc(src.invariants.size(), -1);
-  for (int inv : used) {
-    Op copy;
-    copy.opcode = Opcode::kCopy;
-    std::string name = cat("invq_", src.invariants[static_cast<std::size_t>(inv)]);
-    while (!taken.insert(name).second) name += "_";
-    copy.name = name;
-    copy.init_invariant = inv;
-    const int self = out.op_count();
-    copy.args.push_back(Operand::value(self, 1));  // reads itself, one iteration back
-    out.add_op(std::move(copy));
-    recirc[static_cast<std::size_t>(inv)] = self;
-  }
-
-  const int offset = out.op_count();
-  for (const Op& src_op : src.ops) {
-    Op op = src_op;
-    for (Operand& arg : op.args) {
-      if (arg.kind == Operand::Kind::kValue) {
-        arg.value_op += offset;
-      } else if (arg.kind == Operand::Kind::kInvariant) {
-        arg = Operand::value(recirc[static_cast<std::size_t>(arg.invariant)], 0);
-      }
-    }
-    out.add_op(std::move(op));
-  }
-
-  out.validate();
-  return out;
+  return src;
 }
 
 }  // namespace qvliw

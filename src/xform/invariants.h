@@ -1,17 +1,16 @@
-// Loop-invariant handling strategies.
+// Loop-invariant handling.
 //
 // The paper lists "strategies to deal with loop invariants" as ongoing
 // work: with queue register files an invariant consumed every iteration
-// would be destroyed by its first read.  Two strategies are provided:
+// would be destroyed by its first read.  Its experiments charge
+// invariants nothing, and so does this library: invariant operands stay
+// in place, encoded in the instruction word or a scalar register outside
+// the QRF, and cost no queue traffic.
 //
-//  * kImmediate (default in the experiments): invariants are encoded in
-//    the instruction word / a scalar register outside the QRF, costing no
-//    queue traffic.  This matches how the paper's experiments charge
-//    invariants (not at all).
-//  * kRecirculate: each invariant is kept in a queue and re-enqueued every
-//    iteration by a copy op (`invq = copy invq@1`, seeded with the
-//    invariant's value); consumers read fan-out copies.  This makes the
-//    cost of queue-resident invariants measurable (ablation bench).
+// The enum and the pass keep their one-value shape only because the
+// benchmark's traced pipeline (perfbench/traced.cpp) calls
+// materialize_invariants(source, options.invariants); they go with the
+// next change to the benchmark.
 #pragma once
 
 #include "ir/loop.h"
@@ -19,14 +18,10 @@
 namespace qvliw {
 
 enum class InvariantStrategy {
-  kImmediate,    // leave invariant operands in place (no-op transform)
-  kRecirculate,  // materialise one self-recirculating copy per invariant
+  kImmediate,  // leave invariant operands in place
 };
 
-/// Applies the chosen strategy.  For kRecirculate, every used invariant
-/// gains a distance-1 self-copy at the top of the body whose live-in is
-/// the invariant's value, and all invariant operands become value reads of
-/// that copy.  Run *before* copy insertion so fan-out is handled there.
+/// Validates `loop` and returns it unchanged.
 [[nodiscard]] Loop materialize_invariants(const Loop& loop, InvariantStrategy strategy);
 
 }  // namespace qvliw

@@ -49,7 +49,6 @@ MoveInsertResult insert_move_chain(const Loop& src, int dst, int dst_arg, int ho
         move.opcode = Opcode::kMove;
         move.name =
             fresh_name(cat(src.ops[static_cast<std::size_t>(producer)].name, "_m", hop));
-        move.init_invariant = src.ops[static_cast<std::size_t>(producer)].init_invariant;
         move.args.push_back(Operand::value(feed, 0));
         feed = result.loop.add_op(std::move(move));
         chain.push_back(feed);

@@ -1,15 +1,16 @@
-// Scheduler-backend registry: round-trip and diagnostics, golden
-// equivalence of registry dispatch against the legacy SchedulerKind
-// switch, and warm-start properties (final II never worse than cold,
-// seeds verified before adoption).
+// Scheduler-backend table: lookups by kind and by name and the
+// unknown-name diagnostic, golden equivalence of table dispatch against
+// the legacy SchedulerKind switch, and warm-start properties (final II
+// never worse than cold, seeds verified before adoption).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/route.h"
 #include "harness/pipeline.h"
+#include "harness/shard.h"
+#include "harness/sweep.h"
 #include "sched/backend.h"
 #include "workload/kernels.h"
 #include "workload/synth.h"
@@ -40,6 +41,13 @@ void expect_same_schedule(const Schedule& a, const Schedule& b, const std::strin
   }
 }
 
+/// Every fingerprinted field of one cell, as bytes.
+std::string outcome_bytes(const LoopResult& cell) {
+  SweepResult sweep;
+  sweep.by_point.push_back({cell});
+  return sweep_result_fingerprint(sweep);
+}
+
 void expect_same_ims(const ImsResult& a, const ImsResult& b, const std::string& where) {
   EXPECT_EQ(a.ok, b.ok) << where;
   EXPECT_EQ(a.failure, b.failure) << where;
@@ -54,9 +62,10 @@ void expect_same_ims(const ImsResult& a, const ImsResult& b, const std::string& 
 
 TEST(BackendRegistry, BuiltinsRegisteredAndEnumLooksThemUp) {
   const std::vector<std::string> names = SchedulerRegistry::instance().names();
-  for (const char* expected : {"single-cluster", "clustered", "clustered-moves"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
-    EXPECT_NE(SchedulerRegistry::instance().find(expected), nullptr) << expected;
+  EXPECT_EQ(names, (std::vector<std::string>{"single-cluster", "clustered", "clustered-moves"}));
+  for (const std::string& name : names) {
+    ASSERT_NE(SchedulerRegistry::instance().find(name), nullptr) << name;
+    EXPECT_EQ(SchedulerRegistry::instance().find(name)->name(), name);
   }
   for (const SchedulerKind kind :
        {SchedulerKind::kSingleCluster, SchedulerKind::kClustered,
@@ -83,62 +92,36 @@ TEST(BackendRegistry, UnknownNameDiagnosticListsRegisteredBackends) {
   }
 }
 
-TEST(BackendRegistry, DuplicateNameRejected) {
-  class Dup final : public SchedulerBackend {
-   public:
-    [[nodiscard]] std::string_view name() const override { return "single-cluster"; }
-    [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest&) const override { return {}; }
-  };
-  EXPECT_THROW(SchedulerRegistry::instance().add(std::make_unique<Dup>()), Error);
-}
-
-/// A registrable external backend: classic IMS under a new name.  Stands
-/// in for the SMT-style reference scheduler the registry seam is built
-/// for.
-class EchoBackend final : public SchedulerBackend {
- public:
-  explicit EchoBackend(std::string name) : name_(std::move(name)) {}
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
-    ScheduleOutcome outcome;
-    outcome.ims = ims_schedule(*request.loop, *request.graph, *request.machine, request.ims,
-                               nullptr, request.seed);
-    return outcome;
-  }
-
- private:
-  std::string name_;
-};
-
-TEST(BackendRegistry, CustomBackendRunsThroughThePipeline) {
-  SchedulerRegistry::instance().add(std::make_unique<EchoBackend>("test-echo"));
-
-  const Loop loop = kernel_by_name("dot");
-  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
-
+TEST(BackendRegistry, BackendByNameRunsThroughThePipeline) {
+  // Naming a backend overrides the default kind: "clustered" on the
+  // 4-cluster ring gives the same cell as SchedulerKind::kClustered.
+  const MachineConfig machine = MachineConfig::clustered_machine(4);
   PipelineOptions via_enum;
+  via_enum.scheduler = SchedulerKind::kClustered;
   PipelineOptions via_name;
-  via_name.backend = "test-echo";
-  const LoopResult enum_result = run_pipeline(loop, machine, via_enum);
-  const LoopResult name_result = run_pipeline(loop, machine, via_name);
-
-  ASSERT_TRUE(enum_result.ok) << enum_result.failure;
-  ASSERT_TRUE(name_result.ok) << name_result.failure;
-  EXPECT_EQ(enum_result.ii, name_result.ii);
-  EXPECT_EQ(enum_result.backend, "single-cluster");
-  EXPECT_EQ(name_result.backend, "test-echo");
+  via_name.backend = "clustered";
+  for (const char* name : {"dot", "daxpy", "fir4", "lk1_hydro"}) {
+    const Loop loop = kernel_by_name(name);
+    const LoopResult enum_result = run_pipeline(loop, machine, via_enum);
+    const LoopResult name_result = run_pipeline(loop, machine, via_name);
+    ASSERT_TRUE(enum_result.ok) << name << ": " << enum_result.failure;
+    EXPECT_EQ(name_result.backend, "clustered") << name;
+    EXPECT_EQ(outcome_bytes(name_result), outcome_bytes(enum_result)) << name;
+    EXPECT_EQ(name_result.sched_stats.placements, enum_result.sched_stats.placements) << name;
+    EXPECT_EQ(name_result.sched_stats.ii_attempts, enum_result.sched_stats.ii_attempts) << name;
+  }
 
   PipelineOptions bad;
   bad.backend = "not-a-backend";
-  const LoopResult bad_result = run_pipeline(loop, machine, bad);
+  const LoopResult bad_result = run_pipeline(kernel_by_name("dot"), machine, bad);
   EXPECT_FALSE(bad_result.ok);
   EXPECT_NE(bad_result.failure.find("unknown scheduler backend"), std::string::npos)
       << bad_result.failure;
   EXPECT_NE(bad_result.failure.find("not-a-backend"), std::string::npos) << bad_result.failure;
 }
 
-// The pre-registry ScheduleStage hard-coded this switch; registry
-// dispatch must reproduce it bit for bit across the kernel corpus.
+// The pre-registry ScheduleStage hard-coded this switch; table dispatch
+// must reproduce it bit for bit across the kernel corpus.
 TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
   const MachineConfig single = MachineConfig::single_cluster_machine(6);
   const MachineConfig ring = MachineConfig::clustered_machine(4);

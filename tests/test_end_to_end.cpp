@@ -96,23 +96,6 @@ TEST(EndToEndKernels, CorpusThroughFullPipelineOnRing) {
   }
 }
 
-TEST(EndToEndKernels, RecirculatedInvariantsAcrossClusters) {
-  const MachineConfig machine = MachineConfig::clustered_machine(4);
-  PipelineOptions options;
-  options.scheduler = SchedulerKind::kClustered;
-  options.invariants = InvariantStrategy::kRecirculate;
-  options.simulate = true;
-  options.sim_trip = 20;
-  SynthConfig config;
-  config.loops = 8;
-  config.seed = 900;
-  for (const Loop& loop : synthesize_suite(config)) {
-    const LoopResult r = run_pipeline(loop, machine, options);
-    ASSERT_TRUE(r.ok) << loop.name << ": " << r.failure;
-    EXPECT_TRUE(r.sim_ok) << loop.name;
-  }
-}
-
 TEST(EndToEndKernels, UnrolledTripDivisibilityHandled) {
   // Pipeline simulates the unrolled loop with its own trip_hint; memory
   // equality is checked against the unrolled reference, so any factor is

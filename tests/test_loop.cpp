@@ -264,12 +264,6 @@ TEST(LoopValidate, RejectsBadStride) {
   EXPECT_THROW(loop.validate(), Error);
 }
 
-TEST(LoopValidate, RejectsBadInitInvariant) {
-  Loop loop = minimal_loop();
-  loop.ops[0].init_invariant = 0;  // no invariants declared
-  EXPECT_THROW(loop.validate(), Error);
-}
-
 TEST(LoopValidate, RejectsBadTrip) {
   Loop loop = minimal_loop();
   loop.trip_hint = 0;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "harness/pipeline.h"
 #include "machine/machine.h"
 #include "support/diagnostics.h"
+#include "workload/kernels.h"
 
 namespace qvliw {
 namespace {
@@ -88,19 +92,11 @@ TEST(Ring, DistanceOnSixRing) {
 
 TEST(Ring, Adjacency) {
   const MachineConfig m = MachineConfig::clustered_machine(5);
-  EXPECT_TRUE(m.adjacent(0, 0));
-  EXPECT_TRUE(m.adjacent(0, 1));
-  EXPECT_TRUE(m.adjacent(0, 4));
-  EXPECT_FALSE(m.adjacent(0, 2));
-  EXPECT_FALSE(m.adjacent(0, 3));
-}
-
-TEST(Ring, NextHop) {
-  const MachineConfig m = MachineConfig::clustered_machine(6);
-  EXPECT_EQ(m.next_hop(0, 2), 1);
-  EXPECT_EQ(m.next_hop(0, 5), 5);   // counter-clockwise is shorter
-  EXPECT_EQ(m.next_hop(0, 3), 1);   // tie -> clockwise
-  EXPECT_THROW((void)m.next_hop(2, 2), Error);
+  EXPECT_LE(m.distance(0, 0), 1);
+  EXPECT_LE(m.distance(0, 1), 1);
+  EXPECT_LE(m.distance(0, 4), 1);
+  EXPECT_GT(m.distance(0, 2), 1);
+  EXPECT_GT(m.distance(0, 3), 1);
 }
 
 TEST(Machine, TopologyMachineIsTheClusteredRing) {
@@ -140,6 +136,25 @@ TEST(Machine, ValidateNamesTheRingWithoutSegmentQueues) {
   MachineConfig single = MachineConfig::single_cluster_machine(6);
   single.segment.queues_per_segment = 0;
   EXPECT_NO_THROW(single.validate());
+}
+
+TEST(Machine, ValidateBoundsFusByTheReservationTable) {
+  // The reservation table keeps one busy bit per FU instance of a kind in
+  // a 64-bit word, so a machine that validates must fit it: a 65th adder
+  // fails validate, and 64 adders schedule.
+  MachineConfig m = MachineConfig::single_cluster_machine(6);
+  m.clusters[0].fus(FuKind::kAdd) = 65;
+  try {
+    m.validate();
+    ADD_FAILURE() << "a cluster with 65 adders validated";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("65 FUs of one kind, beyond 64"), std::string::npos)
+        << error.what();
+  }
+  m.clusters[0].fus(FuKind::kAdd) = 64;
+  EXPECT_NO_THROW(m.validate());
+  const LoopResult result = run_pipeline(kernel_by_name("daxpy"), m);
+  EXPECT_TRUE(result.ok) << result.failure;
 }
 
 TEST(Machine, ValidateCatchesMissingFuKind) {

@@ -1,13 +1,12 @@
 // Golden ring-equivalence suite.
 //
 // The topology-generic back end replaced dedicated ring arithmetic
-// (ring_distance / clockwise step_toward / cw-ccw queue domains) with the
-// Topology abstraction.  These tests replicate the retired arithmetic
-// verbatim and assert the generic path is bit-identical to it: distances,
-// hop directions, every queue domain the allocator files a lifetime
-// under, and the sweep fingerprint across repeated runs of the clustered
-// suite.  Any divergence here means cached ring artifacts and historical
-// sweep baselines silently changed meaning.
+// (ring_distance / cw-ccw queue domains) with the Topology abstraction.
+// These tests replicate the retired arithmetic verbatim and assert the
+// generic path is bit-identical to it: distances, every queue domain the
+// allocator files a lifetime under, and the sweep fingerprint across
+// repeated runs of the clustered suite.  Any divergence here means cached
+// ring artifacts and historical sweep baselines silently changed meaning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,14 +30,6 @@ int legacy_ring_distance(int k, int a, int b) {
   return std::min(cw, k - cw);
 }
 
-/// Old MachineConfig::step_toward: one hop from `a` toward `b`, clockwise
-/// preferred on ties.
-int legacy_step_toward(int k, int a, int b) {
-  const int cw = ((b - a) % k + k) % k;
-  if (cw <= k - cw) return (a + 1) % k;
-  return (a - 1 + k) % k;
-}
-
 /// Old domain_of_edge: {0 = private idx c, 1 = ring-cw idx i (segment
 /// i -> i+1), 2 = ring-ccw idx i (segment i+1 -> i)}; a 2-cluster ring
 /// used only "clockwise" segments.  Returns the canonical QueueDomain the
@@ -54,15 +45,12 @@ QueueDomain legacy_domain_of_edge(int k, int producer_cluster, int consumer_clus
   return {QueueDomain::Kind::kSegment, k + consumer_cluster};
 }
 
-TEST(RingEquivalence, DistanceAndNextHopMatchLegacyArithmetic) {
+TEST(RingEquivalence, DistanceMatchesLegacyArithmetic) {
   for (int k = 1; k <= 8; ++k) {
     const Topology t = Topology::ring(k);
     for (int a = 0; a < k; ++a) {
       for (int b = 0; b < k; ++b) {
         EXPECT_EQ(t.distance(a, b), legacy_ring_distance(k, a, b)) << k << " " << a << " " << b;
-        if (a != b) {
-          EXPECT_EQ(t.next_hop(a, b), legacy_step_toward(k, a, b)) << k << " " << a << " " << b;
-        }
       }
     }
   }

@@ -94,15 +94,6 @@ TEST(Strings, CatConcatenatesMixedTypes) {
             "v_u_cx7-89");
 }
 
-TEST(Strings, SplitKeepsEmptyFields) {
-  const auto parts = split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
 TEST(Strings, FixedAndPercent) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(percent(0.952, 1), "95.2%");

@@ -24,9 +24,6 @@ TEST(Topology, DistanceIsAMetric) {
       for (int b = 0; b < k; ++b) {
         EXPECT_EQ(t.distance(a, b), t.distance(b, a)) << "k=" << k << " " << a << "," << b;
         EXPECT_EQ(t.distance(a, b) == 0, a == b);
-        // adjacent() deliberately includes a == b: a value never needs a
-        // segment to stay in its own cluster.
-        EXPECT_EQ(t.adjacent(a, b), t.distance(a, b) <= 1);
       }
     }
   }
@@ -46,35 +43,13 @@ TEST(Topology, TriangleInequality) {
   }
 }
 
-TEST(Topology, NextHopLiesOnAShortestPath) {
-  for (const Topology& t : sample_topologies()) {
-    const int k = t.cluster_count();
-    for (int a = 0; a < k; ++a) {
-      for (int b = 0; b < k; ++b) {
-        if (a == b) continue;
-        const int hop = t.next_hop(a, b);
-        EXPECT_TRUE(t.adjacent(a, hop)) << "k=" << k << " " << a << "->" << b;
-        EXPECT_EQ(t.distance(hop, b), t.distance(a, b) - 1) << "k=" << k << " " << a << "->" << b;
-      }
-    }
-  }
-}
-
-TEST(Topology, RingNextHopPrefersClockwiseOnTies) {
-  const Topology t = Topology::ring(6);
-  EXPECT_EQ(t.next_hop(0, 3), 1);  // distance 3 both ways: clockwise wins
-  EXPECT_EQ(t.next_hop(0, 5), 5);
-  EXPECT_THROW((void)t.next_hop(2, 2), Error);
-}
-
 TEST(Topology, SmallRingsHaveAllPairsAdjacent) {
   for (const int k : {2, 3}) {
     const Topology t = Topology::ring(k);
     for (int a = 0; a < k; ++a) {
       for (int b = 0; b < k; ++b) {
         if (a == b) continue;
-        EXPECT_TRUE(t.adjacent(a, b)) << "k=" << k;
-        EXPECT_EQ(t.next_hop(a, b), b) << "k=" << k;
+        EXPECT_EQ(t.distance(a, b), 1) << "k=" << k << " " << a << "," << b;
       }
     }
   }

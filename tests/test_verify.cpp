@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 
 #include "harness/stage.h"
@@ -561,16 +562,18 @@ TEST(VerifyCodec, WideQueueOverManyWindowsReachesAVerdictQuickly) {
 
 TEST(VerifyCodec, PreTopologyMagicIsRejected) {
   // Version 0001 bundles predate the machine's topology fields, version
-  // 0002 bundles still carry them, and version 0003 bundles carry
-  // per-queue member lists; those decoders are gone, so any old magic is
-  // just a bad one.
+  // 0002 bundles still carry them, version 0003 bundles carry per-queue
+  // member lists, and version 0004 bundles carry each op's live-in
+  // invariant binding; those decoders are gone, so any old magic is just
+  // a bad one.
   const Artifacts a = prepare_clustered(kernel_by_name("daxpy"), 4);
   VerifyBundle bundle;
   bundle.loop = a.loop;
   bundle.machine = a.machine;
   bundle.schedule = a.schedule;
   for (const std::uint64_t magic :
-       {0x5156424e444c0001ULL, 0x5156424e444c0002ULL, 0x5156424e444c0003ULL}) {
+       {0x5156424e444c0001ULL, 0x5156424e444c0002ULL, 0x5156424e444c0003ULL,
+        0x5156424e444c0004ULL}) {
     std::string blob = encode_verify_bundle(bundle);
     BlobWriter old_magic;
     old_magic.put_u64(magic);
@@ -582,6 +585,57 @@ TEST(VerifyCodec, PreTopologyMagicIsRejected) {
       EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos) << error.what();
     }
   }
+}
+
+// The bundle layout is pinned to its magic: this hand-built bundle (no
+// pipeline, no factory defaults) encodes to a fixed size and hash, so a
+// codec edit that forgets to bump kVerifyBundleMagic fails here.
+TEST(VerifyCodec, LayoutMatchesItsMagic) {
+  VerifyBundle bundle;
+  bundle.loop = parse_loop(
+      "loop pin { invariant a; x = load X[i]; y = fmul x, a; store Y[i], y; }");
+
+  bundle.machine.name = "pin-ring-2";
+  ClusterConfig cluster;
+  cluster.fu_count = {1, 1, 1, 1};
+  cluster.private_queues = 8;
+  cluster.queue_depth = 16;
+  bundle.machine.clusters = {cluster, cluster};
+  bundle.machine.segment.queues_per_segment = 8;
+  bundle.machine.segment.queue_depth = 16;
+  bundle.machine.latency.latency.fill(1);
+  bundle.machine.latency.latency[static_cast<std::size_t>(Opcode::kLoad)] = 2;
+  bundle.machine.latency.latency[static_cast<std::size_t>(Opcode::kFMul)] = 3;
+
+  // The load on cluster 0 feeds the fmul on cluster 1 through segment
+  // 0 -> 1; the fmul feeds the store in cluster 1's private QRF.
+  bundle.schedule = Schedule(3, 1);
+  bundle.schedule.set(0, {0, 0, 0});
+  bundle.schedule.set(1, {2, 1, 0});
+  bundle.schedule.set(2, {5, 1, 0});
+  bundle.has_allocation = true;
+  bundle.allocation.ii = 1;
+  bundle.allocation.lifetimes = {{0, 0, 1, 2, 2, {QueueDomain::Kind::kSegment, 0}},
+                                 {1, 1, 2, 5, 5, {QueueDomain::Kind::kPrivate, 1}}};
+  bundle.allocation.queue_of = {0, 1};
+  bundle.allocation.queues = {{{QueueDomain::Kind::kSegment, 0}, 0, 1},
+                              {{QueueDomain::Kind::kPrivate, 1}, 0, 1}};
+  bundle.check_fanout = true;
+  bundle.must_fit = true;
+
+  const VerifyReport report = verify_bundle(bundle);
+  EXPECT_TRUE(report.ok()) << report.summary(0);
+
+  const std::string blob = encode_verify_bundle(bundle);
+  EXPECT_EQ(encode_verify_bundle(decode_verify_bundle(blob)), blob);
+  const char* bump =
+      "the verify bundle layout changed: bump kVerifyBundleMagic in src/verify/verify.cpp "
+      "and update this pin together";
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(hash_bytes(blob)));
+  EXPECT_EQ(blob.size(), 536u) << bump;
+  EXPECT_EQ(std::string(digest), "7732d4ba4bde963d") << bump;
 }
 
 TEST(VerifyCodec, TamperedBundleFailsVerification) {

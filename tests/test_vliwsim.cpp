@@ -9,11 +9,9 @@
 #include "ir/parser.h"
 #include "qrf/queue_alloc.h"
 #include "sched/ims.h"
-#include "sim/interp.h"
 #include "sim/vliwsim.h"
 #include "workload/kernels.h"
 #include "xform/copy_insert.h"
-#include "xform/invariants.h"
 
 namespace qvliw {
 namespace {
@@ -165,26 +163,6 @@ TEST(VliwSim, TamperedScheduleFailsChecks) {
     }
   }
   EXPECT_FALSE(verify_schedule(p.loop, p.graph, p.machine, bad).empty());
-}
-
-TEST(VliwSim, RecirculatedInvariantsSimulate) {
-  // Full stack: recirculation + copies + schedule + queues + sim.  The
-  // recirculating copies carry invariant live-ins through the queues, so
-  // this exercises the init_invariant injection path end to end.
-  const Loop source = kernel_by_name("lk1_hydro");
-  const Loop loop =
-      insert_copies(materialize_invariants(source, InvariantStrategy::kRecirculate)).loop;
-  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
-  const Ddg graph = Ddg::build(loop, machine.latency);
-  const ImsResult sched = ims_schedule(loop, graph, machine);
-  ASSERT_TRUE(sched.ok) << sched.failure;
-  const QueueAllocation allocation = allocate_queues(loop, graph, machine, sched.schedule);
-  const CheckedSim r =
-      simulate_and_check(loop, graph, machine, sched.schedule, allocation, 30);
-  EXPECT_TRUE(r.ok) << r.failure;
-  // And the result must equal the *source* kernel's semantics too.
-  const InterpResult source_ref = interpret(source, 30, SimOptions{}.seed);
-  EXPECT_TRUE(source_ref.memory == r.sim.memory);
 }
 
 }  // namespace
