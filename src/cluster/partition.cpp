@@ -1,7 +1,6 @@
 #include "cluster/partition.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -48,19 +47,15 @@ TopologyClusterAssigner::TopologyClusterAssigner(const Loop& loop, const Ddg& gr
     if (!edge.is_value_flow() || edge.src == edge.dst) continue;
     flow_adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(edge.dst)]++)] = edge.src;
   }
-  reset(1);
+  reset();
 }
 
-void TopologyClusterAssigner::reset(int) {
+void TopologyClusterAssigner::reset() {
   // Called at the top of every II attempt: plain assigns on flat vectors
   // reuse the storage from the previous attempt (no per-attempt heap
   // traffic in the searcher's reset path).
   cluster_of_.assign(kind_of_.size(), -1);
   load_.assign(static_cast<std::size_t>(machine_.cluster_count() * kNumFuKinds), 0);
-}
-
-int TopologyClusterAssigner::cluster_of(int op) const {
-  return cluster_of_[static_cast<std::size_t>(op)];
 }
 
 void TopologyClusterAssigner::evaluate(int op) {
@@ -126,20 +121,6 @@ int TopologyClusterAssigner::legal_candidates(int op, std::vector<int>& out) {
   }
   order(out);
   return best;
-}
-
-void TopologyClusterAssigner::candidates(int op, std::vector<int>& out) {
-  evaluate(op);
-  out.resize(static_cast<std::size_t>(machine_.cluster_count()));
-  std::iota(out.begin(), out.end(), 0);
-  order(out);
-}
-
-bool TopologyClusterAssigner::legal(int op, int cluster) {
-  check(cluster >= 0 && cluster < machine_.cluster_count(),
-        "TopologyClusterAssigner::legal: cluster out of range");
-  evaluate(op);
-  return legal_[static_cast<std::size_t>(cluster)] != 0;
 }
 
 void TopologyClusterAssigner::adjacency_evictions(int op, int cluster, std::vector<int>& out) {

@@ -28,29 +28,25 @@ enum class ClusterHeuristic {
 
 /// IMS ClusterAssigner for the machine's ring (its Topology).
 ///
-/// In strict mode (the paper's scheme) `legal` enforces topology adjacency
-/// of every scheduled flow neighbour.  In relaxed mode any cluster is legal
-/// — used by the move-routing extension to discover which edges need relay
-/// moves; candidate ordering still minimises expected hops.
+/// In strict mode (the paper's scheme) a cluster is legal when every
+/// scheduled flow neighbour is at most one ring hop from it.  In relaxed
+/// mode any cluster is legal — used by the move-routing extension to
+/// discover which edges need relay moves; the best-first order still
+/// minimises expected hops.
 ///
-/// Every query rests on one pass over the op's flow neighbours (evaluate)
-/// that yields each cluster's score and legality, in O(k) scratch for k
-/// clusters.
+/// legal_candidates rests on one pass over the op's flow neighbours
+/// (evaluate) that yields each cluster's score and legality, in O(k)
+/// scratch for k clusters.
 class TopologyClusterAssigner final : public ClusterAssigner {
  public:
   TopologyClusterAssigner(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
                           ClusterHeuristic heuristic, bool strict = true);
 
-  void reset(int ii) override;
+  void reset() override;
   int legal_candidates(int op, std::vector<int>& out) override;
-  void candidates(int op, std::vector<int>& out) override;
-  bool legal(int op, int cluster) override;
   void adjacency_evictions(int op, int cluster, std::vector<int>& out) override;
   void on_place(int op, int cluster) override;
   void on_remove(int op) override;
-
-  /// Cluster of a currently placed op (-1 when unplaced).
-  [[nodiscard]] int cluster_of(int op) const;
 
  private:
   /// Fills scores_ and legal_ for placing `op` in each cluster now.

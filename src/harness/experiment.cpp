@@ -323,7 +323,7 @@ ResourceCurve resource_curve(const std::vector<LoopResult>& results) {
   curve.p95_priv = percentile(priv, 95);
   curve.p95_segment = percentile(seg_q, 95);
   curve.p95_positions = percentile(positions, 95);
-  curve.max_positions = positions.empty() ? 0.0 : percentile(positions, 100);
+  curve.max_positions = percentile(positions, 100);
   return curve;
 }
 

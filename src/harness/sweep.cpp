@@ -35,11 +35,6 @@ double SweepResult::pipelines_per_second() const {
   return wall_seconds > 0.0 ? static_cast<double>(pipelines) / wall_seconds : 0.0;
 }
 
-double SweepResult::stage_seconds(Stage stage) const {
-  const auto s = static_cast<std::size_t>(stage);
-  return s < stage_totals.size() ? stage_totals[s].seconds : 0.0;
-}
-
 std::uint64_t SweepResult::verify_checked() const {
   std::uint64_t checked = 0;
   for (const auto& row : by_point) {

@@ -135,7 +135,6 @@ struct SweepResult {
   std::uint64_t pipelines = 0;  // loops x points executed
 
   [[nodiscard]] double pipelines_per_second() const;
-  [[nodiscard]] double stage_seconds(Stage stage) const;
 
   /// Translation-validation roll-up over by_point: cells whose verify
   /// stage ran, and the summed violation count (0 on a legal sweep).

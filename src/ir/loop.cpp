@@ -93,16 +93,6 @@ int Loop::value_use_count() const {
   return uses;
 }
 
-int Loop::use_count(int def) const {
-  int uses = 0;
-  for (const Op& op : ops) {
-    for (const Operand& arg : op.args) {
-      if (arg.is_value() && arg.value_op == def) ++uses;
-    }
-  }
-  return uses;
-}
-
 void serialize_loop(BlobWriter& out, const Loop& loop) {
   out.put_string(loop.name);
   out.put_i32(loop.stride);

@@ -89,9 +89,6 @@ class Loop {
   /// Number of operand slots that read values (queue pops per iteration).
   [[nodiscard]] int value_use_count() const;
 
-  /// Number of uses of the value defined by op `def` (operand instances).
-  [[nodiscard]] int use_count(int def) const;
-
   /// Deterministic structural hash of the whole loop: hash_bytes over
   /// serialize_loop's blob, so the hash and the serialization share one
   /// schema walker (a field added to Op/Operand is either in both or in

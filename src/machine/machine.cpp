@@ -32,10 +32,6 @@ int MachineConfig::total_fus(FuKind kind) const {
   return total;
 }
 
-int MachineConfig::total_compute_fus() const {
-  return total_fus(FuKind::kLS) + total_fus(FuKind::kAdd) + total_fus(FuKind::kMul);
-}
-
 void MachineConfig::validate() const {
   // Runs on every ims_schedule call: a message is formatted only on the
   // failing branch, never before the test.

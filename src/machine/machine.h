@@ -66,7 +66,6 @@ class MachineConfig {
   LatencyModel latency = LatencyModel::classic();
 
   [[nodiscard]] int cluster_count() const { return static_cast<int>(clusters.size()); }
-  [[nodiscard]] bool single_cluster() const { return clusters.size() == 1; }
 
   [[nodiscard]] const ClusterConfig& cluster(int c) const;
 
@@ -75,18 +74,10 @@ class MachineConfig {
   /// FU instances of `kind` summed over all clusters.
   [[nodiscard]] int total_fus(FuKind kind) const;
 
-  /// Compute FUs (L/S + ADD + MUL) over all clusters — the paper's
-  /// machine-size label ("12 FUs" = 4 clusters).
-  [[nodiscard]] int total_compute_fus() const;
-
   // --- interconnect topology ----------------------------------------------
 
   /// The ring as a graph value (cheap to build; see topology.h).
   [[nodiscard]] Topology topology() const { return Topology::ring(cluster_count()); }
-
-  /// Minimal hop count between clusters on the interconnect; a value
-  /// flows without moves only where it is at most 1.
-  [[nodiscard]] int distance(int a, int b) const { return topology().distance(a, b); }
 
   /// Structural checks: >= 1 cluster, every cluster has >= 1 of each
   /// compute FU kind and at most kMaxFusPerKind of any kind, positive

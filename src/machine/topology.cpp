@@ -17,14 +17,6 @@ int Topology::segment_count() const {
   return 2 * k;
 }
 
-Segment Topology::segment(int s) const {
-  const int k = clusters_;
-  check(s >= 0 && s < segment_count(), "Topology::segment: id out of range");
-  if (k == 2) return {s, 1 - s};
-  if (s < k) return {s, (s + 1) % k};  // clockwise segment s
-  return {(s - k + 1) % k, s - k};     // counter-clockwise segment s-k
-}
-
 int Topology::segment_between(int src, int dst) const {
   const int k = clusters_;
   check(src >= 0 && src < k && dst >= 0 && dst < k,
@@ -37,7 +29,7 @@ int Topology::segment_between(int src, int dst) const {
 }
 
 std::string Topology::segment_name(int s) const {
-  check(s >= 0 && s < segment_count(), "Topology::segment: id out of range");
+  check(s >= 0 && s < segment_count(), "Topology::segment_name: id out of range");
   if (clusters_ > 2 && s >= clusters_) return cat("ring-ccw[", s - clusters_, "]");
   return cat("ring-cw[", s, "]");
 }

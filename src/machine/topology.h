@@ -29,14 +29,6 @@ enum class TopologyKind : std::uint8_t {
   kRing = 0,
 };
 
-/// One directed segment: values flow src -> dst through its queues.
-struct Segment {
-  int src = -1;
-  int dst = -1;
-
-  friend bool operator==(const Segment&, const Segment&) = default;
-};
-
 class Topology {
  public:
   /// Bidirectional ring of `clusters` >= 1 (1 cluster: no segments).
@@ -55,9 +47,6 @@ class Topology {
 
   /// Directed segments, canonically enumerated.
   [[nodiscard]] int segment_count() const;
-
-  /// Endpoints of canonical segment `s` in [0, segment_count()).
-  [[nodiscard]] Segment segment(int s) const;
 
   /// Canonical id of the segment src -> dst, or -1 when no single segment
   /// carries that flow (non-adjacent or src == dst).

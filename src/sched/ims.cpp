@@ -53,7 +53,7 @@ class ImsSearcher {
     schedule_.reset(n_, ii);
     mrt_.reset(ii);
     std::fill(prev_cycle_.begin(), prev_cycle_.end(), -1);
-    assigner_.reset(ii);
+    assigner_.reset();
     build_rank_order();
     ready_all();
 

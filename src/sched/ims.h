@@ -26,32 +26,26 @@ namespace qvliw {
 
 /// Strategy hook deciding which clusters an op may go to.
 ///
-/// `legal(op, cluster)` must be true iff placing `op` in `cluster` keeps
-/// every *currently scheduled* flow neighbour's value path realisable
-/// (same cluster or topology-adjacent in the base scheme).  Implementations
+/// A cluster is legal for `op` when placing `op` there keeps every
+/// *currently scheduled* flow neighbour's value path realisable (same
+/// cluster or topology-adjacent in the base scheme).  Implementations
 /// observe placements through on_place/on_remove.
 class ClusterAssigner {
  public:
   virtual ~ClusterAssigner() = default;
 
   /// Called when an II attempt starts; implementations drop state.
-  virtual void reset(int ii) { (void)ii; }
+  virtual void reset() {}
 
-  /// The searcher's one query per placement: the candidates `op` may
-  /// legally go to now, in candidates() order, into `out`, and returns
-  /// candidates(op).front(), where a forced placement goes when `out`
-  /// comes back empty.
+  /// The searcher's one query per placement: the clusters `op` may
+  /// legally go to now, best first, into `out`.  Returns the best cluster
+  /// of all, legal or not, which is where a forced placement goes when
+  /// `out` comes back empty.
   virtual int legal_candidates(int op, std::vector<int>& out) = 0;
-
-  /// Candidate clusters for `op`, best first.  Must be non-empty.
-  virtual void candidates(int op, std::vector<int>& out) = 0;
-
-  /// Communication legality of placing `op` in `cluster` now.
-  virtual bool legal(int op, int cluster) = 0;
 
   /// Scheduled flow neighbours of `op` that become unreachable if `op` is
   /// force-placed in `cluster`; they will be displaced.  Empty whenever
-  /// legal(op, cluster) holds, so the searcher asks only after forcing
+  /// `cluster` is legal for `op`, so the searcher asks only after forcing
   /// `op` into an illegal cluster.
   virtual void adjacency_evictions(int op, int cluster, std::vector<int>& out) = 0;
 
@@ -66,8 +60,6 @@ class SingleClusterAssigner final : public ClusterAssigner {
     out.assign(1, 0);
     return 0;
   }
-  void candidates(int, std::vector<int>& out) override { out.assign(1, 0); }
-  bool legal(int, int) override { return true; }
   void adjacency_evictions(int, int, std::vector<int>&) override {}
 };
 

@@ -44,8 +44,8 @@ double geomean(const std::vector<double>& values) {
 }
 
 double percentile(std::vector<double> values, double p) {
-  check(!values.empty(), "percentile of empty vector");
   check(p >= 0.0 && p <= 100.0, "percentile p out of range");
+  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
   if (values.size() == 1) return values[0];
   const double rank = p / 100.0 * static_cast<double>(values.size() - 1);

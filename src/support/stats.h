@@ -32,7 +32,8 @@ class OnlineStats {
 /// Geometric mean; requires strictly positive values; 0 for empty input.
 [[nodiscard]] double geomean(const std::vector<double>& values);
 
-/// p-th percentile (p in [0,100]) by linear interpolation on sorted copy.
+/// p-th percentile (p in [0,100]) by linear interpolation on sorted copy;
+/// 0 for empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
 /// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.

@@ -195,6 +195,8 @@ ExpectedMemDep* find_expected_mem(std::vector<ExpectedMemDep>& expected, int src
 /// canonical segment numbering is independent of the producer's.
 /// Clockwise segments c -> c+1 get ids 0..k-1, counter-clockwise
 /// segments c+1 -> c get ids k..2k-1; clockwise wins the k == 2 tie.
+/// None when the clusters are not adjacent, which the routing pass and
+/// the queue pass both report.
 std::optional<QueueDomain> expected_domain(const MachineConfig& machine, int producer_cluster,
                                            int consumer_cluster) {
   if (producer_cluster == consumer_cluster) {
@@ -642,8 +644,10 @@ VerifyReport verify_routing(const Loop& loop, const Ddg& graph, const MachineCon
     if (from < 0 || from >= machine.cluster_count() || to < 0 || to >= machine.cluster_count()) {
       continue;  // reported as sched-placement by the schedule pass
     }
-    const int hops = machine.distance(from, to);
-    if (hops > 1) {
+    if (!expected_domain(machine, from, to)) {
+      const int k = machine.cluster_count();
+      const int cw = (to - from + k) % k;
+      const int hops = std::min(cw, k - cw);
       report.add(VerifyRule::kRouteAdjacency,
                  cat("value of ", op_label(loop, edge.src), " on cluster ", from,
                      " consumed by ", op_label(loop, edge.dst), " on cluster ", to, " (", hops,

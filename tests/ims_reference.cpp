@@ -15,7 +15,9 @@ namespace {
 
 /// One II attempt of the iterative scheme, as originally written: fresh
 /// state per attempt, a std::set<(−height, op)> ready queue, linear FU
-/// probes through the reservation table.
+/// probes through the reservation table, the assigner's legal clusters
+/// asked at every cycle of the slot scan, and adjacency evictions asked
+/// after every placement.
 class ReferenceAttempt {
  public:
   ReferenceAttempt(const Loop& loop, const Ddg& graph, const MachineConfig& machine,
@@ -30,7 +32,7 @@ class ReferenceAttempt {
         prev_cycle_(static_cast<std::size_t>(graph.node_count()), -1),
         budget_(static_cast<long long>(budget_ratio) * graph.node_count()) {
     height_priority(graph, ii, height_);
-    assigner_.reset(ii);
+    assigner_.reset();
     for (int op = 0; op < graph_.node_count(); ++op) ready_.insert(key(op));
   }
 
@@ -95,15 +97,15 @@ class ReferenceAttempt {
   void schedule_one(int op) {
     const FuKind kind = kind_of(op);
     const int estart = earliest_start(op);
-    assigner_.candidates(op, candidates_);
-    QVLIW_ASSERT(!candidates_.empty(), "ClusterAssigner returned no candidates");
 
+    int best = -1;
     int chosen_cycle = -1;
     int chosen_cluster = -1;
     int chosen_fu = -1;
     for (int t = estart; t < estart + ii_ && chosen_cycle < 0; ++t) {
-      for (int c : candidates_) {
-        if (!assigner_.legal(op, c)) continue;
+      best = assigner_.legal_candidates(op, legal_);
+      QVLIW_ASSERT(best >= 0, "ClusterAssigner returned no candidates");
+      for (int c : legal_) {
         const int fu = mrt_.find_free(c, kind, t);
         if (fu >= 0) {
           chosen_cycle = t;
@@ -117,14 +119,7 @@ class ReferenceAttempt {
     if (chosen_cycle < 0) {
       const int prev = prev_cycle_[static_cast<std::size_t>(op)];
       chosen_cycle = (prev < 0 || estart > prev) ? estart : prev + 1;
-      chosen_cluster = -1;
-      for (int c : candidates_) {
-        if (assigner_.legal(op, c)) {
-          chosen_cluster = c;
-          break;
-        }
-      }
-      if (chosen_cluster < 0) chosen_cluster = candidates_.front();
+      chosen_cluster = legal_.empty() ? best : legal_.front();
       chosen_fu = mrt_.find_free(chosen_cluster, kind, chosen_cycle);
       if (chosen_fu < 0) {
         chosen_fu = victim_fu(chosen_cluster, kind, chosen_cycle);
@@ -169,7 +164,7 @@ class ReferenceAttempt {
   std::vector<int> prev_cycle_;
   long long budget_;
   std::set<std::pair<int, int>> ready_;
-  std::vector<int> candidates_;
+  std::vector<int> legal_;
   std::vector<int> evictions_;
   std::vector<int> adjacency_evictions_;
 };

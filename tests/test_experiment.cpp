@@ -5,6 +5,7 @@
 #include "harness/experiment.h"
 #include "harness/shard.h"
 #include "support/strings.h"
+#include "workload/kernels.h"
 #include "workload/suite.h"
 
 namespace qvliw {
@@ -161,6 +162,30 @@ TEST(Render, Sec2ShapeTableKeepsChainFailuresInTheBase) {
                           "| 50.0%         |"),
             std::string::npos)
       << os.str();
+}
+
+// Every point's one cell failed, as when a loop's RecMII exceeds
+// ImsOptions::max_ii: each experiment still renders its tables, with
+// zeros where no loop was scheduled, and Fig. 7 still writes its JSON.
+TEST(Render, EveryExperimentRendersPointsThatScheduleNothing) {
+  const std::vector<Loop> loops = {kernel_by_name("daxpy")};
+  const std::vector<LoopResult> failed = {cell(false, 0)};
+  int rendered = 0;
+  for (const Experiment& experiment : paper_experiments()) {
+    const ExperimentCells cells{
+        loops, experiment.points,
+        std::vector<const std::vector<LoopResult>*>(experiment.points.size(), &failed)};
+    std::ostringstream os;
+    ASSERT_NO_THROW(experiment.render(cells, os)) << experiment.id;
+    EXPECT_NE(os.str().find("+--"), std::string::npos) << experiment.id << " renders no table";
+    ++rendered;
+    if (experiment.id != "fig7") continue;
+    std::ostringstream json;
+    ASSERT_NO_THROW(write_fig7_json(json, cells));
+    EXPECT_NE(json.str().find("\"scheduled\": 0, "), std::string::npos) << json.str();
+    EXPECT_NE(json.str().find("\"max_positions\": 0.0}"), std::string::npos) << json.str();
+  }
+  EXPECT_EQ(rendered, 9);
 }
 
 // --- the union sweep --------------------------------------------------------

@@ -111,9 +111,7 @@ TEST(Loop, UseCountsAndMaxDistance) {
   add.args.push_back(Operand::value(2, 3));  // self at distance 3
   loop.add_op(add);
   EXPECT_EQ(loop.max_distance(), 3);
-  EXPECT_EQ(loop.use_count(0), 2);  // store + add
-  EXPECT_EQ(loop.use_count(2), 1);  // self
-  EXPECT_EQ(loop.value_use_count(), 3);
+  EXPECT_EQ(loop.value_use_count(), 3);  // x by the store and the add, s by itself
 }
 
 TEST(LoopValidate, RejectsUnnamedValue) {

@@ -39,12 +39,10 @@ TEST(Cluster, PaperCluster) {
 TEST(Machine, SingleClusterTwelveIsBalanced) {
   const MachineConfig m = MachineConfig::single_cluster_machine(12);
   EXPECT_EQ(m.cluster_count(), 1);
-  EXPECT_TRUE(m.single_cluster());
   EXPECT_EQ(m.fu_count(0, FuKind::kLS), 4);
   EXPECT_EQ(m.fu_count(0, FuKind::kAdd), 4);
   EXPECT_EQ(m.fu_count(0, FuKind::kMul), 4);
   EXPECT_EQ(m.fu_count(0, FuKind::kCopy), 4);
-  EXPECT_EQ(m.total_compute_fus(), 12);
 }
 
 TEST(Machine, SingleClusterFourFuMix) {
@@ -53,7 +51,6 @@ TEST(Machine, SingleClusterFourFuMix) {
   EXPECT_EQ(m.fu_count(0, FuKind::kAdd), 1);
   EXPECT_EQ(m.fu_count(0, FuKind::kMul), 1);
   EXPECT_EQ(m.fu_count(0, FuKind::kCopy), 2);  // ceil(4/3)
-  EXPECT_EQ(m.total_compute_fus(), 4);
 }
 
 TEST(Machine, SingleClusterRejectsTiny) {
@@ -63,8 +60,9 @@ TEST(Machine, SingleClusterRejectsTiny) {
 TEST(Machine, ClusteredShape) {
   const MachineConfig m = MachineConfig::clustered_machine(4);
   EXPECT_EQ(m.cluster_count(), 4);
-  EXPECT_FALSE(m.single_cluster());
-  EXPECT_EQ(m.total_compute_fus(), 12);
+  EXPECT_EQ(m.total_fus(FuKind::kLS), 4);
+  EXPECT_EQ(m.total_fus(FuKind::kAdd), 4);
+  EXPECT_EQ(m.total_fus(FuKind::kMul), 4);
   EXPECT_EQ(m.total_fus(FuKind::kCopy), 4);
   EXPECT_EQ(m.segment.queues_per_segment, 8);
   EXPECT_EQ(m.topology().segment_count(), 8);
@@ -75,28 +73,28 @@ TEST(Machine, ClusteredRejectsOne) {
 }
 
 TEST(Ring, DistanceOnFourRing) {
-  const MachineConfig m = MachineConfig::clustered_machine(4);
-  EXPECT_EQ(m.distance(0, 0), 0);
-  EXPECT_EQ(m.distance(0, 1), 1);
-  EXPECT_EQ(m.distance(0, 2), 2);
-  EXPECT_EQ(m.distance(0, 3), 1);  // wraps
-  EXPECT_EQ(m.distance(3, 0), 1);
+  const Topology ring = MachineConfig::clustered_machine(4).topology();
+  EXPECT_EQ(ring.distance(0, 0), 0);
+  EXPECT_EQ(ring.distance(0, 1), 1);
+  EXPECT_EQ(ring.distance(0, 2), 2);
+  EXPECT_EQ(ring.distance(0, 3), 1);  // wraps
+  EXPECT_EQ(ring.distance(3, 0), 1);
 }
 
 TEST(Ring, DistanceOnSixRing) {
-  const MachineConfig m = MachineConfig::clustered_machine(6);
-  EXPECT_EQ(m.distance(0, 3), 3);
-  EXPECT_EQ(m.distance(1, 5), 2);
-  EXPECT_EQ(m.distance(5, 1), 2);
+  const Topology ring = MachineConfig::clustered_machine(6).topology();
+  EXPECT_EQ(ring.distance(0, 3), 3);
+  EXPECT_EQ(ring.distance(1, 5), 2);
+  EXPECT_EQ(ring.distance(5, 1), 2);
 }
 
 TEST(Ring, Adjacency) {
-  const MachineConfig m = MachineConfig::clustered_machine(5);
-  EXPECT_LE(m.distance(0, 0), 1);
-  EXPECT_LE(m.distance(0, 1), 1);
-  EXPECT_LE(m.distance(0, 4), 1);
-  EXPECT_GT(m.distance(0, 2), 1);
-  EXPECT_GT(m.distance(0, 3), 1);
+  const Topology ring = MachineConfig::clustered_machine(5).topology();
+  EXPECT_LE(ring.distance(0, 0), 1);
+  EXPECT_LE(ring.distance(0, 1), 1);
+  EXPECT_LE(ring.distance(0, 4), 1);
+  EXPECT_GT(ring.distance(0, 2), 1);
+  EXPECT_GT(ring.distance(0, 3), 1);
 }
 
 TEST(Machine, TopologyMachineIsTheClusteredRing) {
@@ -177,7 +175,8 @@ TEST(Machine, ValidateCatchesEmpty) {
 TEST(Machine, FuCountsAcrossSizes) {
   for (int n = 3; n <= 18; ++n) {
     const MachineConfig m = MachineConfig::single_cluster_machine(n);
-    EXPECT_EQ(m.total_compute_fus(), n) << n;
+    EXPECT_EQ(m.total_fus(FuKind::kLS) + m.total_fus(FuKind::kAdd) + m.total_fus(FuKind::kMul), n)
+        << n;
     EXPECT_GE(m.fu_count(0, FuKind::kLS), 1);
     EXPECT_GE(m.fu_count(0, FuKind::kAdd), 1);
     EXPECT_GE(m.fu_count(0, FuKind::kMul), 1);

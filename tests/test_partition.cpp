@@ -119,16 +119,27 @@ TEST(Partition, HeuristicNames) {
 }
 
 TEST(Partition, AssignerTracksPlacements) {
-  const Loop loop = insert_copies(kernel_by_name("vadd")).loop;
+  // The consumer's legal clusters follow its producer's placement: drawn
+  // to cluster 2 of a 4-ring while the producer sits there, free again
+  // once the producer is removed or the attempt is reset.
+  const Loop loop = parse_loop("loop t { x = load X[i]; store Y[i], x; }");
   const MachineConfig machine = MachineConfig::clustered_machine(4);
   const Ddg graph = Ddg::build(loop, machine.latency);
   TopologyClusterAssigner assigner(loop, graph, machine, ClusterHeuristic::kAffinity);
-  assigner.reset(2);
-  EXPECT_EQ(assigner.cluster_of(0), -1);
+  const std::vector<int> every = {0, 1, 2, 3};
+  std::vector<int> legal;
+  EXPECT_EQ(assigner.legal_candidates(1, legal), 0);
+  EXPECT_EQ(legal, every);
   assigner.on_place(0, 2);
-  EXPECT_EQ(assigner.cluster_of(0), 2);
+  EXPECT_EQ(assigner.legal_candidates(1, legal), 2);
+  EXPECT_EQ(legal, (std::vector<int>{2, 1, 3}));
   assigner.on_remove(0);
-  EXPECT_EQ(assigner.cluster_of(0), -1);
+  EXPECT_EQ(assigner.legal_candidates(1, legal), 0);
+  EXPECT_EQ(legal, every);
+  assigner.on_place(0, 2);
+  assigner.reset();
+  EXPECT_EQ(assigner.legal_candidates(1, legal), 0);
+  EXPECT_EQ(legal, every);
 }
 
 TEST(Partition, LegalityFollowsNeighbours) {
@@ -138,14 +149,13 @@ TEST(Partition, LegalityFollowsNeighbours) {
   const MachineConfig machine = MachineConfig::clustered_machine(5);
   const Ddg graph = Ddg::build(loop, machine.latency);
   TopologyClusterAssigner assigner(loop, graph, machine, ClusterHeuristic::kAffinity);
-  assigner.reset(1);
   assigner.on_place(0, 0);
-  EXPECT_TRUE(assigner.legal(1, 0));
-  EXPECT_TRUE(assigner.legal(1, 1));
-  EXPECT_TRUE(assigner.legal(1, 4));
-  EXPECT_FALSE(assigner.legal(1, 2));
-  EXPECT_FALSE(assigner.legal(1, 3));
+  std::vector<int> legal;
+  EXPECT_EQ(assigner.legal_candidates(1, legal), 0);
+  EXPECT_EQ(legal, (std::vector<int>{0, 1, 4}));
   std::vector<int> evictions;
+  assigner.adjacency_evictions(1, 4, evictions);
+  EXPECT_TRUE(evictions.empty());
   assigner.adjacency_evictions(1, 3, evictions);
   ASSERT_EQ(evictions.size(), 1u);
   EXPECT_EQ(evictions[0], 0);
@@ -195,10 +205,12 @@ bool rule_legal(const Ddg& graph, const MachineConfig& machine,
 }
 
 // The searcher asks the assigner once per placement (legal_candidates).
-// Its order and legal subset must equal the per-cluster rule: a stable
-// sort of 0..k-1 by score, filtered by legality, and legal() agrees.
-// Random partial placements (with some ops placed and removed again) on
-// rings of 2-7 clusters, every heuristic, strict and relaxed.
+// Its legal subset and order must equal the per-cluster rule: a stable
+// sort of 0..k-1 by score, filtered by legality.  It returns the head of
+// the unfiltered order, and adjacency_evictions is empty exactly for the
+// legal clusters.  Random partial placements (with some ops placed and
+// removed again) on rings of 2-7 clusters, every heuristic, strict and
+// relaxed.
 TEST(Partition, OnePassChoiceMatchesPerClusterRule) {
   Rng rng(0x9a55);
   std::vector<Loop> loops;
@@ -207,8 +219,8 @@ TEST(Partition, OnePassChoiceMatchesPerClusterRule) {
   }
   int none_legal = 0;  // strict queries where no cluster is legal
   int some_legal = 0;  // strict queries where some clusters are and some are not
-  std::vector<int> got;
   std::vector<int> got_legal;
+  std::vector<int> evictions;
   for (int k = 2; k <= 7; ++k) {
     const MachineConfig machine = MachineConfig::clustered_machine(k);
     for (const Loop& loop : loops) {
@@ -220,7 +232,7 @@ TEST(Partition, OnePassChoiceMatchesPerClusterRule) {
         for (const bool strict : {true, false}) {
           TopologyClusterAssigner assigner(loop, graph, machine, heuristic, strict);
           for (int trial = 0; trial < 4; ++trial) {
-            assigner.reset(1);
+            assigner.reset();
             std::vector<int> cluster_of(static_cast<std::size_t>(n), -1);
             const double share = rng.uniform(0.1, 0.9);
             for (int op = 0; op < n; ++op) {
@@ -244,17 +256,16 @@ TEST(Partition, OnePassChoiceMatchesPerClusterRule) {
               std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
                 return score[static_cast<std::size_t>(a)] > score[static_cast<std::size_t>(b)];
               });
-              std::vector<int> want_legal;
-              for (const int c : want) {
-                const bool legal = !strict || rule_legal(graph, machine, cluster_of, op, c);
-                EXPECT_EQ(assigner.legal(op, c), legal) << loop.name << " op " << op;
-                if (legal) want_legal.push_back(c);
-              }
               const std::string where = cat(loop.name, " on ", machine.name, " / ",
                                             cluster_heuristic_name(heuristic),
                                             strict ? " strict" : " relaxed", ", op ", op);
-              assigner.candidates(op, got);
-              EXPECT_EQ(got, want) << where;
+              std::vector<int> want_legal;
+              for (const int c : want) {
+                const bool legal = !strict || rule_legal(graph, machine, cluster_of, op, c);
+                assigner.adjacency_evictions(op, c, evictions);
+                EXPECT_EQ(evictions.empty(), legal) << where << ", cluster " << c;
+                if (legal) want_legal.push_back(c);
+              }
               EXPECT_EQ(assigner.legal_candidates(op, got_legal), want.front()) << where;
               EXPECT_EQ(got_legal, want_legal) << where;
               if (strict && want_legal.empty()) ++none_legal;

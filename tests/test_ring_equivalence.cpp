@@ -5,8 +5,7 @@
 // These tests replicate the retired arithmetic verbatim and assert the
 // generic path is bit-identical to it: distances, every queue domain the
 // allocator files a lifetime under, and the sweep fingerprint across
-// repeated runs of the clustered suite.  Any divergence here means cached
-// ring artifacts and historical sweep baselines silently changed meaning.
+// repeated runs of the clustered suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>

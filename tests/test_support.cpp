@@ -227,6 +227,13 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(values, 50), 25.0);
 }
 
+// Like mean and geomean: a point that scheduled no loop reads 0.
+TEST(Stats, PercentileOfNothingIsZero) {
+  EXPECT_DOUBLE_EQ(percentile({}, 95), 0.0);
+  EXPECT_DOUBLE_EQ(percentile({}, 100), 0.0);
+  EXPECT_THROW((void)percentile({}, 101), Error);
+}
+
 TEST(Stats, HistogramBins) {
   Histogram h(0.0, 10.0, 5);
   for (double v : {0.5, 1.5, 3.0, 9.9, 11.0, -1.0}) h.add(v);  // clamped edges

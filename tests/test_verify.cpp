@@ -186,8 +186,36 @@ TEST(VerifyRouting, MissingCopyTreeCaught) {
   EXPECT_TRUE(verify_routing(loop, graph, machine, schedule, /*check_fanout=*/false).ok());
 }
 
+// Every ordered cluster pair of rings of 2-8 and 12 clusters: the pass
+// flags a flow exactly where Topology counts more than one hop, and its
+// message carries that count.
 TEST(VerifyRouting, NonAdjacentFlowCaught) {
   const Loop loop = parse_loop("loop t { x = load X[i]; store Y[i], x; }");
+  int flagged = 0;
+  for (const int k : {2, 3, 4, 5, 6, 7, 8, 12}) {
+    const MachineConfig machine = MachineConfig::clustered_machine(k);
+    const Topology ring = Topology::ring(k);
+    const Ddg graph = Ddg::build(loop, machine.latency);
+    for (int from = 0; from < k; ++from) {
+      for (int to = 0; to < k; ++to) {
+        Schedule schedule(loop.op_count(), 2);
+        schedule.set(0, {0, from, 0});
+        schedule.set(1, {2, to, 0});
+        const VerifyReport report = verify_routing(loop, graph, machine, schedule,
+                                                   /*check_fanout=*/true);
+        const int hops = ring.distance(from, to);
+        const std::string where = cat("ring-", k, ", ", from, " -> ", to, ": ", report.summary(0));
+        ASSERT_EQ(report.has_rule(VerifyRule::kRouteAdjacency), hops > 1) << where;
+        if (hops <= 1) continue;
+        ++flagged;
+        EXPECT_NE(report.summary(0).find(cat("on cluster ", to, " (", hops, " ring hops;")),
+                  std::string::npos)
+            << where;
+      }
+    }
+  }
+  EXPECT_GT(flagged, 0);
+
   const MachineConfig machine = MachineConfig::clustered_machine(4);
   const Ddg graph = Ddg::build(loop, machine.latency);
   Schedule schedule(loop.op_count(), 2);
